@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cases", type=int, default=100, help="random cases per scenario")
         p.add_argument("--k", type=_parse_k_list, default=None,
                        help="comma-separated bidder counts, e.g. 1,5,10,30,50,100")
-        p.add_argument("--parallel", choices=["on", "off"], default="off",
-                       help="run exclusion solves concurrently")
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("instance", help="instance document path")
@@ -155,7 +153,6 @@ def cmd_study(args: argparse.Namespace) -> int:
         cost_law=CostLaw.from_token(args.law),
         gamma=args.gamma,
         seed=args.seed,
-        parallel=args.parallel == "on",
     )
     for table in run_study(args.name, config):
         path = table.write_csv(args.out)

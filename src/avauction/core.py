@@ -7,6 +7,7 @@ instead of float tolerances.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -241,7 +242,7 @@ class AuctionInstance:
 
 
 def is_strictly_increasing(values: Sequence[int]) -> bool:
-    return all(a < b for a, b in zip(values, values[1:]))
+    return all(map(operator.lt, values, values[1:]))
 
 
 def has_diminishing_marginals(values: Sequence[int]) -> bool:
@@ -250,25 +251,39 @@ def has_diminishing_marginals(values: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(diffs, diffs[1:]))
 
 
-def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
-    """Check one schedule against the instance capacity; raise on violation."""
+def price_series(schedule: BidSchedule, capacity: int) -> list[int]:
+    """The schedule's prices for sizes 1..min(available_seats, capacity), in micros.
+
+    Checks what winner determination relies on: availability within
+    [0, capacity], a price for every offerable size, and strictly increasing
+    prices.  Raises on violation.
+    """
     who = schedule.bidder_id
     if not (0 <= schedule.available_seats <= capacity):
         raise SeatBoundViolation(
             f"bidder {who}: available_seats {schedule.available_seats} outside [0, {capacity}]"
         )
-    top = schedule.max_size(capacity)
+    top = schedule.available_seats
+    try:
+        series = [schedule.prices[m].micros for m in range(1, top + 1)]
+    except KeyError as exc:
+        raise MissingPrice(
+            f"bidder {who}: no price for size {exc.args[0]} (must cover 1..{top})"
+        ) from None
+    if not is_strictly_increasing(series):
+        raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
+    return series
+
+
+def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
+    """Check one schedule against the instance capacity; raise on violation."""
+    series = price_series(schedule, capacity)
+    who, top = schedule.bidder_id, len(series)
     for size in schedule.prices:
         if not isinstance(size, int) or size < 1 or size > top:
             raise OversizedCombination(
                 f"bidder {who}: price defined for size {size} outside 1..{top}"
             )
-    for size in range(1, top + 1):
-        if size not in schedule.prices:
-            raise MissingPrice(f"bidder {who}: no price for size {size} (must cover 1..{top})")
-    series = [schedule.prices[m].micros for m in range(1, top + 1)]
-    if not is_strictly_increasing(series):
-        raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
     if schedule.concave and not has_diminishing_marginals(series):
         raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
 
@@ -323,16 +338,3 @@ def _instance_from_raw(raw: Mapping) -> AuctionInstance:
         service=service,
         bids=tuple(bids),
     )
-
-
-def check_bids_cover_valuations(bid: BidSchedule, valuation: BidSchedule) -> None:
-    """Check the paired-schedule invariant: bid(m) >= valuation(m) everywhere."""
-    if set(bid.prices) != set(valuation.prices):
-        raise MissingPrice(
-            f"bidder {bid.bidder_id}: bid and valuation schedules price different sizes"
-        )
-    for size, price in bid.prices.items():
-        if price < valuation.prices[size]:
-            raise ValidationError(
-                f"bidder {bid.bidder_id}: bid below valuation at size {size}"
-            )

@@ -20,13 +20,15 @@ from typing import Optional, Union
 from .core import AuctionError, Money, ServiceType, as_fraction, round_half_up
 from .scenario import CostLaw, GenerationLaw, ScenarioBatch, generate_batch, rng_stream
 from .vcg import (
+    ChargeReport,
+    case_charges,
     change_of_charge,
     change_of_payment,
     charge_identity_holds,
     perturb_bids,
     vcg_charges,
 )
-from .wdp import solve_wdp
+from .wdp import Allocation, CompiledCase, solve_wdp
 
 SERVICES = (ServiceType.SPLITTABLE, ServiceType.NON_SPLITTABLE, ServiceType.PRIVATE)
 
@@ -81,7 +83,6 @@ class ExperimentConfig:
     truthfulness_runs: int = 5
     timing_cases: int = 5
     timing_repeats: int = 3
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         self.gamma = as_fraction(self.gamma)
@@ -152,14 +153,22 @@ def _check(condition: bool, label: str, message: str) -> None:
         raise StudyInvariantViolation(f"{message} [{label}]")
 
 
-def _solve_checked(instance, label: str):
-    """solve_wdp plus the seat-exactness assertion every study must enforce."""
-    alloc = solve_wdp(instance)
-    if alloc is not None and instance.service is ServiceType.SPLITTABLE:
-        _check(alloc.seat_total() == instance.requested_seats, label,
-               f"splittable allocation covers {alloc.seat_total()} != "
-               f"{instance.requested_seats} seats")
+def _seats_checked(alloc: Optional[Allocation], service: ServiceType, q_r: int,
+                   label: str) -> Optional[Allocation]:
+    """The seat-exactness assertion every study must enforce."""
+    if alloc is not None and service is ServiceType.SPLITTABLE:
+        _check(alloc.seat_total() == q_r, label,
+               f"splittable allocation covers {alloc.seat_total()} != {q_r} seats")
     return alloc
+
+
+def _charges_checked(case: CompiledCase, service: ServiceType, q_r: int,
+                     label: str) -> Optional[ChargeReport]:
+    """One request's charge report (None if unservable), seat-checked."""
+    report = case_charges(case, service, q_r)
+    if report is not None:
+        _seats_checked(report.winner_allocation, service, q_r, label)
+    return report
 
 
 def _generate(config: ExperimentConfig, k: int, cost_law: Optional[CostLaw] = None,
@@ -208,28 +217,28 @@ def run_charge_study(config: ExperimentConfig) -> ResultTable:
         }
         for i in range(batch.case_count):
             label = batch.case_label(i)
+            case = CompiledCase(batch.cases[i], batch.capacity)
             private_total: Optional[int] = None
             for q in range(1, config.capacity + 1):
                 served: dict[ServiceType, int] = {}
                 for svc in SERVICES:
-                    instance = batch.instance(i, svc, q)
-                    alloc = _solve_checked(instance, label)
-                    if alloc is None:
+                    report = _charges_checked(case, svc, q, label)
+                    if report is None:
                         continue
-                    served[svc] = alloc.total_bid.micros
+                    optimum = report.optimum.micros
+                    served[svc] = optimum
                     if svc is ServiceType.PRIVATE:
                         if private_total is None:
-                            private_total = alloc.total_bid.micros
-                        _check(alloc.total_bid.micros == private_total, label,
+                            private_total = optimum
+                        _check(optimum == private_total, label,
                                "private total varies with q_r")
-                    report = vcg_charges(instance)
                     if not report.fallback:
                         _check(charge_identity_holds(report), label,
                                "charge identity total = p* + sum(pivotal - p*) failed")
                     cell = acc[(svc, q)]
                     cell[0] += 1
                     cell[1] += report.total_charge.micros
-                    cell[2] += alloc.total_bid.micros
+                    cell[2] += optimum
                 s = served.get(ServiceType.SPLITTABLE)
                 n = served.get(ServiceType.NON_SPLITTABLE)
                 p = served.get(ServiceType.PRIVATE)
@@ -264,12 +273,16 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
     for k in config.scenario_sizes:
         if k < 2:
             continue  # the charging rule degenerates to the optimum for a monopoly
-        batch = _generate(config, k)
+        # Only case 0 is used; streams are keyed by (seed, case, bidder), so
+        # it is the same case 0 as in a full batch.
+        batch = _generate(config, k, cases=1)
+        base_case = CompiledCase(batch.cases[0], batch.capacity)
         for q in range(1, config.capacity + 1):
-            base_instance = batch.instance(0, ServiceType.SPLITTABLE, q)
-            if _solve_checked(base_instance, batch.case_label(0)) is None:
+            base_report = _charges_checked(base_case, ServiceType.SPLITTABLE, q,
+                                           batch.case_label(0))
+            if base_report is None:
                 continue
-            base_report = vcg_charges(base_instance)
+            base_instance = batch.instance(0, ServiceType.SPLITTABLE, q)
             base_winners = base_report.winner_allocation.winner_ids()
             for raise_f in config.winner_raises:
                 perturbed = perturb_bids(base_instance, base_winners, raise_f)
@@ -289,18 +302,25 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
     for k in untruthful_sizes:
         if k < 2:
             continue
-        batch = _generate(config, k)
-        runs = min(config.truthfulness_runs, batch.case_count)
+        runs = min(config.truthfulness_runs, config.cases)
+        batch = _generate(config, k, cases=runs)
+        truthful_reports: dict[tuple[int, ServiceType, int], Optional[ChargeReport]] = {}
+        for case in range(runs):
+            compiled = CompiledCase(batch.cases[case], batch.capacity)
+            for svc in SERVICES:
+                for q in range(1, config.capacity + 1):
+                    truthful_reports[(case, svc, q)] = _charges_checked(
+                        compiled, svc, q, batch.case_label(case))
         for svc in SERVICES:
             for q in range(1, config.capacity + 1):
                 for frac in config.target_fractions:
                     for raise_f in config.raise_fractions:
                         for case in range(runs):
+                            truthful = truthful_reports[(case, svc, q)]
+                            if truthful is None:
+                                continue
                             instance = batch.instance(case, svc, q)
                             label = batch.case_label(case)
-                            if _solve_checked(instance, label) is None:
-                                continue
-                            truthful = vcg_charges(instance)
                             count = max(1, round_half_up(frac * k))
                             stream = rng_stream(
                                 config.seed,
@@ -328,22 +348,27 @@ def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
             continue
         for law in (CostLaw.LARGE_VARIATION, CostLaw.SMALL_VARIATION):
             batch = _generate(config, k, cost_law=law)
-            for svc in SERVICES:
-                for q in range(1, config.capacity + 1):
-                    count = 0
-                    total = Fraction(0)
-                    for i in range(batch.case_count):
-                        instance = batch.instance(i, svc, q)
-                        if _solve_checked(instance, batch.case_label(i)) is None:
-                            continue
-                        report = vcg_charges(instance)
-                        if report.fallback:
+            sums: dict[tuple[ServiceType, int], list] = {
+                (svc, q): [0, Fraction(0)]
+                for svc in SERVICES
+                for q in range(1, config.capacity + 1)
+            }
+            for i in range(batch.case_count):
+                label = batch.case_label(i)
+                case = CompiledCase(batch.cases[i], batch.capacity)
+                for svc in SERVICES:
+                    for q in range(1, config.capacity + 1):
+                        report = _charges_checked(case, svc, q, label)
+                        if report is None or report.fallback:
                             continue
                         cop = change_of_payment(report)
-                        _check(cop >= 0, batch.case_label(i),
-                               f"negative change of payment {cop}")
-                        count += 1
-                        total += cop
+                        _check(cop >= 0, label, f"negative change of payment {cop}")
+                        cell = sums[(svc, q)]
+                        cell[0] += 1
+                        cell[1] += cop
+            for svc in SERVICES:
+                for q in range(1, config.capacity + 1):
+                    count, total = sums[(svc, q)]
                     mean = total / count if count else None
                     means[(k, svc, q, law)] = mean
                     table.add(k, svc, q, law.value, count, "" if mean is None else mean)
@@ -385,7 +410,8 @@ def run_timing_study(config: ExperimentConfig) -> ResultTable:
             instances = []
             for i in range(batch.case_count):
                 instance = batch.instance(i, svc, config.capacity)
-                if _solve_checked(instance, batch.case_label(i)) is not None:
+                if _seats_checked(solve_wdp(instance), svc, config.capacity,
+                                  batch.case_label(i)) is not None:
                     instances.append(instance)
             if instances:
                 cells.append((k, svc, instances))

@@ -29,7 +29,7 @@ from .core import (
     has_diminishing_marginals,
     round_half_up,
 )
-from .wdp import Allocation, exclusion_totals, solve_wdp, solve_wdp_excluding
+from .wdp import Allocation, CompiledCase, solve_wdp
 
 
 class NotServed(AuctionError):
@@ -88,28 +88,25 @@ class UtilityLedger:
 def _exclusion_batch(instance: AuctionInstance, ids: tuple[str, ...]) -> list[Optional[int]]:
     out: list[Optional[int]] = []
     for bidder_id in ids:
-        alloc = solve_wdp_excluding(instance, bidder_id)
+        alloc = solve_wdp(instance.without_bidder(bidder_id))
         out.append(None if alloc is None else alloc.total_bid.micros)
     return out
 
 
-def _pivotal_micros(
-    instance: AuctionInstance,
-    independent_solves: bool,
-    executor: Optional[Executor],
+def _independent_pivotals(
+    instance: AuctionInstance, executor: Optional[Executor]
 ) -> dict[str, Optional[int]]:
+    """Every bidder's exclusion total from its own literal solve."""
     ids = tuple(sorted(instance.bidder_ids()))
-    if executor is not None:
-        chunks_wanted = max(1, (os.cpu_count() or 1) * 2)
-        step = max(1, -(-len(ids) // chunks_wanted))
-        chunks = [ids[i : i + step] for i in range(0, len(ids), step)]
-        totals: dict[str, Optional[int]] = {}
-        for chunk, values in zip(chunks, executor.map(_exclusion_batch, repeat(instance), chunks)):
-            totals.update(zip(chunk, values))
-        return totals
-    if independent_solves:
-        return {k: v for k, v in zip(ids, _exclusion_batch(instance, ids))}
-    return exclusion_totals(instance)
+    if executor is None:
+        return dict(zip(ids, _exclusion_batch(instance, ids)))
+    chunks_wanted = max(1, (os.cpu_count() or 1) * 2)
+    step = max(1, -(-len(ids) // chunks_wanted))
+    chunks = [ids[i : i + step] for i in range(0, len(ids), step)]
+    totals: dict[str, Optional[int]] = {}
+    for chunk, values in zip(chunks, executor.map(_exclusion_batch, repeat(instance), chunks)):
+        totals.update(zip(chunk, values))
+    return totals
 
 
 def vcg_charges(
@@ -120,27 +117,50 @@ def vcg_charges(
 ) -> ChargeReport:
     """Compute the full charge report for a servable instance.
 
-    Pivotal values come from a shared-work pass over all single-bidder
-    exclusions by default; ``independent_solves=True`` runs the literal
-    per-bidder exclusion solves instead, and ``executor`` fans those solves
-    out concurrently (they are independent subproblems).  All three paths
-    produce identical reports.
+    Pivotal values come from the instance's compiled case by default;
+    ``independent_solves=True`` runs the literal per-bidder exclusion solves
+    instead, and ``executor`` fans those solves out concurrently (they are
+    independent subproblems).  All three paths produce identical reports.
     """
-    allocation = solve_wdp(instance)
+    case = CompiledCase.from_instance(instance)
+    allocation = case.solve(instance.service, instance.requested_seats)
     if allocation is None:
         raise NotServed("instance is unservable; no charges to compute")
+    if independent_solves or executor is not None:
+        pivotal = _independent_pivotals(instance, executor)
+    else:
+        pivotal = case.winner_exclusions(instance.service, allocation)
+    return _report(case, instance.service, allocation, pivotal)
+
+
+def case_charges(
+    case: CompiledCase, service: ServiceType, requested_seats: int
+) -> Optional[ChargeReport]:
+    """The charge report of one request on a compiled case, or None when
+    the request is unservable."""
+    allocation = case.solve(service, requested_seats)
+    if allocation is None:
+        return None
+    return _report(case, service, allocation, case.winner_exclusions(service, allocation))
+
+
+def _report(
+    case: CompiledCase,
+    service: ServiceType,
+    allocation: Allocation,
+    pivotal: Mapping[str, Optional[int]],
+) -> ChargeReport:
+    """Assemble the report.  A bidder missing from ``pivotal`` is a
+    non-winner whose exclusion total is the optimum, so it pays exactly 0."""
     p_star = allocation.total_bid.micros
     winning_amount = {
-        bidder_id: instance.schedule(bidder_id).prices[size].micros
-        for bidder_id, size in allocation.assignments
+        bidder_id: case.price(bidder_id, size) for bidder_id, size in allocation.assignments
     }
-    pivotal = _pivotal_micros(instance, independent_solves, executor)
-    entries: list[BidderCharge] = []
+    listed: dict[str, BidderCharge] = {}
     fallback = False
     total = 0
-    for bidder_id in sorted(instance.bidder_ids()):
+    for bidder_id, piv in pivotal.items():
         own = winning_amount.get(bidder_id, 0)
-        piv = pivotal[bidder_id]
         if piv is None:
             if own == 0:
                 raise AssertionError(
@@ -155,18 +175,20 @@ def vcg_charges(
                     f"negative charge for {bidder_id}: exclusion beat the optimum"
                 )
         total += charge
-        entries.append(
-            BidderCharge(
-                bidder_id=bidder_id,
-                pivotal=None if piv is None else Money(piv),
-                charge=Money(charge),
-            )
+        listed[bidder_id] = BidderCharge(
+            bidder_id=bidder_id,
+            pivotal=None if piv is None else Money(piv),
+            charge=Money(charge),
         )
+    zero = Money(0)
     return ChargeReport(
-        service=instance.service,
+        service=service,
         optimum=allocation.total_bid,
         winner_allocation=allocation,
-        per_bidder=tuple(entries),
+        per_bidder=tuple(
+            listed.get(bidder_id) or BidderCharge(bidder_id, allocation.total_bid, zero)
+            for bidder_id in case.ids
+        ),
         total_charge=Money(p_star if fallback else total),
         fallback=fallback,
     )

@@ -1,11 +1,25 @@
-"""Exact winner determination for the three service types.
+"""Exact winner determination for the three service types, over compiled cases.
 
-The splittable service is solved by dynamic programming over (bidders
-considered, seats still required); the single-vehicle services reduce to a
-direct minimum thanks to strictly increasing prices.  A literal enumeration
-oracle (``brute_force_wdp``) keeps the fast solvers honest: it filters raw
-one-size-or-nothing assignments by the service constraints in their original
-inequality form.
+A ``CompiledCase`` holds one case's bids as checked integer price rows in
+bidder-id order, and answers every (service, requested seats) query from
+tables built lazily, once, and only as wide as the largest request asked:
+for splittable requests the minimal (cost, count) covers of each seat count
+by the bidders after i (suffix) and before j (prefix); for the
+single-vehicle services the best and second-best price at each size, since
+strictly increasing prices make exactly the requested size optimal.
+
+Exclusion totals then need no further dynamic program: the replacement-paths
+idea of Hershberger & Suri ("Vickrey prices and shortest paths", FOCS 2001),
+applied across requests as well as across bidders.  A non-winner's exclusion
+total is the optimum p*, because the chosen allocation stays feasible
+without it; a splittable winner's joins the prefix before it to the suffix
+after it; a single-vehicle winner's is the second-best price at its size.
+``None`` marks infeasibility; no sentinel price stands in for it.
+
+``solve_wdp`` and ``exclusion_totals`` are views over a case compiled from
+one instance.  A literal enumeration oracle (``brute_force_wdp``) keeps the
+engine honest: it filters raw one-size-or-nothing assignments by the service
+constraints in their original inequality form.
 
 All solvers return ``None`` when the request cannot be served, and break ties
 deterministically: lowest total, then fewest assignments, then the
@@ -15,14 +29,22 @@ lexicographically smallest sorted (bidder_id, size) list.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import Iterable, Optional
 
-from .core import AuctionError, AuctionInstance, Money, ServiceType
-
-# Totals stay far below 2**62 (sums of <= 1e4 prices, each < 1e7 micros).
-_INF = 1 << 62
+from .core import (
+    AuctionError,
+    AuctionInstance,
+    BidSchedule,
+    DuplicateBidder,
+    Money,
+    SeatBoundViolation,
+    ServiceType,
+    UnknownBidder,
+    price_series,
+)
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -67,14 +89,167 @@ class Feasibility:
         }[service]
 
 
-def _rows(instance: AuctionInstance) -> list[tuple[str, list[int]]]:
-    """Per-bidder price series in micro-units, ordered by bidder_id."""
-    rows = []
-    for sched in instance.bids:
-        top = sched.max_size(instance.capacity)
-        rows.append((sched.bidder_id, [sched.prices[m].micros for m in range(1, top + 1)]))
-    rows.sort(key=lambda r: r[0])
-    return rows
+def _cover_table(
+    rows: Iterable[list[int]], width: int
+) -> list[list[Optional[tuple[int, int]]]]:
+    """table[i][s]: minimal (cost, count) covering exactly s <= width seats
+    with the first i rows, one size or nothing from each; None if no cover."""
+    prev: list[Optional[tuple[int, int]]] = [(0, 0)] + [None] * width
+    table = [prev]
+    for prices in rows:
+        cur = prev[:]  # contribute nothing
+        for s in range(1, width + 1):
+            best = cur[s]
+            for m in range(1, min(len(prices), s) + 1):
+                rest = prev[s - m]
+                if rest is not None:
+                    cand = (prices[m - 1] + rest[0], rest[1] + 1)
+                    if best is None or cand < best:
+                        best = cand
+            cur[s] = best
+        table.append(cur)
+        prev = cur
+    return table
+
+
+class CompiledCase:
+    """One case's bids, compiled once and queried for any (service, q_r).
+
+    ``ids`` are the bidder ids in sorted order and ``rows[i]`` is bidder
+    ``ids[i]``'s price series in micros for sizes 1..min(available, capacity).
+    Requests may ask for 1..``width`` seats (``width`` defaults to the
+    capacity).  Building the case raises a ValidationError subclass on a
+    duplicate bidder id, an availability outside [0, capacity], a missing
+    price or prices that do not strictly increase.
+    """
+
+    def __init__(self, bids: Iterable[BidSchedule], capacity: int, width: Optional[int] = None):
+        width = capacity if width is None else width
+        if not (1 <= width <= capacity):
+            raise SeatBoundViolation(f"requested_seats {width} outside [1, {capacity}]")
+        rows = sorted([(s.bidder_id, price_series(s, capacity)) for s in bids])
+        self.capacity = capacity
+        self.width = width
+        self.ids = tuple(bidder_id for bidder_id, _ in rows)
+        self.rows = [prices for _, prices in rows]
+        for a, b in zip(self.ids, self.ids[1:]):
+            if a == b:
+                raise DuplicateBidder(a)
+        self._suffix: Optional[list[list[Optional[tuple[int, int]]]]] = None
+        self._prefix: Optional[list[list[Optional[tuple[int, int]]]]] = None
+        self._single: dict[int, tuple[Optional[int], Optional[int], Optional[int]]] = {}
+
+    @classmethod
+    def from_instance(cls, instance: AuctionInstance) -> "CompiledCase":
+        """Compile just wide enough for the instance's own request."""
+        return cls(instance.bids, instance.capacity, instance.requested_seats)
+
+    def _row(self, bidder_id: str) -> int:
+        i = bisect_left(self.ids, bidder_id)
+        if i == len(self.ids) or self.ids[i] != bidder_id:
+            raise UnknownBidder(bidder_id)
+        return i
+
+    def price(self, bidder_id: str, size: int) -> int:
+        return self.rows[self._row(bidder_id)][size - 1]
+
+    def solve(self, service: ServiceType, requested_seats: int) -> Optional[Allocation]:
+        """Exact minimum-total allocation for one request, or None."""
+        if not (1 <= requested_seats <= self.width):
+            raise SeatBoundViolation(
+                f"requested_seats {requested_seats} outside [1, {self.width}]"
+            )
+        if service is ServiceType.SPLITTABLE:
+            return self._splittable_optimum(requested_seats)
+        size = requested_seats if service is ServiceType.NON_SPLITTABLE else self.capacity
+        best, best_row, _ = self._single_vehicle(size)
+        if best is None:
+            return None
+        return Allocation(assignments=((self.ids[best_row], size),), total_bid=Money(best))
+
+    def winner_exclusions(
+        self, service: ServiceType, allocation: Allocation
+    ) -> dict[str, Optional[int]]:
+        """Exclusion totals (micros) of the winners of ``allocation``, which
+        must be this case's optimum for the request; None marks a winner
+        whose exclusion leaves the request unservable.  Every other
+        bidder's exclusion total is ``allocation.total_bid``."""
+        if service is not ServiceType.SPLITTABLE:
+            ((bidder_id, size),) = allocation.assignments
+            return {bidder_id: self._single_vehicle(size)[2]}
+        q_r = allocation.seat_total()
+        prefix, suffix = self._prefix_table(), self._suffix_table()
+        totals: dict[str, Optional[int]] = {}
+        for bidder_id, _ in allocation.assignments:
+            j = self._row(bidder_id)
+            pre, suf = prefix[j], suffix[j + 1]
+            best: Optional[int] = None
+            for s in range(q_r + 1):
+                head, tail = pre[s], suf[q_r - s]
+                if head is not None and tail is not None:
+                    cand = head[0] + tail[0]
+                    if best is None or cand < best:
+                        best = cand
+            totals[bidder_id] = best
+        return totals
+
+    def _single_vehicle(self, size: int) -> tuple[Optional[int], Optional[int], Optional[int]]:
+        """(best price, its row, second-best price) among offers of exactly
+        ``size`` seats; ties go to the smaller bidder id, and the second-best
+        price then equals the best."""
+        cached = self._single.get(size)
+        if cached is not None:
+            return cached
+        best = best_row = second = None
+        for i, prices in enumerate(self.rows):
+            if len(prices) >= size:
+                price = prices[size - 1]
+                if best is None or price < best:
+                    second, best, best_row = best, price, i
+                elif second is None or price < second:
+                    second = price
+        self._single[size] = (best, best_row, second)
+        return self._single[size]
+
+    def _suffix_table(self) -> list[list[Optional[tuple[int, int]]]]:
+        """suffix[i][s]: minimal (cost, count) covering exactly s seats with bidders i.."""
+        if self._suffix is None:
+            self._suffix = _cover_table(reversed(self.rows), self.width)[::-1]
+        return self._suffix
+
+    def _prefix_table(self) -> list[list[Optional[tuple[int, int]]]]:
+        """prefix[j][s]: minimal (cost, count) covering exactly s seats with bidders before j."""
+        if self._prefix is None:
+            self._prefix = _cover_table(self.rows, self.width)
+        return self._prefix
+
+    def _splittable_optimum(self, q_r: int) -> Optional[Allocation]:
+        # Seat exactness: with strictly increasing prices the optimum covers
+        # q_r seats exactly, so the tables target the equality form directly.
+        # Walking the bidders in id order and taking the first (bidder, size)
+        # that keeps the optimum reachable yields the tie-broken winner list.
+        suffix = self._suffix_table()
+        target = suffix[0][q_r]
+        if target is None:
+            return None
+        total = target[0]
+        assignments: list[tuple[str, int]] = []
+        remaining = q_r
+        for i, prices in enumerate(self.rows):
+            if not remaining:
+                break
+            nxt = suffix[i + 1]
+            for m in range(1, min(len(prices), remaining) + 1):
+                rest = nxt[remaining - m]
+                if rest is not None and (prices[m - 1] + rest[0], rest[1] + 1) == target:
+                    assignments.append((self.ids[i], m))
+                    remaining -= m
+                    target = rest
+                    break
+            else:
+                if nxt[remaining] != target:
+                    raise AssertionError("splittable reconstruction lost the optimum")
+        return Allocation(assignments=tuple(assignments), total_bid=Money(total))
 
 
 def feasibility(instance: AuctionInstance) -> Feasibility:
@@ -89,12 +264,7 @@ def feasibility(instance: AuctionInstance) -> Feasibility:
 
 def solve_wdp(instance: AuctionInstance) -> Optional[Allocation]:
     """Exact minimum-total allocation for the instance's service type."""
-    rows = _rows(instance)
-    if instance.service is ServiceType.SPLITTABLE:
-        return _solve_splittable(rows, instance.requested_seats)
-    if instance.service is ServiceType.NON_SPLITTABLE:
-        return _solve_single_vehicle(rows, instance.requested_seats)
-    return _solve_single_vehicle(rows, instance.capacity)
+    return CompiledCase.from_instance(instance).solve(instance.service, instance.requested_seats)
 
 
 def solve_wdp_excluding(instance: AuctionInstance, excluded: str) -> Optional[Allocation]:
@@ -102,137 +272,18 @@ def solve_wdp_excluding(instance: AuctionInstance, excluded: str) -> Optional[Al
     return solve_wdp(instance.without_bidder(excluded))
 
 
-def _solve_single_vehicle(rows: list[tuple[str, list[int]]], size: int) -> Optional[Allocation]:
-    # Strict monotonicity makes exactly `size` seats optimal among sizes >= size,
-    # so the minimum over bidders offering that size is the exact optimum.
-    best: Optional[tuple[int, str]] = None
-    for bidder_id, prices in rows:
-        if len(prices) >= size:
-            cand = (prices[size - 1], bidder_id)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return None
-    return Allocation(assignments=((best[1], size),), total_bid=Money(best[0]))
-
-
-def _suffix_pairs(rows: list[tuple[str, list[int]]], q_r: int) -> list[list[Optional[tuple[int, int]]]]:
-    """suffix[i][s]: minimal (cost, count) covering exactly s seats with bidders i.."""
-    k = len(rows)
-    table: list[list[Optional[tuple[int, int]]]] = [[None] * (q_r + 1) for _ in range(k + 1)]
-    table[k][0] = (0, 0)
-    for i in range(k - 1, -1, -1):
-        prices = rows[i][1]
-        nxt = table[i + 1]
-        cur = table[i]
-        for s in range(q_r + 1):
-            best = nxt[s]  # contribute nothing
-            for m in range(1, min(len(prices), s) + 1):
-                rest = nxt[s - m]
-                if rest is not None:
-                    cand = (prices[m - 1] + rest[0], 1 + rest[1])
-                    if best is None or cand < best:
-                        best = cand
-            cur[s] = best
-    return table
-
-
-def _solve_splittable(rows: list[tuple[str, list[int]]], q_r: int) -> Optional[Allocation]:
-    # Seat exactness: with strictly increasing prices the optimum covers q_r
-    # seats exactly, so the DP targets the equality form directly.
-    suffix = _suffix_pairs(rows, q_r)
-    target = suffix[0][q_r]
-    if target is None:
-        return None
-    total = target[0]
-    assignments: list[tuple[str, int]] = []
-    remaining = q_r
-    for i, (bidder_id, prices) in enumerate(rows):
-        taken = False
-        for m in range(1, min(len(prices), remaining) + 1):
-            rest = suffix[i + 1][remaining - m]
-            if rest is not None and (prices[m - 1] + rest[0], 1 + rest[1]) == target:
-                assignments.append((bidder_id, m))
-                remaining -= m
-                target = rest
-                taken = True
-                break
-        if not taken and suffix[i + 1][remaining] != target:
-            raise AssertionError("splittable reconstruction lost the optimum")
-    return Allocation(assignments=tuple(assignments), total_bid=Money(total))
-
-
 def exclusion_totals(instance: AuctionInstance) -> dict[str, Optional[int]]:
     """Optimal totals (micro-units) of every single-bidder-exclusion problem.
 
-    Equivalent to running ``solve_wdp_excluding`` once per bidder, but shares
-    the DP work across exclusions; ``None`` marks an infeasible exclusion.
+    Equivalent to running ``solve_wdp_excluding`` once per bidder; ``None``
+    marks an infeasible exclusion.
     """
-    rows = _rows(instance)
-    if instance.service is ServiceType.SPLITTABLE:
-        return _exclusion_totals_splittable(rows, instance.requested_seats)
-    size = (
-        instance.requested_seats
-        if instance.service is ServiceType.NON_SPLITTABLE
-        else instance.capacity
-    )
-    return _exclusion_totals_single_vehicle(rows, size)
-
-
-def _exclusion_totals_single_vehicle(
-    rows: list[tuple[str, list[int]]], size: int
-) -> dict[str, Optional[int]]:
-    candidates = [
-        (prices[size - 1] if len(prices) >= size else None, bidder_id)
-        for bidder_id, prices in rows
-    ]
-    totals: dict[str, Optional[int]] = {}
-    for k, (_, bidder_id) in enumerate(candidates):
-        best = None
-        for j, (value, _) in enumerate(candidates):
-            if j != k and value is not None and (best is None or value < best):
-                best = value
-        totals[bidder_id] = best
-    return totals
-
-
-def _exclusion_totals_splittable(
-    rows: list[tuple[str, list[int]]], q_r: int
-) -> dict[str, Optional[int]]:
-    k = len(rows)
-    prefix = [[_INF] * (q_r + 1) for _ in range(k + 1)]
-    prefix[0][0] = 0
-    for i in range(k):
-        prices = rows[i][1]
-        prev, cur = prefix[i], prefix[i + 1]
-        for s in range(q_r + 1):
-            best = prev[s]
-            for m in range(1, min(len(prices), s) + 1):
-                c = prev[s - m] + prices[m - 1]
-                if c < best:
-                    best = c
-            cur[s] = best
-    suffix = [[_INF] * (q_r + 1) for _ in range(k + 1)]
-    suffix[k][0] = 0
-    for i in range(k - 1, -1, -1):
-        prices = rows[i][1]
-        nxt, cur = suffix[i + 1], suffix[i]
-        for s in range(q_r + 1):
-            best = nxt[s]
-            for m in range(1, min(len(prices), s) + 1):
-                c = nxt[s - m] + prices[m - 1]
-                if c < best:
-                    best = c
-            cur[s] = best
-    totals: dict[str, Optional[int]] = {}
-    for j, (bidder_id, _) in enumerate(rows):
-        best = _INF
-        pre, suf = prefix[j], suffix[j + 1]
-        for s in range(q_r + 1):
-            c = pre[s] + suf[q_r - s]
-            if c < best:
-                best = c
-        totals[bidder_id] = None if best >= _INF else best
+    case = CompiledCase.from_instance(instance)
+    allocation = case.solve(instance.service, instance.requested_seats)
+    if allocation is None:
+        return dict.fromkeys(case.ids)
+    totals: dict[str, Optional[int]] = dict.fromkeys(case.ids, allocation.total_bid.micros)
+    totals.update(case.winner_exclusions(instance.service, allocation))
     return totals
 
 
@@ -245,10 +296,10 @@ def brute_force_wdp(
     keeping the seat-coverage condition in its inequality form (>= q_r, or
     >= capacity for private) rather than the equality the fast solver uses.
     """
-    rows = _rows(instance)
+    case = CompiledCase.from_instance(instance)
     options = [
         [(0, 0)] + [(m, prices[m - 1]) for m in range(1, len(prices) + 1)]
-        for _, prices in rows
+        for prices in case.rows
     ]
     if math.prod(len(o) for o in options) > enumeration_cap:
         raise EnumerationCapExceeded(
@@ -274,7 +325,7 @@ def brute_force_wdp(
         if best_key is not None and (total, count) > best_key[:2]:
             continue
         assigns = tuple(
-            (rows[i][0], m) for i, (m, _) in enumerate(combo) if m
+            (case.ids[i], m) for i, (m, _) in enumerate(combo) if m
         )
         key = (total, count, assigns)
         if best_key is None or key < best_key:

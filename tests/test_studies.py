@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -119,3 +120,20 @@ def test_run_study_dispatch():
     assert len(tables) == 1 and tables[0].name == "servability"
     with pytest.raises(ValueError):
         run_study("mystery", ExperimentConfig(**SMALL))
+
+
+# sha256 of each deterministic table at a small config and the default seed:
+# a byte change in any study output fails here, without a full-size run.
+GOLDEN = {
+    "charges": "0145e66430c41d9f03d3d26fefb930ec38f74bdcd9be13a77b946e62cbc41e8f",
+    "asymptoticity": "c86093ba7cdd13998ae0c20d4d6b8fbcebb80a0baf953d70b0cb49438f445fda",
+    "truthfulness_winners": "68a0321a3bf87ee069d3318a9cd413d51ed4722bc28ba2ee0be1b3fb00ed3b01",
+    "truthfulness_changes": "b71c31944ee2aed6660d0dcbd8490c2fa132c6576d9a2e4631017da231a57ca7",
+}
+
+
+def test_study_tables_match_golden_digests():
+    cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)
+    tables = [run_charge_study(cfg), run_asymptoticity_study(cfg), *run_truthfulness_study(cfg)]
+    digests = {t.name: hashlib.sha256(t.csv_text().encode()).hexdigest() for t in tables}
+    assert digests == GOLDEN

@@ -4,8 +4,10 @@ import pytest
 from concurrent.futures import ProcessPoolExecutor
 
 from avauction import (
+    BidSchedule,
     FallbackReport,
     MissingValuation,
+    Money,
     NotServed,
     ServiceType,
     UnknownBidder,
@@ -257,3 +259,21 @@ def test_raised_co_winner_can_lower_the_total_in_thin_markets():
     assert raised.charge_of("tiny") == base.charge_of("tiny")  # own raise never helps
     assert raised.charge_of("quad") < base.charge_of("quad")
     assert change_of_charge(base, raised) < 0
+
+
+@pytest.mark.parametrize("service", list(ServiceType))
+def test_huge_prices_are_not_mistaken_for_infeasible(service):
+    # A's prices sit at and above 2**62 micros; excluding the cheap winner B
+    # leaves A to serve the request, so no path may report a fallback.
+    inst = make_instance(
+        2, 1, service,
+        [
+            BidSchedule("A", 2, {1: Money(2**62), 2: Money(2**62 + 1)}),
+            BidSchedule("B", 2, {1: Money(1), 2: Money(2)}),
+        ],
+    )
+    validate_instance(inst)
+    report = vcg_charges(inst)
+    assert not report.fallback
+    assert report == vcg_charges(inst, independent_solves=True)
+    assert report.charge_of("B").micros == (2**62 if service is not ServiceType.PRIVATE else 2**62 + 1)

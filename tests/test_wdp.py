@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from avauction import (
     AuctionInstance,
     BidSchedule,
+    CompiledCase,
+    DuplicateBidder,
     EnumerationCapExceeded,
     Money,
     ServiceType,
@@ -14,6 +16,8 @@ from avauction import (
     exclusion_totals,
     feasibility,
     money_from_decimal,
+    NonMonotonePrices,
+    SeatBoundViolation,
     solve_wdp,
     solve_wdp_excluding,
     validate_instance,
@@ -237,3 +241,96 @@ def test_single_winning_bid_suffices_for_concave_schedules():
                 assert alloc.total_bid.micros == relaxed
                 compared += 1
     assert compared > 100
+
+
+def _assert_case_matches_oracle(bids, capacity):
+    """Compile once, then check every (service, q_r) request's allocation and
+    every bidder's exclusion total against enumeration on that request."""
+    case = CompiledCase(bids, capacity)
+    for service in ServiceType:
+        for q in range(1, capacity + 1):
+            instance = AuctionInstance(capacity, q, service, tuple(bids))
+            alloc = case.solve(service, q)
+            assert alloc == brute_force_wdp(instance)
+            oracle = {}
+            for bid in bids:
+                without = brute_force_wdp(instance.without_bidder(bid.bidder_id))
+                oracle[bid.bidder_id] = None if without is None else without.total_bid.micros
+            assert exclusion_totals(instance) == oracle
+            if alloc is not None:
+                winners = case.winner_exclusions(service, alloc)
+                assert winners == {b: oracle[b] for b in alloc.winner_ids()}
+                # a non-winner's exclusion total is the optimum itself
+                assert all(v == alloc.total_bid.micros for b, v in oracle.items() if b not in winners)
+
+
+@st.composite
+def compiled_cases(draw):
+    """Bids of 0-4 bidders, capacity 1-5: non-concave curves, zero
+    availability, frequent exact ties (narrow price steps) and bidders
+    whose prices all lie beyond 2**62 micros."""
+    capacity = draw(st.integers(min_value=1, max_value=5))
+    step = draw(st.sampled_from([2, 500_000]))
+    bids = []
+    for j in range(draw(st.integers(min_value=0, max_value=4))):
+        available = draw(st.integers(min_value=0, max_value=capacity))
+        increments = draw(
+            st.lists(st.integers(min_value=1, max_value=step), min_size=available, max_size=available)
+        )
+        prices, level = {}, draw(st.sampled_from([0, 2**62]))
+        for m, inc in enumerate(increments, start=1):
+            level += inc
+            prices[m] = Money(level)
+        bids.append(BidSchedule(f"b{j}", available, prices))
+    return bids, capacity
+
+
+@settings(deadline=None, max_examples=150)
+@given(compiled_cases())
+def test_compiled_case_matches_oracle_on_every_request(drawn):
+    bids, capacity = drawn
+    _assert_case_matches_oracle(bids, capacity)
+
+
+@pytest.mark.parametrize(
+    "bids",
+    [
+        [],
+        [sched("A", 3, {1: "0.10", 2: "0.30", 3: "0.35"})],
+        [sched("A", 0, {}), sched("B", 2, {1: "0.10", 2: "0.15"})],
+        # non-concave: marginals rise, so a split beats one big offer
+        [sched("A", 4, {1: "0.10", 2: "0.25", 3: "0.60", 4: "1.20"}),
+         sched("B", 4, {1: "0.12", 2: "0.26", 3: "0.61", 4: "1.21"})],
+    ],
+    ids=["K0", "K1", "zero-availability", "non-concave"],
+)
+def test_compiled_case_edge_cases(bids):
+    _assert_case_matches_oracle(bids, 4)
+
+
+def test_tied_single_vehicle_best_excludes_to_the_tied_price():
+    bids = [
+        sched("C", 2, {1: "0.30", 2: "0.50"}),
+        sched("B", 2, {1: "0.20", 2: "0.50"}),
+        sched("A", 2, {1: "0.25", 2: "0.50"}),
+    ]
+    case = CompiledCase(bids, 2)
+    for service, q in ((ServiceType.NON_SPLITTABLE, 2), (ServiceType.PRIVATE, 1)):
+        alloc = case.solve(service, q)
+        assert alloc.assignments == (("A", 2),)  # smallest id among the tied
+        assert case.winner_exclusions(service, alloc) == {"A": 500_000}
+    _assert_case_matches_oracle(bids, 2)
+
+
+def test_compiled_case_rejects_what_the_engine_cannot_solve():
+    with pytest.raises(DuplicateBidder):
+        CompiledCase([sched("A", 1, {1: "0.1"}), sched("A", 1, {1: "0.2"})], 5)
+    with pytest.raises(NonMonotonePrices):
+        CompiledCase([sched("A", 2, {1: "0.2", 2: "0.2"})], 5)
+    with pytest.raises(SeatBoundViolation):
+        CompiledCase([sched("A", 6, {m: f"0.{m}" for m in range(1, 7)})], 5)
+    case = CompiledCase([sched("A", 1, {1: "0.1"})], 5, width=2)
+    with pytest.raises(SeatBoundViolation):
+        case.solve(ServiceType.SPLITTABLE, 3)
+    with pytest.raises(SeatBoundViolation):
+        solve_wdp(make_instance(5, 6, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0.1"})]))
