@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -70,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_charge.add_argument("instance", help="instance document path")
     p_charge.add_argument("--service", choices=[s.value for s in ServiceType],
                           default=None, help="override the file's service type")
-    p_charge.add_argument("--parallel", choices=["on", "off"], default="off")
 
     p_gen = sub.add_parser("gen", help="generate random instance files")
     add_common(p_gen)
@@ -108,11 +106,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_charge(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance, args.service)
     try:
-        if args.parallel == "on":
-            with ProcessPoolExecutor() as pool:
-                report = vcg_charges(instance, executor=pool)
-        else:
-            report = vcg_charges(instance)
+        report = vcg_charges(instance)
     except NotServed:
         print("unservable")
         return EXIT_UNSERVABLE

@@ -84,6 +84,9 @@ def as_fraction(value: Union[Fraction, int, str, float]) -> Fraction:
 
 _DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d*))?$|^\.(\d+)$")
 
+# The bidder ids the instance text format can carry: one whitespace-free token.
+BIDDER_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
+
 
 @dataclass(frozen=True, order=True)
 class Money:
@@ -96,18 +99,10 @@ class Money:
     micros: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.micros, int):
+        if isinstance(self.micros, bool) or not isinstance(self.micros, int):
             raise ValidationError(f"micros must be int, got {type(self.micros).__name__}")
         if self.micros < 0:
             raise NegativeAmount(f"negative amount: {self.micros} micros")
-
-    @classmethod
-    def zero(cls) -> "Money":
-        return cls(0)
-
-    @classmethod
-    def from_decimal(cls, text: str) -> "Money":
-        return money_from_decimal(text)
 
     def to_decimal(self) -> str:
         return money_to_decimal(self)
@@ -191,15 +186,6 @@ class BidSchedule:
     def max_size(self, capacity: int) -> int:
         return min(self.available_seats, capacity)
 
-    def price(self, size: SeatCount) -> Money:
-        return self.prices[size]
-
-    def offers(self, size: SeatCount) -> bool:
-        return size in self.prices
-
-
-ValuationSchedule = BidSchedule
-
 
 @dataclass(frozen=True)
 class AuctionInstance:
@@ -275,12 +261,26 @@ def price_series(schedule: BidSchedule, capacity: int) -> list[int]:
     return series
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
-    """Check one schedule against the instance capacity; raise on violation."""
+    """Check one schedule against the instance capacity; raise on violation.
+
+    Beyond what ``price_series`` checks, the id must be one token of the
+    text format, and the schedule's fields must have the types that format
+    writes, so every valid instance survives serialisation and parsing.
+    """
+    who = schedule.bidder_id
+    if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
+        raise ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
+    if not _is_int(schedule.available_seats) or not isinstance(schedule.concave, bool):
+        raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
     series = price_series(schedule, capacity)
-    who, top = schedule.bidder_id, len(series)
+    top = len(series)
     for size in schedule.prices:
-        if not isinstance(size, int) or size < 1 or size > top:
+        if not _is_int(size) or size < 1 or size > top:
             raise OversizedCombination(
                 f"bidder {who}: price defined for size {size} outside 1..{top}"
             )
@@ -294,6 +294,10 @@ def validate_instance(raw: Union[AuctionInstance, Mapping]) -> AuctionInstance:
     Raises a ValidationError subclass naming the first violated invariant.
     """
     instance = raw if isinstance(raw, AuctionInstance) else _instance_from_raw(raw)
+    if not (_is_int(instance.capacity) and _is_int(instance.requested_seats)):
+        raise ValidationError("capacity and requested_seats must be int")
+    if not isinstance(instance.service, ServiceType):
+        raise ValidationError(f"service must be a ServiceType, got {instance.service!r}")
     if instance.capacity < 1:
         raise SeatBoundViolation(f"capacity {instance.capacity} must be at least 1")
     if not (1 <= instance.requested_seats <= instance.capacity):

@@ -15,11 +15,11 @@ solving.  Unknown versions are rejected.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from typing import Iterable, Union
 
 from .core import (
+    BIDDER_ID_RE,
     AuctionError,
     AuctionInstance,
     BidSchedule,
@@ -32,8 +32,6 @@ from .core import (
 
 FORMAT_NAME = "avauction-instance"
 FORMAT_VERSION = "v1"
-
-_BIDDER_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
 class ParseError(AuctionError):
@@ -92,7 +90,7 @@ def _parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
     # bidder <id> available <int> [concave] prices <size>:<decimal> ...
     try:
         bidder_id = tokens[1]
-        if not _BIDDER_ID_RE.match(bidder_id):
+        if not BIDDER_ID_RE.fullmatch(bidder_id):
             raise ParseError(f"line {n}: bad bidder id {bidder_id!r}")
         if tokens[2] != "available":
             raise ParseError(f"line {n}: expected 'available' after bidder id")

@@ -11,7 +11,6 @@ runs with the same config: aggregation uses exact rationals, never floats.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +27,7 @@ from .vcg import (
     perturb_bids,
     vcg_charges,
 )
-from .wdp import Allocation, CompiledCase, solve_wdp
+from .wdp import Allocation, CompiledCase, feasibility, solve_wdp
 
 SERVICES = (ServiceType.SPLITTABLE, ServiceType.NON_SPLITTABLE, ServiceType.PRIVATE)
 
@@ -185,17 +184,11 @@ def run_servability_study(config: ExperimentConfig) -> ResultTable:
     for k in config.scenario_sizes:
         batch = _generate(config, k)
         counts = {(svc, q): 0 for svc in SERVICES for q in range(1, config.capacity + 1)}
-        for schedules in batch.cases:
-            offered = [s.max_size(config.capacity) for s in schedules]
-            total, top = sum(offered), max(offered)
-            has_full = any(m == config.capacity for m in offered)
+        for i in range(batch.case_count):
             for q in range(1, config.capacity + 1):
-                if total < q:
-                    counts[(ServiceType.SPLITTABLE, q)] += 1
-                if top < q:
-                    counts[(ServiceType.NON_SPLITTABLE, q)] += 1
-                if not has_full:
-                    counts[(ServiceType.PRIVATE, q)] += 1
+                feasible = feasibility(batch.instance(i, ServiceType.SPLITTABLE, q))
+                for svc in SERVICES:
+                    counts[(svc, q)] += not feasible.for_service(svc)
         for svc in SERVICES:
             for q in range(1, config.capacity + 1):
                 table.add(k, svc, q, batch.case_count, counts[(svc, q)])
@@ -385,23 +378,22 @@ def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def time_charge(
-    instance, repeats: int, executor: Optional[Executor] = None
-) -> float:
-    """Best-of-``repeats`` wall time of one full charge computation,
-    solving the main problem plus every single-bidder exclusion."""
+def time_charge(instance, repeats: int, independent_solves: bool = True) -> float:
+    """Best-of-``repeats`` wall time of one full charge computation: by
+    default the literal per-bidder exclusion solves, else the shared pass."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        vcg_charges(instance, independent_solves=True, executor=executor)
+        vcg_charges(instance, independent_solves=independent_solves)
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def run_timing_study(config: ExperimentConfig) -> ResultTable:
-    """Wall-clock per full charge computation, sequential and concurrent."""
+    """Wall-clock per full charge computation: ``sequential`` runs one
+    literal solve per excluded bidder, ``shared`` is ``vcg_charges`` at its
+    defaults, the path every other caller runs."""
     table = ResultTable("timing", ("K", "service", "mode", "cases", "mean_seconds"))
-    cells: list[tuple[int, ServiceType, list]] = []
     for k in config.scenario_sizes:
         if k < 2:
             continue
@@ -413,13 +405,11 @@ def run_timing_study(config: ExperimentConfig) -> ResultTable:
                 if _seats_checked(solve_wdp(instance), svc, config.capacity,
                                   batch.case_label(i)) is not None:
                     instances.append(instance)
-            if instances:
-                cells.append((k, svc, instances))
-    with ProcessPoolExecutor() as pool:
-        list(pool.map(abs, range(16)))  # warm the workers before any timed region
-        for k, svc, instances in cells:
-            for mode, executor in (("sequential", None), ("concurrent", pool)):
-                times = [time_charge(inst, config.timing_repeats, executor) for inst in instances]
+            if not instances:
+                continue
+            for mode, independent in (("sequential", True), ("shared", False)):
+                times = [time_charge(inst, config.timing_repeats, independent)
+                         for inst in instances]
                 table.add(k, svc, mode, len(instances), sum(times) / len(times))
     return table
 

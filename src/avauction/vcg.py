@@ -10,11 +10,8 @@ bidder markets have to be settled.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Mapping, Optional, Union
 
 from .core import (
@@ -85,49 +82,28 @@ class UtilityLedger:
     report: ChargeReport
 
 
-def _exclusion_batch(instance: AuctionInstance, ids: tuple[str, ...]) -> list[Optional[int]]:
-    out: list[Optional[int]] = []
-    for bidder_id in ids:
-        alloc = solve_wdp(instance.without_bidder(bidder_id))
-        out.append(None if alloc is None else alloc.total_bid.micros)
-    return out
-
-
-def _independent_pivotals(
-    instance: AuctionInstance, executor: Optional[Executor]
-) -> dict[str, Optional[int]]:
+def _independent_pivotals(instance: AuctionInstance) -> dict[str, Optional[int]]:
     """Every bidder's exclusion total from its own literal solve."""
-    ids = tuple(sorted(instance.bidder_ids()))
-    if executor is None:
-        return dict(zip(ids, _exclusion_batch(instance, ids)))
-    chunks_wanted = max(1, (os.cpu_count() or 1) * 2)
-    step = max(1, -(-len(ids) // chunks_wanted))
-    chunks = [ids[i : i + step] for i in range(0, len(ids), step)]
     totals: dict[str, Optional[int]] = {}
-    for chunk, values in zip(chunks, executor.map(_exclusion_batch, repeat(instance), chunks)):
-        totals.update(zip(chunk, values))
+    for bidder_id in sorted(instance.bidder_ids()):
+        alloc = solve_wdp(instance.without_bidder(bidder_id))
+        totals[bidder_id] = None if alloc is None else alloc.total_bid.micros
     return totals
 
 
-def vcg_charges(
-    instance: AuctionInstance,
-    *,
-    independent_solves: bool = False,
-    executor: Optional[Executor] = None,
-) -> ChargeReport:
+def vcg_charges(instance: AuctionInstance, *, independent_solves: bool = False) -> ChargeReport:
     """Compute the full charge report for a servable instance.
 
     Pivotal values come from the instance's compiled case by default;
     ``independent_solves=True`` runs the literal per-bidder exclusion solves
-    instead, and ``executor`` fans those solves out concurrently (they are
-    independent subproblems).  All three paths produce identical reports.
+    instead, as an oracle.  Both paths produce identical reports.
     """
     case = CompiledCase.from_instance(instance)
     allocation = case.solve(instance.service, instance.requested_seats)
     if allocation is None:
         raise NotServed("instance is unservable; no charges to compute")
-    if independent_solves or executor is not None:
-        pivotal = _independent_pivotals(instance, executor)
+    if independent_solves:
+        pivotal = _independent_pivotals(instance)
     else:
         pivotal = case.winner_exclusions(instance.service, allocation)
     return _report(case, instance.service, allocation, pivotal)

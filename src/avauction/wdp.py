@@ -66,12 +66,6 @@ class Allocation:
     def seat_total(self) -> int:
         return sum(size for _, size in self.assignments)
 
-    def size_of(self, bidder_id: str) -> Optional[int]:
-        for b, size in self.assignments:
-            if b == bidder_id:
-                return size
-        return None
-
 
 @dataclass(frozen=True)
 class Feasibility:
@@ -267,16 +261,11 @@ def solve_wdp(instance: AuctionInstance) -> Optional[Allocation]:
     return CompiledCase.from_instance(instance).solve(instance.service, instance.requested_seats)
 
 
-def solve_wdp_excluding(instance: AuctionInstance, excluded: str) -> Optional[Allocation]:
-    """Solve the same problem with one bidder's schedule removed."""
-    return solve_wdp(instance.without_bidder(excluded))
-
-
 def exclusion_totals(instance: AuctionInstance) -> dict[str, Optional[int]]:
     """Optimal totals (micro-units) of every single-bidder-exclusion problem.
 
-    Equivalent to running ``solve_wdp_excluding`` once per bidder; ``None``
-    marks an infeasible exclusion.
+    Equivalent to running ``solve_wdp(instance.without_bidder(b))`` for
+    each bidder ``b``; ``None`` marks an infeasible exclusion.
     """
     case = CompiledCase.from_instance(instance)
     allocation = case.solve(instance.service, instance.requested_seats)

@@ -80,13 +80,6 @@ def test_charge_unservable_exit_code(tmp_path, capsys):
     assert main(["charge", str(path)]) == EXIT_UNSERVABLE
 
 
-def test_charge_parallel_flag(tmp_path, e2, capsys):
-    path = tmp_path / "e2.txt"
-    path.write_text(serialize_instance(e2))
-    assert main(["charge", str(path), "--parallel", "on"]) == EXIT_OK
-    assert "total 1.200000" in capsys.readouterr().out
-
-
 def test_gen_writes_parseable_instances(tmp_path, capsys):
     out = tmp_path / "gen"
     code = main([

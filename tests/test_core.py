@@ -43,6 +43,11 @@ class TestMoney:
         with pytest.raises(NegativeAmount):
             Money(-5)
 
+    def test_bool_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(ValidationError):
+                Money(flag)
+
     def test_malformed(self):
         for bad in ("1e3", "abc", "1.2.3", ""):
             with pytest.raises(ValidationError):
@@ -160,6 +165,23 @@ class TestValidation:
         inst = validate_instance(raw)
         assert isinstance(inst, AuctionInstance)
         assert inst.schedule("A").prices[2].micros == 700_000
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            lambda i: AuctionInstance(5.0, 1, i.service, i.bids),
+            lambda i: AuctionInstance(5, True, i.service, i.bids),
+            lambda i: AuctionInstance(5, 1, "splittable", i.bids),
+            lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", True, {1: Money(1)})]),
+            lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", 1, {True: Money(1)})]),
+            lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", 0, {}, concave="no")]),
+        ],
+        ids=["float-capacity", "bool-request", "str-service", "bool-availability",
+             "bool-size", "str-concave"],
+    )
+    def test_fields_must_have_the_types_the_format_writes(self, e1, mutation):
+        with pytest.raises(ValidationError):
+            validate_instance(mutation(e1))
 
     def test_price_coverage_is_exact(self, e1, e2):
         for inst in (e1, e2):

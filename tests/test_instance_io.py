@@ -1,14 +1,20 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avauction import (
+    AuctionInstance,
+    BidSchedule,
+    Money,
     ParseError,
     ServiceType,
+    ValidationError,
     parse_instance,
     read_instance,
     serialize_instance,
     validate_instance,
     write_instance,
 )
+from avauction.core import BIDDER_ID_RE
 
 from conftest import make_instance, sched
 
@@ -88,3 +94,48 @@ def test_file_round_trip(tmp_path, e1):
     path = tmp_path / "e1.txt"
     write_instance(path, e1, comments=["written by test"])
     assert read_instance(path) == e1
+
+
+@st.composite
+def valid_instances(draw):
+    """Instances ``validate_instance`` accepts: ids drawn from the id
+    pattern, zero availability, concave curves (flagged) and unflagged ones
+    of any shape, and prices beyond 2**62 micros."""
+    capacity = draw(st.integers(min_value=1, max_value=6))
+    ids = draw(st.lists(st.from_regex(BIDDER_ID_RE, fullmatch=True), max_size=4, unique=True))
+    bids = []
+    for bidder_id in ids:
+        available = draw(st.integers(min_value=0, max_value=capacity))
+        level = draw(st.sampled_from([0, 2**62, 10**20]))
+        increments = draw(st.lists(st.integers(1, 10**7), min_size=available, max_size=available))
+        concave = draw(st.booleans())
+        if concave:
+            increments.sort(reverse=True)
+        prices = {}
+        for m, inc in enumerate(increments, start=1):
+            level += inc
+            prices[m] = Money(level)
+        bids.append(BidSchedule(bidder_id, available, prices, concave=concave))
+    return validate_instance(
+        AuctionInstance(
+            capacity=capacity,
+            requested_seats=draw(st.integers(min_value=1, max_value=capacity)),
+            service=draw(st.sampled_from(list(ServiceType))),
+            bids=tuple(bids),
+        )
+    )
+
+
+@settings(deadline=None)
+@given(valid_instances())
+def test_every_valid_instance_round_trips(instance):
+    assert validate_instance(parse_instance(serialize_instance(instance))) == instance
+
+
+@pytest.mark.parametrize("bad_id", ["x y", "", "A\n", "b\u00e9"])
+def test_validation_rejects_ids_the_format_cannot_carry(bad_id):
+    inst = make_instance(5, 1, ServiceType.SPLITTABLE, [sched(bad_id, 1, {1: "0.10"})])
+    with pytest.raises(ValidationError, match="bidder id"):
+        validate_instance(inst)
+    with pytest.raises(ParseError, match="bidder"):
+        parse_instance(serialize_instance(inst))

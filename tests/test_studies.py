@@ -102,7 +102,7 @@ def test_timing_study_reports_both_modes():
     cfg = ExperimentConfig(scenario_sizes=(6,), cases=2, timing_cases=2, timing_repeats=1)
     table = run_timing_study(cfg)
     modes = {row[2] for row in table.rows}
-    assert modes == {"sequential", "concurrent"}
+    assert modes == {"sequential", "shared"}
     assert all(row[4] > 0 for row in table.rows)
 
 

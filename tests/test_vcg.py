@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from concurrent.futures import ProcessPoolExecutor
 
 from avauction import (
     BidSchedule,
@@ -82,8 +81,6 @@ class TestChargeReports:
             batched = vcg_charges(inst)
             independent = vcg_charges(inst, independent_solves=True)
             assert batched == independent
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            assert vcg_charges(e2, executor=pool) == vcg_charges(e2)
 
 
 class TestUtilities:

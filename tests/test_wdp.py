@@ -19,7 +19,6 @@ from avauction import (
     NonMonotonePrices,
     SeatBoundViolation,
     solve_wdp,
-    solve_wdp_excluding,
     validate_instance,
 )
 
@@ -48,20 +47,20 @@ class TestKnownOptima:
         assert brute_force_wdp(inst) is None
 
     def test_e1_excluding(self, e1):
-        alloc = solve_wdp_excluding(e1, "B")
+        alloc = solve_wdp(e1.without_bidder("B"))
         assert alloc.assignments == (("A", 3),)
         assert alloc.total_bid == money_from_decimal("0.90")
-        assert solve_wdp_excluding(e1.with_service(ServiceType.PRIVATE), "A") is None
+        assert solve_wdp(e1.with_service(ServiceType.PRIVATE).without_bidder("A")) is None
 
     def test_e2_exclusions(self, e2):
-        assert solve_wdp_excluding(e2, "A").assignments == (("B", 2), ("C", 2))
-        assert solve_wdp_excluding(e2, "A").total_bid == money_from_decimal("1.00")
-        assert solve_wdp_excluding(e2, "B").total_bid == money_from_decimal("0.98")
-        assert solve_wdp_excluding(e2, "C").total_bid == money_from_decimal("0.78")
+        assert solve_wdp(e2.without_bidder("A")).assignments == (("B", 2), ("C", 2))
+        assert solve_wdp(e2.without_bidder("A")).total_bid == money_from_decimal("1.00")
+        assert solve_wdp(e2.without_bidder("B")).total_bid == money_from_decimal("0.98")
+        assert solve_wdp(e2.without_bidder("C")).total_bid == money_from_decimal("0.78")
 
     def test_excluding_unknown_bidder(self, e1):
         with pytest.raises(UnknownBidder):
-            solve_wdp_excluding(e1, "nobody")
+            e1.without_bidder("nobody")
 
     def test_brute_force_matches(self, e1, e2):
         for inst in (e1, e2):
@@ -196,7 +195,7 @@ def test_service_price_ordering(instance):
 def test_exclusion_totals_match_per_bidder_solves(instance):
     totals = exclusion_totals(instance)
     for bidder_id in instance.bidder_ids():
-        alloc = solve_wdp_excluding(instance, bidder_id)
+        alloc = solve_wdp(instance.without_bidder(bidder_id))
         assert totals[bidder_id] == (None if alloc is None else alloc.total_bid.micros)
 
 
