@@ -1,7 +1,8 @@
 """Command-line front end: solve or charge instance files, generate random
 cases, and run the study suite.
 
-Exit codes: 0 served, 2 unservable, 64 parse error, 65 validation error.
+Exit codes: 0 served, 1 study invariant violation, 2 unservable, 64 parse
+error, 65 validation error.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from typing import Optional, Sequence
 from .core import ServiceType, ValidationError, validate_instance
 from .instance_io import ParseError, read_instance, serialize_instance
 from .scenario import CostLaw, GenerationLaw, InvalidLaw, generate_batch
-from .studies import STUDY_NAMES, ExperimentConfig, run_study
+from .studies import STUDY_NAMES, ExperimentConfig, StudyInvariantViolation, run_study
 from .vcg import NotServed, vcg_charges
 from .wdp import solve_wdp
 
 EXIT_OK = 0
+EXIT_INVARIANT = 1
 EXIT_UNSERVABLE = 2
 EXIT_PARSE = 64
 EXIT_VALIDATION = 65
@@ -174,6 +176,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValidationError, InvalidLaw) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except StudyInvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -288,12 +288,14 @@ def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
         raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
 
 
-def validate_instance(raw: Union[AuctionInstance, Mapping]) -> AuctionInstance:
-    """Validate an instance (or build one from a plain mapping) and return it.
+def validate_instance(instance: AuctionInstance) -> AuctionInstance:
+    """Validate an instance and return it unchanged.
 
-    Raises a ValidationError subclass naming the first violated invariant.
+    Raises a ValidationError subclass naming the first violated invariant;
+    anything that is not an ``AuctionInstance`` is rejected, never coerced.
     """
-    instance = raw if isinstance(raw, AuctionInstance) else _instance_from_raw(raw)
+    if not isinstance(instance, AuctionInstance):
+        raise ValidationError(f"expected an AuctionInstance, got {type(instance).__name__}")
     if not (_is_int(instance.capacity) and _is_int(instance.requested_seats)):
         raise ValidationError("capacity and requested_seats must be int")
     if not isinstance(instance.service, ServiceType):
@@ -311,34 +313,3 @@ def validate_instance(raw: Union[AuctionInstance, Mapping]) -> AuctionInstance:
         seen.add(schedule.bidder_id)
         validate_schedule(schedule, instance.capacity)
     return instance
-
-
-def _coerce_money(value: Union[Money, str, int]) -> Money:
-    if isinstance(value, Money):
-        return value
-    if isinstance(value, int):
-        return Money(value)
-    return money_from_decimal(value)
-
-
-def _instance_from_raw(raw: Mapping) -> AuctionInstance:
-    service = raw["service"]
-    if not isinstance(service, ServiceType):
-        service = ServiceType.from_token(str(service))
-    bids = []
-    for entry in raw.get("bids", ()):
-        prices = {int(size): _coerce_money(price) for size, price in entry["prices"].items()}
-        bids.append(
-            BidSchedule(
-                bidder_id=str(entry["bidder_id"]),
-                available_seats=int(entry["available_seats"]),
-                prices=prices,
-                concave=bool(entry.get("concave", False)),
-            )
-        )
-    return AuctionInstance(
-        capacity=int(raw["capacity"]),
-        requested_seats=int(raw["requested_seats"]),
-        service=service,
-        bids=tuple(bids),
-    )

@@ -74,10 +74,6 @@ class RngStream:
     def randint(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)
 
-    def uniform_open(self) -> float:
-        """Uniform on (0, 1]: maps [0, 1) through 1 - u, so 0 is impossible."""
-        return 1.0 - self._rng.random()
-
     def sample(self, population, k: int):
         return self._rng.sample(population, k)
 

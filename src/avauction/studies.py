@@ -1,11 +1,16 @@
 """Desk-scale experiment harness: servability, charges, truthfulness,
 asymptoticity, and timing studies over seeded random cases.
 
-Every study re-checks the exact per-case identities while it runs (seat
-exactness for splittable winners, the service-price ordering, the charge
-identity, non-negative change of charge) and aborts with the offending case
-seed on any violation.  All tables except timing are byte-identical across
-runs with the same config: aggregation uses exact rationals, never floats.
+The charges, truthfulness and asymptoticity studies read every charge report
+through ``_case_reports``, which re-checks the exact per-case identities (seat
+exactness, the charge identity, the service-price ordering, a private optimum
+that does not vary with the request) before any table sees the report.  On
+top of those, truthfulness checks that no change of charge is negative and
+asymptoticity that no change of payment is negative and that small variation
+stays below large.  Timing seat-checks each instance it times.  Every check
+aborts with the offending case seed.  All tables except timing are
+byte-identical across runs with the same config: aggregation uses exact
+rationals, never floats.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Optional, Union
 
@@ -33,6 +39,21 @@ SERVICES = (ServiceType.SPLITTABLE, ServiceType.NON_SPLITTABLE, ServiceType.PRIV
 
 DEFAULT_SCENARIO_SIZES = (1, 5, 10, 30, 50, 100)
 
+# Vehicle capacity of every generated case, and so the requested sizes q_r.
+CAPACITY = 5
+QS = tuple(range(1, CAPACITY + 1))
+# Every (service, q_r) request of a case, in table row order.
+REQUESTS = tuple(product(SERVICES, QS))
+# Fig-5 style perturbations: fraction of bidders raised, and by how much.
+TARGET_FRACTIONS = (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2))
+RAISE_FRACTIONS = (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))
+# Table-2 style raises applied to the base-case winners (0 = base row).
+WINNER_RAISES = (Fraction(0), Fraction(1, 5), Fraction(1, 2))
+# Cases per untruthful-subset cell, and per timing scenario (at most config.cases).
+TRUTHFULNESS_RUNS = 5
+TIMING_CASES = 5
+TIMING_REPEATS = 3
+
 
 class StudyInvariantViolation(AuctionError):
     """A per-case identity failed during a study; the message names the case."""
@@ -51,54 +72,21 @@ def _mean_money(total_micros: int, count: int) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Knobs for the study suite; defaults mirror the headline protocol."""
+    """The study settings ``avauction study`` exposes; defaults mirror the
+    headline protocol."""
 
     scenario_sizes: tuple[int, ...] = DEFAULT_SCENARIO_SIZES
-    capacity: int = 5
     cases: int = 100
     cost_law: CostLaw = CostLaw.LARGE_VARIATION
     gamma: Fraction = Fraction(4, 5)
     seed: int = 20250810
-    # Fig-5 style perturbations: fraction of bidders raised, and by how much.
-    target_fractions: tuple[Fraction, ...] = (
-        Fraction(1, 10),
-        Fraction(1, 5),
-        Fraction(1, 2),
-    )
-    raise_fractions: tuple[Fraction, ...] = (
-        Fraction(1, 10),
-        Fraction(1, 5),
-        Fraction(3, 10),
-    )
-    # Table-2 style raises applied to the base-case winners (0 = base row).
-    winner_raises: tuple[Fraction, ...] = (Fraction(0), Fraction(1, 5), Fraction(1, 2))
-    # Scenario sizes for the untruthful-subset sub-study.  None means the
-    # largest configured scenario: the sign property it asserts is an
-    # observation about competitive markets, where raising a bid past the
-    # thin winning margin drops the raiser from the winner set; in thin
-    # markets (small K) a raised co-winner can keep winning and other
-    # winners' charges then fall with it.
-    untruthful_sizes: Optional[tuple[int, ...]] = None
-    truthfulness_runs: int = 5
-    timing_cases: int = 5
-    timing_repeats: int = 3
 
     def __post_init__(self) -> None:
         self.gamma = as_fraction(self.gamma)
         if not self.scenario_sizes or any(k < 1 for k in self.scenario_sizes):
             raise ValueError("scenario_sizes must be non-empty, all at least 1")
-        if self.untruthful_sizes is not None and (
-            not self.untruthful_sizes or any(k < 1 for k in self.untruthful_sizes)
-        ):
-            raise ValueError("untruthful_sizes must be non-empty, all at least 1")
-        for name in ("capacity", "cases", "truthfulness_runs", "timing_cases", "timing_repeats"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for f in self.target_fractions + self.raise_fractions:
-            if not (0 < f <= 1):
-                raise ValueError(f"fractions must lie in (0, 1], got {f}")
-        if any(f < 0 for f in self.winner_raises):
-            raise ValueError("winner raises must be non-negative")
+        if self.cases < 1:
+            raise ValueError("cases must be at least 1")
 
     def law(self, cost_law: Optional[CostLaw] = None) -> GenerationLaw:
         return GenerationLaw(
@@ -161,20 +149,47 @@ def _seats_checked(alloc: Optional[Allocation], service: ServiceType, q_r: int,
     return alloc
 
 
-def _charges_checked(case: CompiledCase, service: ServiceType, q_r: int,
-                     label: str) -> Optional[ChargeReport]:
-    """One request's charge report (None if unservable), seat-checked."""
-    report = case_charges(case, service, q_r)
-    if report is not None:
-        _seats_checked(report.winner_allocation, service, q_r, label)
-    return report
+def _case_reports(
+    batch: ScenarioBatch, i: int
+) -> dict[tuple[ServiceType, int], Optional[ChargeReport]]:
+    """Compile case ``i`` once and return its charge report for every
+    (service, q_r), None when unservable.
+
+    Checks seat exactness, the charge identity of every non-fallback report,
+    p^s <= p^n <= p^p at each q_r (an unservable service must stay
+    unservable further right), and a private optimum that does not vary
+    with q_r.
+    """
+    label = batch.case_label(i)
+    case = CompiledCase(batch.cases[i], batch.capacity)
+    reports: dict[tuple[ServiceType, int], Optional[ChargeReport]] = {}
+    private: Optional[int] = None
+    for q in QS:
+        optima: list[Optional[int]] = []
+        for svc in SERVICES:
+            report = reports[(svc, q)] = case_charges(case, svc, q)
+            if report is None:
+                optima.append(None)
+                continue
+            _seats_checked(report.winner_allocation, svc, q, label)
+            if not report.fallback:
+                _check(charge_identity_holds(report), label,
+                       "charge identity total = p* + sum(pivotal - p*) failed")
+            optimum = report.optimum.micros
+            if svc is ServiceType.PRIVATE:
+                private = optimum if private is None else private
+                _check(optimum == private, label, "private total varies with q_r")
+            optima.append(optimum)
+        s, n, p = optima
+        ordered = (n is None or s is not None and s <= n) and (p is None or n is not None and n <= p)
+        _check(ordered, label, f"ordering p^s <= p^n <= p^p violated at q_r={q}: {s}, {n}, {p}")
+    return reports
 
 
 def _generate(config: ExperimentConfig, k: int, cost_law: Optional[CostLaw] = None,
               cases: Optional[int] = None) -> ScenarioBatch:
     return generate_batch(
-        config.law(cost_law), k, config.capacity,
-        config.cases if cases is None else cases,
+        config.law(cost_law), k, CAPACITY, config.cases if cases is None else cases,
     )
 
 
@@ -183,15 +198,14 @@ def run_servability_study(config: ExperimentConfig) -> ResultTable:
     table = ResultTable("servability", ("K", "service", "q_r", "cases", "unservable"))
     for k in config.scenario_sizes:
         batch = _generate(config, k)
-        counts = {(svc, q): 0 for svc in SERVICES for q in range(1, config.capacity + 1)}
+        counts = dict.fromkeys(REQUESTS, 0)
         for i in range(batch.case_count):
-            for q in range(1, config.capacity + 1):
+            for q in QS:
                 feasible = feasibility(batch.instance(i, ServiceType.SPLITTABLE, q))
                 for svc in SERVICES:
                     counts[(svc, q)] += not feasible.for_service(svc)
-        for svc in SERVICES:
-            for q in range(1, config.capacity + 1):
-                table.add(k, svc, q, batch.case_count, counts[(svc, q)])
+        for svc, q in REQUESTS:
+            table.add(k, svc, q, batch.case_count, counts[(svc, q)])
     return table
 
 
@@ -203,58 +217,34 @@ def run_charge_study(config: ExperimentConfig) -> ResultTable:
     )
     for k in config.scenario_sizes:
         batch = _generate(config, k)
-        acc: dict[tuple[ServiceType, int], list[int]] = {
-            (svc, q): [0, 0, 0]
-            for svc in SERVICES
-            for q in range(1, config.capacity + 1)
-        }
+        acc = {request: [0, 0, 0] for request in REQUESTS}
         for i in range(batch.case_count):
-            label = batch.case_label(i)
-            case = CompiledCase(batch.cases[i], batch.capacity)
-            private_total: Optional[int] = None
-            for q in range(1, config.capacity + 1):
-                served: dict[ServiceType, int] = {}
-                for svc in SERVICES:
-                    report = _charges_checked(case, svc, q, label)
-                    if report is None:
-                        continue
-                    optimum = report.optimum.micros
-                    served[svc] = optimum
-                    if svc is ServiceType.PRIVATE:
-                        if private_total is None:
-                            private_total = optimum
-                        _check(optimum == private_total, label,
-                               "private total varies with q_r")
-                    if not report.fallback:
-                        _check(charge_identity_holds(report), label,
-                               "charge identity total = p* + sum(pivotal - p*) failed")
-                    cell = acc[(svc, q)]
+            for request, report in _case_reports(batch, i).items():
+                if report is not None:
+                    cell = acc[request]
                     cell[0] += 1
                     cell[1] += report.total_charge.micros
-                    cell[2] += optimum
-                s = served.get(ServiceType.SPLITTABLE)
-                n = served.get(ServiceType.NON_SPLITTABLE)
-                p = served.get(ServiceType.PRIVATE)
-                if n is not None:
-                    _check(s is not None, label, "non-splittable servable but splittable not")
-                    _check(s <= n, label, f"ordering violated: p^s {s} > p^n {n}")
-                if p is not None:
-                    _check(n is not None, label, "private servable but non-splittable not")
-                    _check(n <= p, label, f"ordering violated: p^n {n} > p^p {p}")
-        for svc in SERVICES:
-            for q in range(1, config.capacity + 1):
-                count, charge_sum, opt_sum = acc[(svc, q)]
-                if count:
-                    table.add(k, svc, q, count,
-                              _mean_money(charge_sum, count), _mean_money(opt_sum, count))
-                else:
-                    table.add(k, svc, q, 0, "", "")
+                    cell[2] += report.optimum.micros
+        for (svc, q), (count, charge_sum, opt_sum) in acc.items():
+            if count:
+                table.add(k, svc, q, count,
+                          _mean_money(charge_sum, count), _mean_money(opt_sum, count))
+            else:
+                table.add(k, svc, q, 0, "", "")
     return table
 
 
 def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, ResultTable]:
     """Two sub-studies: base-case winners raising their bids, and randomly
-    chosen untruthful subsets; the latter reports change of charge per run."""
+    chosen untruthful subsets; the latter reports change of charge per run.
+
+    The untruthful subsets are drawn at the largest configured scenario.  The
+    non-negative change of charge it asserts is an observation about
+    competitive markets, where raising a bid past the thin winning margin
+    drops the raiser from the winner set; in thin markets (small K) a raised
+    co-winner can keep winning and other winners' charges then fall with it,
+    so the study aborts there with the offending case.
+    """
     winners_table = ResultTable(
         "truthfulness_winners",
         ("K", "q_r", "raise_fraction", "winners", "winner_charges", "total_charge"),
@@ -269,15 +259,14 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
         # Only case 0 is used; streams are keyed by (seed, case, bidder), so
         # it is the same case 0 as in a full batch.
         batch = _generate(config, k, cases=1)
-        base_case = CompiledCase(batch.cases[0], batch.capacity)
-        for q in range(1, config.capacity + 1):
-            base_report = _charges_checked(base_case, ServiceType.SPLITTABLE, q,
-                                           batch.case_label(0))
+        base_reports = _case_reports(batch, 0)
+        for q in QS:
+            base_report = base_reports[(ServiceType.SPLITTABLE, q)]
             if base_report is None:
                 continue
             base_instance = batch.instance(0, ServiceType.SPLITTABLE, q)
             base_winners = base_report.winner_allocation.winner_ids()
-            for raise_f in config.winner_raises:
+            for raise_f in WINNER_RAISES:
                 perturbed = perturb_bids(base_instance, base_winners, raise_f)
                 report = vcg_charges(perturbed)
                 ids = report.winner_allocation.winner_ids()
@@ -287,44 +276,28 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
                     ";".join(report.charge_of(b).to_decimal() for b in ids),
                     report.total_charge,
                 )
-    untruthful_sizes = (
-        config.untruthful_sizes
-        if config.untruthful_sizes is not None
-        else (max(config.scenario_sizes),)
-    )
-    for k in untruthful_sizes:
-        if k < 2:
-            continue
-        runs = min(config.truthfulness_runs, config.cases)
-        batch = _generate(config, k, cases=runs)
-        truthful_reports: dict[tuple[int, ServiceType, int], Optional[ChargeReport]] = {}
+    k = max(config.scenario_sizes)
+    if k < 2:
+        return winners_table, changes_table
+    runs = min(TRUTHFULNESS_RUNS, config.cases)
+    batch = _generate(config, k, cases=runs)
+    truthful_reports = [_case_reports(batch, case) for case in range(runs)]
+    for (svc, q), frac, raise_f in product(REQUESTS, TARGET_FRACTIONS, RAISE_FRACTIONS):
         for case in range(runs):
-            compiled = CompiledCase(batch.cases[case], batch.capacity)
-            for svc in SERVICES:
-                for q in range(1, config.capacity + 1):
-                    truthful_reports[(case, svc, q)] = _charges_checked(
-                        compiled, svc, q, batch.case_label(case))
-        for svc in SERVICES:
-            for q in range(1, config.capacity + 1):
-                for frac in config.target_fractions:
-                    for raise_f in config.raise_fractions:
-                        for case in range(runs):
-                            truthful = truthful_reports[(case, svc, q)]
-                            if truthful is None:
-                                continue
-                            instance = batch.instance(case, svc, q)
-                            label = batch.case_label(case)
-                            count = max(1, round_half_up(frac * k))
-                            stream = rng_stream(
-                                config.seed,
-                                f"untruthful/K{k}/{svc.value}/q{q}/f{frac}/r{raise_f}/case{case}",
-                            )
-                            targets = stream.sample(sorted(instance.bidder_ids()), count)
-                            report = vcg_charges(perturb_bids(instance, targets, raise_f))
-                            change = change_of_charge(truthful, report)
-                            _check(change >= 0, label,
-                                   f"negative change of charge {change}")
-                            changes_table.add(k, svc, q, frac, raise_f, case, change)
+            truthful = truthful_reports[case][(svc, q)]
+            if truthful is None:
+                continue
+            instance = batch.instance(case, svc, q)
+            count = max(1, round_half_up(frac * k))
+            stream = rng_stream(
+                config.seed,
+                f"untruthful/K{k}/{svc.value}/q{q}/f{frac}/r{raise_f}/case{case}",
+            )
+            targets = stream.sample(sorted(instance.bidder_ids()), count)
+            report = vcg_charges(perturb_bids(instance, targets, raise_f))
+            change = change_of_charge(truthful, report)
+            _check(change >= 0, batch.case_label(case), f"negative change of charge {change}")
+            changes_table.add(k, svc, q, frac, raise_f, case, change)
     return winners_table, changes_table
 
 
@@ -335,46 +308,35 @@ def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
         "asymptoticity",
         ("K", "service", "q_r", "law", "qualifying_cases", "mean_change_of_payment"),
     )
-    means: dict[tuple, Optional[Fraction]] = {}
     for k in config.scenario_sizes:
         if k < 2:
             continue
+        means: dict[CostLaw, dict[tuple[ServiceType, int], Optional[Fraction]]] = {}
         for law in (CostLaw.LARGE_VARIATION, CostLaw.SMALL_VARIATION):
             batch = _generate(config, k, cost_law=law)
-            sums: dict[tuple[ServiceType, int], list] = {
-                (svc, q): [0, Fraction(0)]
-                for svc in SERVICES
-                for q in range(1, config.capacity + 1)
-            }
+            sums = {request: [0, Fraction(0)] for request in REQUESTS}
             for i in range(batch.case_count):
-                label = batch.case_label(i)
-                case = CompiledCase(batch.cases[i], batch.capacity)
-                for svc in SERVICES:
-                    for q in range(1, config.capacity + 1):
-                        report = _charges_checked(case, svc, q, label)
-                        if report is None or report.fallback:
-                            continue
-                        cop = change_of_payment(report)
-                        _check(cop >= 0, label, f"negative change of payment {cop}")
-                        cell = sums[(svc, q)]
-                        cell[0] += 1
-                        cell[1] += cop
-            for svc in SERVICES:
-                for q in range(1, config.capacity + 1):
-                    count, total = sums[(svc, q)]
-                    mean = total / count if count else None
-                    means[(k, svc, q, law)] = mean
-                    table.add(k, svc, q, law.value, count, "" if mean is None else mean)
-        for svc in SERVICES:
-            for q in range(1, config.capacity + 1):
-                small = means[(k, svc, q, CostLaw.SMALL_VARIATION)]
-                large = means[(k, svc, q, CostLaw.LARGE_VARIATION)]
-                if small is not None and large is not None:
-                    _check(
-                        small < large,
-                        f"seed={config.seed} K={k} service={svc.value} q_r={q}",
-                        f"small-variation mean {small} not below large-variation mean {large}",
-                    )
+                for request, report in _case_reports(batch, i).items():
+                    if report is None or report.fallback:
+                        continue
+                    cop = change_of_payment(report)
+                    _check(cop >= 0, batch.case_label(i), f"negative change of payment {cop}")
+                    cell = sums[request]
+                    cell[0] += 1
+                    cell[1] += cop
+            means[law] = {}
+            for (svc, q), (count, total) in sums.items():
+                mean = means[law][(svc, q)] = total / count if count else None
+                table.add(k, svc, q, law.value, count, "" if mean is None else mean)
+        for svc, q in REQUESTS:
+            small = means[CostLaw.SMALL_VARIATION][(svc, q)]
+            large = means[CostLaw.LARGE_VARIATION][(svc, q)]
+            if small is not None and large is not None:
+                _check(
+                    small < large,
+                    f"seed={config.seed} K={k} service={svc.value} q_r={q}",
+                    f"small-variation mean {small} not below large-variation mean {large}",
+                )
     return table
 
 
@@ -397,19 +359,18 @@ def run_timing_study(config: ExperimentConfig) -> ResultTable:
     for k in config.scenario_sizes:
         if k < 2:
             continue
-        batch = _generate(config, k, cases=min(config.timing_cases, config.cases))
+        batch = _generate(config, k, cases=min(TIMING_CASES, config.cases))
         for svc in SERVICES:
             instances = []
             for i in range(batch.case_count):
-                instance = batch.instance(i, svc, config.capacity)
-                if _seats_checked(solve_wdp(instance), svc, config.capacity,
+                instance = batch.instance(i, svc, CAPACITY)
+                if _seats_checked(solve_wdp(instance), svc, CAPACITY,
                                   batch.case_label(i)) is not None:
                     instances.append(instance)
             if not instances:
                 continue
             for mode, independent in (("sequential", True), ("shared", False)):
-                times = [time_charge(inst, config.timing_repeats, independent)
-                         for inst in instances]
+                times = [time_charge(inst, TIMING_REPEATS, independent) for inst in instances]
                 table.add(k, svc, mode, len(instances), sum(times) / len(times))
     return table
 

@@ -24,7 +24,6 @@ from .core import (
     ValidationError,
     as_fraction,
     has_diminishing_marginals,
-    round_half_up,
 )
 from .wdp import Allocation, CompiledCase, solve_wdp
 
@@ -231,10 +230,7 @@ def perturb_bids(
         if sched.bidder_id not in target_set:
             new_bids.append(sched)
             continue
-        prices = {
-            size: Money(round_half_up(price.micros * factor))
-            for size, price in sched.prices.items()
-        }
+        prices = {size: price.scaled(factor) for size, price in sched.prices.items()}
         series = [prices[m].micros for m in sorted(prices)]
         new_bids.append(
             BidSchedule(

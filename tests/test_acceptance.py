@@ -31,7 +31,9 @@ from avauction import (
 )
 from avauction.core import round_half_up
 from avauction.studies import (
+    RAISE_FRACTIONS,
     SERVICES,
+    TARGET_FRACTIONS,
     ExperimentConfig,
     run_asymptoticity_study,
     run_servability_study,
@@ -451,8 +453,8 @@ def test_criterion_10_perturbation_sign():
     runs = negatives = 0
     for svc in SERVICES:
         for q in QS:
-            for frac in config.target_fractions:
-                for raise_f in config.raise_fractions:
+            for frac in TARGET_FRACTIONS:
+                for raise_f in RAISE_FRACTIONS:
                     for case in range(batch.case_count):
                         instance = batch.instance(case, svc, q)
                         if solve_wdp(instance) is None:

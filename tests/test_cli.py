@@ -1,7 +1,9 @@
 import pytest
 
 from avauction import ServiceType, parse_instance, serialize_instance, validate_instance
-from avauction.cli import EXIT_OK, EXIT_PARSE, EXIT_UNSERVABLE, EXIT_VALIDATION, main
+from avauction.cli import (
+    EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_UNSERVABLE, EXIT_VALIDATION, main,
+)
 
 from conftest import make_instance, sched
 
@@ -120,3 +122,14 @@ def test_study_truthfulness_cli_writes_two_tables(tmp_path):
     assert code == EXIT_OK
     assert (tmp_path / "truthfulness_winners.csv").exists()
     assert (tmp_path / "truthfulness_changes.csv").exists()
+
+
+def test_study_invariant_violation_is_one_line(tmp_path, capsys):
+    # at K=5 the untruthful sub-study meets a thin-market case and aborts
+    code = main([
+        "study", "truthfulness", "--k", "5", "--cases", "5", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_INVARIANT == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: ") and "case=4" in err
+    assert len(err.splitlines()) == 1

@@ -153,18 +153,17 @@ class TestValidation:
         inst = make_instance(5, 1, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0.1"}), sched("Z", 0, {})])
         validate_instance(inst)
 
-    def test_raw_mapping_input(self):
+    def test_raw_mapping_is_rejected(self):
+        # coercing these fields would read 5.9 seats as 5 and "false" as True
         raw = {
-            "capacity": 5,
-            "requested_seats": 3,
+            "capacity": 5.9,
+            "requested_seats": 1,
             "service": "splittable",
-            "bids": [
-                {"bidder_id": "A", "available_seats": 2, "prices": {1: "0.40", 2: "0.70"}},
-            ],
+            "bids": [{"bidder_id": "A", "available_seats": 2.7,
+                      "prices": {1: "0.40", 2: "0.70"}, "concave": "false"}],
         }
-        inst = validate_instance(raw)
-        assert isinstance(inst, AuctionInstance)
-        assert inst.schedule("A").prices[2].micros == 700_000
+        with pytest.raises(ValidationError, match="AuctionInstance"):
+            validate_instance(raw)
 
     @pytest.mark.parametrize(
         "mutation",

@@ -30,11 +30,6 @@ class TestRngStream:
         b = [rng_stream(2, "x").randint(1, 10**6) for _ in range(20)]
         assert a != b
 
-    def test_uniform_open_never_zero(self):
-        stream = rng_stream(3, "open")
-        draws = [stream.uniform_open() for _ in range(20_000)]
-        assert all(0 < u <= 1 for u in draws)
-
 
 class TestGenerationLaw:
     def test_gamma_bounds(self):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from avauction import (
     CostLaw,
     ExperimentConfig,
+    Money,
     ServiceType,
     StudyInvariantViolation,
     run_asymptoticity_study,
@@ -15,6 +17,7 @@ from avauction import (
     run_timing_study,
     run_truthfulness_study,
 )
+from avauction import studies
 from avauction.studies import ratio_to_decimal
 
 
@@ -34,10 +37,6 @@ def test_config_validation():
         ExperimentConfig(scenario_sizes=())
     with pytest.raises(ValueError):
         ExperimentConfig(cases=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(target_fractions=(Fraction(0),))
-    with pytest.raises(ValueError):
-        ExperimentConfig(winner_raises=(Fraction(-1, 10),))
 
 
 def test_servability_shape_and_structure():
@@ -66,7 +65,7 @@ def test_charge_study_shape():
 
 
 def test_truthfulness_tables():
-    cfg = ExperimentConfig(scenario_sizes=(1, 30), cases=2, seed=101, truthfulness_runs=2)
+    cfg = ExperimentConfig(scenario_sizes=(1, 30), cases=2, seed=101)
     winners, changes = run_truthfulness_study(cfg)
     assert winners.columns[:3] == ("K", "q_r", "raise_fraction")
     # K=1 contributes nothing; K=30 has 5 q_r x 3 raises
@@ -79,9 +78,27 @@ def test_truthfulness_tables():
 def test_truthfulness_aborts_on_thin_market_violation():
     # at K=5 a raised co-winner can keep winning and lower the total; the
     # study is required to abort and name the offending case
-    cfg = ExperimentConfig(scenario_sizes=(5,), untruthful_sizes=(5,), seed=20250810)
+    cfg = ExperimentConfig(scenario_sizes=(5,), seed=20250810)
     with pytest.raises(StudyInvariantViolation, match="case=4"):
         run_truthfulness_study(cfg)
+
+
+@pytest.mark.parametrize(
+    "run", [run_charge_study, run_asymptoticity_study, run_truthfulness_study],
+    ids=["charges", "asymptoticity", "truthfulness"],
+)
+def test_every_charge_study_checks_the_identity(monkeypatch, run):
+    original = studies.case_charges
+
+    def off_by_one_micro(case, service, q_r):
+        report = original(case, service, q_r)
+        if report is None or report.fallback:
+            return report
+        return replace(report, total_charge=Money(report.total_charge.micros + 1))
+
+    monkeypatch.setattr(studies, "case_charges", off_by_one_micro)
+    with pytest.raises(StudyInvariantViolation, match="charge identity"):
+        run(ExperimentConfig(scenario_sizes=(5,), cases=2))
 
 
 def test_asymptoticity_small_below_large():
@@ -99,7 +116,7 @@ def test_asymptoticity_small_below_large():
 
 
 def test_timing_study_reports_both_modes():
-    cfg = ExperimentConfig(scenario_sizes=(6,), cases=2, timing_cases=2, timing_repeats=1)
+    cfg = ExperimentConfig(scenario_sizes=(6,), cases=2)
     table = run_timing_study(cfg)
     modes = {row[2] for row in table.rows}
     assert modes == {"sequential", "shared"}
