@@ -2,7 +2,9 @@
 cases, and run the study suite.
 
 Exit codes: 0 served, 1 study invariant violation, 2 unservable, 64 parse
-error, 65 validation error.
+error (also a command-line usage error, or a file that cannot be read or
+written), 65 validation error (also a study setting no case generator
+accepts).
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .core import ServiceType, ValidationError, validate_instance
-from .instance_io import ParseError, read_instance, serialize_instance
+from .instance_io import ParseError, read_instance, write_instance
 from .scenario import CostLaw, GenerationLaw, InvalidLaw, generate_batch
 from .studies import STUDY_NAMES, ExperimentConfig, StudyInvariantViolation, run_study
 from .vcg import NotServed, vcg_charges
@@ -44,8 +46,17 @@ def _parse_gamma(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad ratio {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line and exits EXIT_PARSE; argparse's
+    own code 2 means unservable here.  Subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        usage = " ".join(self.format_usage().split())
+        self.exit(EXIT_PARSE, f"parse error: {message} ({usage})\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avauction",
         description="Exact combinatorial-auction pricing for seat requests.",
     )
@@ -89,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instance(path: str, service_override: Optional[str]):
     instance = read_instance(path)
     if service_override is not None:
-        instance = instance.with_service(ServiceType.from_token(service_override))
+        instance = instance.with_service(ServiceType(service_override))
     return validate_instance(instance)
 
 
@@ -123,8 +134,8 @@ def cmd_charge(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    law = GenerationLaw(seed=args.seed, cost_law=CostLaw.from_token(args.law), gamma=args.gamma)
-    service = ServiceType.from_token(args.service)
+    law = GenerationLaw(seed=args.seed, cost_law=CostLaw(args.law), gamma=args.gamma)
+    service = ServiceType(args.service)
     sizes = args.k or (5,)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -136,8 +147,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 f"generated: law={law.cost_law.value} gamma={law.gamma} "
                 f"seed={law.seed} K={k} case={i}"
             ]
-            path = out / f"k{k:03d}-case{i:04d}.txt"
-            path.write_text(serialize_instance(instance, comments))
+            write_instance(out / f"k{k:03d}-case{i:04d}.txt", instance, comments)
         print(f"wrote {batch.case_count} instance(s) for K={k} under {out}")
     return EXIT_OK
 
@@ -146,7 +156,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         scenario_sizes=args.k or ExperimentConfig.scenario_sizes,
         cases=args.cases,
-        cost_law=CostLaw.from_token(args.law),
+        cost_law=CostLaw(args.law),
         gamma=args.gamma,
         seed=args.seed,
     )
@@ -167,10 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValidationError, InvalidLaw) as exc:

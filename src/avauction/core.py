@@ -90,11 +90,8 @@ BIDDER_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 @dataclass(frozen=True, order=True)
 class Money:
-    """A non-negative amount in integer micro-units.
-
-    Addition and subtraction are exact; subtraction below zero raises, since
-    bids and charges are non-negative by assumption.
-    """
+    """A non-negative amount in integer micro-units; bids and charges are
+    non-negative by assumption, so a negative amount raises."""
 
     micros: int
 
@@ -106,15 +103,6 @@ class Money:
 
     def to_decimal(self) -> str:
         return money_to_decimal(self)
-
-    def __add__(self, other: "Money") -> "Money":
-        return Money(self.micros + other.micros)
-
-    def __sub__(self, other: "Money") -> "Money":
-        diff = self.micros - other.micros
-        if diff < 0:
-            raise NegativeAmount(f"{self.to_decimal()} - {other.to_decimal()} is negative")
-        return Money(diff)
 
     def scaled(self, factor: Union[Fraction, int, str, float]) -> "Money":
         """Multiply by a non-negative ratio, rounding half-up to micro-units."""
@@ -162,10 +150,6 @@ class ServiceType(Enum):
             raise ValidationError(f"unknown service type {token!r}") from None
 
 
-# Seats are homogeneous, so a combination of m seats is identified by m alone.
-SeatCount = int
-
-
 @dataclass(frozen=True)
 class BidSchedule:
     """One bidder's price for each offerable seat-combination size.
@@ -177,7 +161,7 @@ class BidSchedule:
 
     bidder_id: str
     available_seats: int
-    prices: Mapping[SeatCount, Money]
+    prices: Mapping[int, Money]
     concave: bool = False
 
     def __post_init__(self) -> None:

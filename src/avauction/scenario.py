@@ -5,10 +5,13 @@ seat cost, then prices size m at cost * sum(gamma^(i-1), i=1..m) rounded
 half-up to micro-units: strictly increasing with diminishing marginals, so
 every generated schedule carries the concave flag.
 
-Streams are keyed by (seed, case, bidder) only, never by the bidder count,
-so scenarios of different sizes share their common bidders: the K=5 batch
-is a prefix of the K=100 batch for the same seed.  That is what makes the
-paired-seed comparisons across K meaningful.
+Every draw comes from a stream: a ``random.Random`` seeded with the sha256
+of (seed, label).  Distinct labels give independent sequences, and the same
+(seed, label) pair always replays the same one.  Case streams are labelled
+by (case, bidder) only, never by the bidder count, so scenarios of different
+sizes share their common bidders: the K=5 batch is a prefix of the K=100
+batch for the same seed.  That is what makes the paired-seed comparisons
+across K meaningful.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
 
 from .core import (
+    MICROS_PER_UNIT,
     AuctionError,
     AuctionInstance,
     BidSchedule,
@@ -32,8 +35,6 @@ from .core import (
     is_strictly_increasing,
     round_half_up,
 )
-
-MICRO = 10**6
 
 # Redraws per bidder before declaring the law degenerate (a gamma so extreme
 # that micro-rounding can never produce a valid price curve).
@@ -50,36 +51,11 @@ class CostLaw(Enum):
     LARGE_VARIATION = "large"
     SMALL_VARIATION = "small"
 
-    @classmethod
-    def from_token(cls, token: str) -> "CostLaw":
-        try:
-            return cls(token.strip().lower())
-        except ValueError:
-            raise InvalidLaw(f"unknown cost law {token!r}") from None
 
-
-class RngStream:
-    """A deterministic uniform stream, split off a seed by a string label.
-
-    Distinct labels give independent sequences; the same (seed, label) pair
-    always replays the same sequence.
-    """
-
-    def __init__(self, seed: int, stream_id: str):
-        digest = hashlib.sha256(f"{seed}\x1f{stream_id}".encode()).digest()
-        self._rng = random.Random(int.from_bytes(digest, "big"))
-        self.seed = seed
-        self.stream_id = stream_id
-
-    def randint(self, lo: int, hi: int) -> int:
-        return self._rng.randint(lo, hi)
-
-    def sample(self, population, k: int):
-        return self._rng.sample(population, k)
-
-
-def rng_stream(seed: int, stream_id: str) -> RngStream:
-    return RngStream(seed, stream_id)
+def rng_stream(seed: int, label: str) -> random.Random:
+    """The stream for ``label`` under ``seed``."""
+    digest = hashlib.sha256(f"{seed}\x1f{label}".encode()).digest()
+    return random.Random(int.from_bytes(digest, "big"))
 
 
 @dataclass(frozen=True)
@@ -100,11 +76,11 @@ class GenerationLaw:
             raise InvalidLaw(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
-def draw_cost_micros(stream: RngStream, cost_law: CostLaw) -> int:
+def draw_cost_micros(stream: random.Random, cost_law: CostLaw) -> int:
     """One unit seat cost in micro-units, per the configured law."""
     if cost_law is CostLaw.LARGE_VARIATION:
-        return stream.randint(1, MICRO)
-    return MICRO // 2 + stream.randint(1, MICRO // 10)
+        return stream.randint(1, MICROS_PER_UNIT)
+    return MICROS_PER_UNIT // 2 + stream.randint(1, MICROS_PER_UNIT // 10)
 
 
 def _geometric_sums(gamma: Fraction, capacity: int) -> list[Fraction]:
@@ -119,7 +95,7 @@ def _geometric_sums(gamma: Fraction, capacity: int) -> list[Fraction]:
 
 
 def _draw_schedule(
-    stream: RngStream,
+    stream: random.Random,
     bidder_id: str,
     capacity: int,
     law: GenerationLaw,

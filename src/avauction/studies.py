@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core import AuctionError, Money, ServiceType, as_fraction, round_half_up
-from .scenario import CostLaw, GenerationLaw, ScenarioBatch, generate_batch, rng_stream
+from .scenario import CostLaw, GenerationLaw, InvalidLaw, ScenarioBatch, generate_batch, rng_stream
 from .vcg import (
     ChargeReport,
     case_charges,
@@ -73,7 +73,8 @@ def _mean_money(total_micros: int, count: int) -> str:
 @dataclass
 class ExperimentConfig:
     """The study settings ``avauction study`` exposes; defaults mirror the
-    headline protocol."""
+    headline protocol.  Settings no case generator accepts raise InvalidLaw
+    here, before any study runs."""
 
     scenario_sizes: tuple[int, ...] = DEFAULT_SCENARIO_SIZES
     cases: int = 100
@@ -84,9 +85,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         self.gamma = as_fraction(self.gamma)
         if not self.scenario_sizes or any(k < 1 for k in self.scenario_sizes):
-            raise ValueError("scenario_sizes must be non-empty, all at least 1")
+            raise InvalidLaw("scenario_sizes must be non-empty, all at least 1")
         if self.cases < 1:
-            raise ValueError("cases must be at least 1")
+            raise InvalidLaw("cases must be at least 1")
+        self.law()
 
     def law(self, cost_law: Optional[CostLaw] = None) -> GenerationLaw:
         return GenerationLaw(

@@ -44,6 +44,7 @@ from .core import (
     ServiceType,
     UnknownBidder,
     price_series,
+    validate_instance,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -281,14 +282,16 @@ def brute_force_wdp(
 ) -> Optional[Allocation]:
     """Independent oracle: enumerate every one-size-or-nothing assignment.
 
-    Constraints are applied as literally written for each service type,
-    keeping the seat-coverage condition in its inequality form (>= q_r, or
-    >= capacity for private) rather than the equality the fast solver uses.
+    It reads the validated instance's own bids, in their given order, not a
+    compiled case.  Constraints are applied as literally written for each
+    service type, keeping the seat-coverage condition in its inequality form
+    (>= q_r, or >= capacity for private) rather than the equality the fast
+    solver uses.
     """
-    case = CompiledCase.from_instance(instance)
+    validate_instance(instance)
     options = [
-        [(0, 0)] + [(m, prices[m - 1]) for m in range(1, len(prices) + 1)]
-        for prices in case.rows
+        [(0, 0)] + [(m, price.micros) for m, price in sorted(bid.prices.items())]
+        for bid in instance.bids
     ]
     if math.prod(len(o) for o in options) > enumeration_cap:
         raise EnumerationCapExceeded(
@@ -313,9 +316,9 @@ def brute_force_wdp(
             continue
         if best_key is not None and (total, count) > best_key[:2]:
             continue
-        assigns = tuple(
-            (case.ids[i], m) for i, (m, _) in enumerate(combo) if m
-        )
+        assigns = tuple(sorted(
+            (bid.bidder_id, m) for bid, (m, _) in zip(instance.bids, combo) if m
+        ))
         key = (total, count, assigns)
         if best_key is None or key < best_key:
             best_key = key

@@ -133,3 +133,54 @@ def test_study_invariant_violation_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: ") and "case=4" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["charge"], ["study", "charges", "--k", "x"], ["gen", "--law", "medium"], []],
+    ids=["missing-file", "bad-k", "bad-choice", "no-command"],
+)
+def test_usage_errors_exit_parse_not_unservable(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE != EXIT_UNSERVABLE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "usage: avauction" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["charge", "--help"])
+    assert exc.value.code == 0
+    assert "usage: avauction charge" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_file_is_parse_error(tmp_path, capsys, kind):
+    path = tmp_path / "doc.txt"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"avauction-instance v1\ncapacity 5\n# \xff\xfe\n")
+    assert main(["charge", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["study", "charges", "--cases", "0"],
+        ["study", "charges", "--k", "0"],
+        # K=1 is skipped by the studies, so only building the config sees the seed
+        ["study", "timing", "--k", "1", "--seed", "-1"],
+        ["study", "asymptoticity", "--k", "1", "--gamma", "5"],
+    ],
+    ids=["cases-0", "k-0", "seed-negative", "gamma-above-1"],
+)
+def test_bad_study_settings_are_validation_errors(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())

@@ -62,19 +62,6 @@ class TestMoney:
         m = Money(micros)
         assert money_from_decimal(money_to_decimal(m)) == m
 
-    def test_arithmetic_exact(self):
-        a, b = Money(123456), Money(654321)
-        assert (a + b).micros == 777777
-        assert (b - a).micros == 530865
-        with pytest.raises(NegativeAmount):
-            a - b
-
-    def test_large_sums_exact(self):
-        # 1e4 summands just below 1e7 micros each: no overflow, no drift
-        values = [Money(9_999_999 - i) for i in range(10_000)]
-        total = sum(values, Money(0))
-        assert total.micros == sum(9_999_999 - i for i in range(10_000))
-
     def test_scaled_half_up(self):
         assert Money(3).scaled(Fraction(1, 2)).micros == 2  # 1.5 rounds up
         assert Money(5).scaled("0.1").micros == 1  # 0.5 rounds up

@@ -11,7 +11,8 @@ from avauction import (
     rng_stream,
     validate_instance,
 )
-from avauction.scenario import MICRO, draw_cost_micros
+from avauction.core import MICROS_PER_UNIT
+from avauction.scenario import draw_cost_micros
 
 
 class TestRngStream:
@@ -51,22 +52,17 @@ class TestGenerationLaw:
         with pytest.raises(InvalidLaw):
             generate_batch(law, bidders=2, capacity=5, cases=1)
 
-    def test_cost_law_tokens(self):
-        assert CostLaw.from_token("large") is CostLaw.LARGE_VARIATION
-        with pytest.raises(InvalidLaw):
-            CostLaw.from_token("medium")
-
 
 class TestCostDraws:
     def test_large_variation_support(self):
         stream = rng_stream(11, "costs")
         draws = [draw_cost_micros(stream, CostLaw.LARGE_VARIATION) for _ in range(20_000)]
-        assert all(1 <= u <= MICRO for u in draws)
+        assert all(1 <= u <= MICROS_PER_UNIT for u in draws)
 
     def test_small_variation_support(self):
         stream = rng_stream(11, "costs")
         draws = [draw_cost_micros(stream, CostLaw.SMALL_VARIATION) for _ in range(20_000)]
-        assert all(MICRO // 2 < u <= 6 * MICRO // 10 for u in draws)
+        assert all(MICROS_PER_UNIT // 2 < u <= 6 * MICROS_PER_UNIT // 10 for u in draws)
 
     @pytest.mark.parametrize(
         "law,mean,spread",
@@ -75,7 +71,7 @@ class TestCostDraws:
     def test_empirical_mean(self, law, mean, spread):
         stream = rng_stream(5, f"mean-{law.value}")
         n = 20_000
-        draws = [draw_cost_micros(stream, law) / MICRO for _ in range(n)]
+        draws = [draw_cost_micros(stream, law) / MICROS_PER_UNIT for _ in range(n)]
         stderr = (spread**2 / 12 / n) ** 0.5
         assert abs(sum(draws) / n - mean) < 3 * stderr
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from avauction import (
-    CostLaw,
     ExperimentConfig,
+    InvalidLaw,
     Money,
     ServiceType,
     StudyInvariantViolation,
@@ -33,10 +33,13 @@ def test_ratio_to_decimal():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidLaw):
         ExperimentConfig(scenario_sizes=())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidLaw):
         ExperimentConfig(cases=0)
+    # checked when the config is built, not when a study first generates
+    with pytest.raises(InvalidLaw):
+        ExperimentConfig(scenario_sizes=(1,), seed=-1)
 
 
 def test_servability_shape_and_structure():

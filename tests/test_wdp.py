@@ -135,8 +135,10 @@ def test_enumeration_cap():
 @st.composite
 def small_instances(draw, max_bidders=4, capacity=5):
     k = draw(st.integers(min_value=1, max_value=max_bidders))
+    # ids in a drawn order, so bid order and id order disagree
+    ids = draw(st.permutations([f"b{j}" for j in range(k)]))
     bids = []
-    for j in range(k):
+    for bidder_id in ids:
         available = draw(st.integers(min_value=0, max_value=capacity))
         top = min(available, capacity)
         increments = draw(
@@ -146,7 +148,7 @@ def small_instances(draw, max_bidders=4, capacity=5):
         for m, inc in enumerate(increments, start=1):
             level += inc
             prices[m] = Money(level)
-        bids.append(BidSchedule(f"b{j}", available, prices))
+        bids.append(BidSchedule(bidder_id, available, prices))
     return AuctionInstance(
         capacity=capacity,
         requested_seats=draw(st.integers(min_value=1, max_value=capacity)),
@@ -265,13 +267,14 @@ def _assert_case_matches_oracle(bids, capacity):
 
 @st.composite
 def compiled_cases(draw):
-    """Bids of 0-4 bidders, capacity 1-5: non-concave curves, zero
-    availability, frequent exact ties (narrow price steps) and bidders
-    whose prices all lie beyond 2**62 micros."""
+    """Bids of 0-4 bidders, capacity 1-5: ids in a drawn order, non-concave
+    curves, zero availability, frequent exact ties (narrow price steps) and
+    bidders whose prices all lie beyond 2**62 micros."""
     capacity = draw(st.integers(min_value=1, max_value=5))
     step = draw(st.sampled_from([2, 500_000]))
+    k = draw(st.integers(min_value=0, max_value=4))
     bids = []
-    for j in range(draw(st.integers(min_value=0, max_value=4))):
+    for bidder_id in draw(st.permutations([f"b{j}" for j in range(k)])):
         available = draw(st.integers(min_value=0, max_value=capacity))
         increments = draw(
             st.lists(st.integers(min_value=1, max_value=step), min_size=available, max_size=available)
@@ -280,7 +283,7 @@ def compiled_cases(draw):
         for m, inc in enumerate(increments, start=1):
             level += inc
             prices[m] = Money(level)
-        bids.append(BidSchedule(f"b{j}", available, prices))
+        bids.append(BidSchedule(bidder_id, available, prices))
     return bids, capacity
 
 
