@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
-from .core import ServiceType, ValidationError, validate_instance
+from .core import Money, SeatBoundViolation, ServiceType, ValidationError, validate_instance
 from .instance_io import ParseError, read_instance, write_instance
 from .scenario import CostLaw, GenerationLaw, InvalidLaw, generate_batch
 from .studies import STUDY_NAMES, ExperimentConfig, StudyInvariantViolation, run_study
@@ -123,13 +123,23 @@ def cmd_charge(args: argparse.Namespace) -> int:
     except NotServed:
         print("unservable")
         return EXIT_UNSERVABLE
-    print(f"service {report.service.value}")
-    print(f"optimum {report.optimum.to_decimal()}")
+    # Every non-winner prints the optimum and a zero charge, so a K = 1000
+    # report holds only a handful of distinct amounts: render each once.
+    rendered: dict[int, str] = {}
+
+    def decimal(money: Money) -> str:
+        text = rendered.get(money.micros)
+        if text is None:
+            text = rendered[money.micros] = money.to_decimal()
+        return text
+
+    lines = [f"service {report.service.value}", f"optimum {decimal(report.optimum)}"]
     for entry in report.per_bidder:
-        pivotal = "unservable" if entry.pivotal is None else entry.pivotal.to_decimal()
-        print(f"bidder {entry.bidder_id} pivotal {pivotal} charge {entry.charge.to_decimal()}")
-    print(f"total {report.total_charge.to_decimal()}")
-    print(f"fallback {'true' if report.fallback else 'false'}")
+        pivotal = "unservable" if entry.pivotal is None else decimal(entry.pivotal)
+        lines.append(f"bidder {entry.bidder_id} pivotal {pivotal} charge {decimal(entry.charge)}")
+    lines.append(f"total {decimal(report.total_charge)}")
+    lines.append(f"fallback {'true' if report.fallback else 'false'}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -137,6 +147,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     law = GenerationLaw(seed=args.seed, cost_law=CostLaw(args.law), gamma=args.gamma)
     service = ServiceType(args.service)
     sizes = args.k or (5,)
+    # Check every setting before anything is written, with the messages
+    # generate_batch and ScenarioBatch.instance give.
+    if min(sizes) < 1 or args.capacity < 1 or args.cases < 1:
+        raise InvalidLaw("bidders, capacity, and cases must all be at least 1")
+    if not 1 <= args.qr <= args.capacity:
+        raise SeatBoundViolation(f"requested_seats {args.qr} outside [1, {args.capacity}]")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k in sizes:

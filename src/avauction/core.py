@@ -82,8 +82,6 @@ def as_fraction(value: Union[Fraction, int, str, float]) -> Fraction:
     return Fraction(value)
 
 
-_DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d*))?$|^\.(\d+)$")
-
 # The bidder ids the instance text format can carry: one whitespace-free token.
 BIDDER_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
@@ -116,18 +114,23 @@ class Money:
 
 
 def money_from_decimal(text: str) -> Money:
-    """Parse a non-negative decimal string with at most 6 fractional digits."""
+    """Parse a non-negative decimal string with at most 6 fractional digits.
+
+    The grammar is digits with an optional fraction (``12``, ``12.``,
+    ``12.5``) or a bare fraction (``.5``); a digit is any character
+    ``str.isdecimal`` accepts, which is exactly the set the regex ``\\d``
+    accepts.  The whole and fractional digits go through ``int`` apart, so
+    only a whole part too long for ``int`` raises its ValueError.
+    """
     text = text.strip()
+    whole, _, frac = text.partition(".")
+    if (whole.isdecimal() or not whole and frac) and (not frac or frac.isdecimal()):
+        if len(frac) > 6:
+            raise PrecisionLoss(f"{text!r} has more than 6 fractional digits")
+        return Money(int(whole or "0") * MICROS_PER_UNIT + int(frac.ljust(6, "0")))
     if text.startswith("-"):
         raise NegativeAmount(f"negative money literal {text!r}")
-    m = _DECIMAL_RE.match(text)
-    if m is None:
-        raise ValidationError(f"not a decimal money literal: {text!r}")
-    whole = m.group(1) or "0"
-    frac = m.group(2) or m.group(3) or ""
-    if len(frac) > 6:
-        raise PrecisionLoss(f"{text!r} has more than 6 fractional digits")
-    return Money(int(whole) * MICROS_PER_UNIT + int(frac.ljust(6, "0") or "0"))
+    raise ValidationError(f"not a decimal money literal: {text!r}")
 
 
 def money_to_decimal(money: Money) -> str:
@@ -252,23 +255,46 @@ def _is_int(value) -> bool:
 def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
     """Check one schedule against the instance capacity; raise on violation.
 
-    Beyond what ``price_series`` checks, the id must be one token of the
-    text format, and the schedule's fields must have the types that format
-    writes, so every valid instance survives serialisation and parsing.
+    One pass over the series makes the checks ``price_series`` makes, and
+    raises the same first violation, while it also checks the concave flag.
+    Beyond those, the id must be one token of the text format, every size
+    key must be an int in 1..top, and the schedule's fields must have the
+    types that format writes, so every valid instance survives
+    serialisation and parsing.
     """
     who = schedule.bidder_id
     if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
         raise ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
-    if not _is_int(schedule.available_seats) or not isinstance(schedule.concave, bool):
+    top = schedule.available_seats
+    if not _is_int(top) or not isinstance(schedule.concave, bool):
         raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
-    series = price_series(schedule, capacity)
-    top = len(series)
-    for size in schedule.prices:
-        if not _is_int(size) or size < 1 or size > top:
+    if not (0 <= top <= capacity):
+        raise SeatBoundViolation(f"bidder {who}: available_seats {top} outside [0, {capacity}]")
+    prices = schedule.prices
+    increasing = concave = True
+    prev = step = None
+    for m in range(1, top + 1):
+        try:
+            micros = prices[m].micros
+        except KeyError:
+            raise MissingPrice(
+                f"bidder {who}: no price for size {m} (must cover 1..{top})"
+            ) from None
+        if prev is not None:
+            if step is not None and micros - prev > step:
+                concave = False
+            step = micros - prev
+            increasing = increasing and step > 0
+        prev = micros
+    if not increasing:
+        raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
+    for size in prices:
+        # A key that only equals an int (2.0, True) passed the lookups above.
+        if type(size) is not int and not _is_int(size) or not 1 <= size <= top:
             raise OversizedCombination(
                 f"bidder {who}: price defined for size {size} outside 1..{top}"
             )
-    if schedule.concave and not has_diminishing_marginals(series):
+    if schedule.concave and not concave:
         raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
 
 

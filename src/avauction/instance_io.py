@@ -39,23 +39,23 @@ class ParseError(AuctionError):
 
 
 def parse_instance(text: str) -> AuctionInstance:
-    lines = [
-        (n, line.strip())
-        for n, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
+    # Each line is split once; a line with no tokens is blank, and one whose
+    # first token starts with '#' is a comment.
+    records = [
+        (n, tokens)
+        for n, tokens in enumerate(map(str.split, text.splitlines()), start=1)
+        if tokens and not tokens[0].startswith("#")
     ]
-    if not lines:
+    if not records:
         raise ParseError("empty document")
-    n, header = lines[0]
-    parts = header.split()
-    if not parts or parts[0] != FORMAT_NAME:
+    n, parts = records[0]
+    if parts[0] != FORMAT_NAME:
         raise ParseError(f"line {n}: expected '{FORMAT_NAME} {FORMAT_VERSION}' header")
     if len(parts) != 2 or parts[1] != FORMAT_VERSION:
         raise ParseError(f"line {n}: unsupported version {' '.join(parts[1:])!r}")
     fields: dict[str, str] = {}
     bids: list[BidSchedule] = []
-    for n, line in lines[1:]:
-        tokens = line.split()
+    for n, tokens in records[1:]:
         if tokens[0] == "bidder":
             bids.append(_parse_bidder(n, tokens))
         elif tokens[0] in ("capacity", "requested_seats", "service"):

@@ -1,6 +1,20 @@
+import re
+from dataclasses import replace
+
 import pytest
 
-from avauction import AuctionInstance, BidSchedule, ServiceType, money_from_decimal
+from avauction import (
+    AuctionInstance,
+    BidSchedule,
+    Money,
+    NegativeAmount,
+    PrecisionLoss,
+    ServiceType,
+    ValidationError,
+    money_from_decimal,
+)
+from avauction import studies
+from avauction.core import MICROS_PER_UNIT
 
 
 def sched(bidder_id, available, prices, concave=False):
@@ -16,6 +30,46 @@ def make_instance(capacity, requested, service, bids):
     return AuctionInstance(
         capacity=capacity, requested_seats=requested, service=service, bids=tuple(bids)
     )
+
+
+# money_from_decimal with its grammar as a regex: the oracle of the money
+# and parsing differential tests.
+_REGEX_DECIMAL = re.compile(r"^(\d+)(?:\.(\d*))?$|^\.(\d+)$")
+
+
+def regex_money_from_decimal(text: str) -> Money:
+    text = text.strip()
+    if text.startswith("-"):
+        raise NegativeAmount(f"negative money literal {text!r}")
+    m = _REGEX_DECIMAL.match(text)
+    if m is None:
+        raise ValidationError(f"not a decimal money literal: {text!r}")
+    whole = m.group(1) or "0"
+    frac = m.group(2) or m.group(3) or ""
+    if len(frac) > 6:
+        raise PrecisionLoss(f"{text!r} has more than 6 fractional digits")
+    return Money(int(whole) * MICROS_PER_UNIT + int(frac.ljust(6, "0") or "0"))
+
+
+def outcome(fn, arg):
+    """What ``fn`` makes of ``arg``: its value, or its exception's class and message."""
+    try:
+        return fn(arg)
+    except Exception as exc:  # the differential compares every failure too
+        return type(exc), str(exc)
+
+
+def oracle_off_by_one_micro(monkeypatch):
+    """Make the literal per-bidder solves disagree with the engine."""
+    original = studies.vcg_charges
+
+    def charges(instance, *, independent_solves=False):
+        report = original(instance, independent_solves=independent_solves)
+        if independent_solves:
+            report = replace(report, total_charge=Money(report.total_charge.micros + 1))
+        return report
+
+    monkeypatch.setattr(studies, "vcg_charges", charges)
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avauction import (
     AuctionInstance,
@@ -21,9 +23,16 @@ from avauction import (
     money_to_decimal,
     validate_instance,
 )
-from avauction.core import as_fraction, round_half_up
+from avauction.core import (
+    BIDDER_ID_RE,
+    _is_int,
+    as_fraction,
+    price_series,
+    round_half_up,
+    validate_schedule,
+)
 
-from conftest import make_instance, sched
+from conftest import make_instance, outcome, regex_money_from_decimal, sched
 
 
 class TestMoney:
@@ -69,6 +78,44 @@ class TestMoney:
 
     def test_ordering(self):
         assert Money(1) < Money(2) <= Money(2)
+
+
+def test_isdecimal_accepts_exactly_the_regex_digits():
+    digit = re.compile(r"\d")
+    assert all(chr(c).isdecimal() == bool(digit.fullmatch(chr(c))) for c in range(sys.maxunicode + 1))
+
+
+LIMIT = sys.get_int_max_str_digits()
+MONEY_ALPHABET = "0123456789.-+_ \t\n\u0661\u0662\uff15e\u00b2"
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet=MONEY_ALPHABET, max_size=12),
+    # whole parts near int()'s digit limit: only the whole part counts
+    # towards it, so padding the fraction must not make a literal raise
+    st.builds(
+        lambda whole, dot, frac: "7" * whole + dot + "3" * frac,
+        st.integers(LIMIT - 8, LIMIT + 2), st.sampled_from(["", "."]), st.integers(0, 7),
+    ),
+))
+@example("")
+@example(".")
+@example("1.")
+@example(".5")
+@example("0.1234567")
+@example("\u0661\u0662.5")
+@example("1_0")
+@example("+1")
+@example(" 1")
+@example("-0")
+@example("1.2.3")
+@example("1.\u0665")
+@example("9" * LIMIT + ".999999")
+@example("9" * (LIMIT + 1))
+def test_money_from_decimal_matches_the_regex_grammar(text):
+    assert outcome(money_from_decimal, text) == outcome(regex_money_from_decimal, text)
 
 
 def test_round_half_up():
@@ -161,9 +208,11 @@ class TestValidation:
             lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", True, {1: Money(1)})]),
             lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", 1, {True: Money(1)})]),
             lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", 0, {}, concave="no")]),
+            # 2.0 finds its price as size 2, so only the key check sees it
+            lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", 2, {1: Money(1), 2.0: Money(2)})]),
         ],
         ids=["float-capacity", "bool-request", "str-service", "bool-availability",
-             "bool-size", "str-concave"],
+             "bool-size", "str-concave", "float-size"],
     )
     def test_fields_must_have_the_types_the_format_writes(self, e1, mutation):
         with pytest.raises(ValidationError):
@@ -174,6 +223,61 @@ class TestValidation:
             for bid in inst.bids:
                 top = min(bid.available_seats, inst.capacity)
                 assert sorted(bid.prices) == list(range(1, top + 1))
+
+
+def two_pass_validate_schedule(schedule: BidSchedule, capacity: int) -> None:
+    """validate_schedule's checks as price_series plus a loop over the keys
+    and a list of marginals: the oracle of the one-pass test below."""
+    who = schedule.bidder_id
+    if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
+        raise ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
+    if not _is_int(schedule.available_seats) or not isinstance(schedule.concave, bool):
+        raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
+    series = price_series(schedule, capacity)
+    top = len(series)
+    for size in schedule.prices:
+        if not _is_int(size) or size < 1 or size > top:
+            raise OversizedCombination(f"bidder {who}: price defined for size {size} outside 1..{top}")
+    diffs = [b - a for a, b in zip(series, series[1:])]
+    if schedule.concave and not all(a >= b for a, b in zip(diffs, diffs[1:])):
+        raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
+
+
+@st.composite
+def rough_schedules(draw):
+    """A capacity and a schedule near the edge of validity: odd key and
+    field types, gaps, extra sizes, flat or rising marginals."""
+    capacity = draw(st.integers(1, 6))
+    available = draw(st.integers(0, capacity + 1))
+    prices, level, step = {}, 0, 5
+    for m in range(1, available + 1):  # a curve that is mostly increasing
+        step = draw(st.integers(max(0, step - 3), step + 1))
+        level += step
+        prices[m] = Money(level)
+    odd_sizes = st.one_of(st.integers(-1, 7), st.sampled_from([2.0, True, False, 1.5, "1"]))
+    for _ in range(draw(st.integers(0, 2))):  # then a few edits
+        if prices and draw(st.booleans()):
+            del prices[draw(st.sampled_from(list(prices)))]
+        else:
+            prices[draw(odd_sizes)] = Money(draw(st.integers(0, 30)))
+    schedule = BidSchedule(
+        draw(st.sampled_from(["A"] * 8 + ["x y"])),
+        draw(st.sampled_from([available] * 8 + [True, 2.0])),
+        prices,
+        concave=draw(st.sampled_from([True, False] * 4 + ["no"])),
+    )
+    return schedule, capacity
+
+
+@settings(max_examples=500)
+@given(rough_schedules())
+def test_one_pass_validation_raises_the_same_first_violation(case):
+    schedule, capacity = case
+
+    def check(validate):
+        return outcome(lambda s: validate(s, capacity), schedule)
+
+    assert check(validate_schedule) == check(two_pass_validate_schedule)
 
 
 def test_service_type_tokens():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avauction import (
     AuctionInstance,
@@ -15,8 +15,9 @@ from avauction import (
     write_instance,
 )
 from avauction.core import BIDDER_ID_RE
+from avauction.instance_io import FORMAT_NAME, FORMAT_VERSION
 
-from conftest import make_instance, sched
+from conftest import make_instance, outcome, regex_money_from_decimal, sched
 
 E1_DOC = """\
 avauction-instance v1
@@ -139,3 +140,113 @@ def test_validation_rejects_ids_the_format_cannot_carry(bad_id):
         validate_instance(inst)
     with pytest.raises(ParseError, match="bidder"):
         parse_instance(serialize_instance(inst))
+
+
+def strip_each_line_parse_instance(text: str) -> AuctionInstance:
+    """parse_instance with a strip() per use of a line, and the money
+    grammar as a regex: the oracle of the differential below."""
+    lines = [
+        (n, line.strip())
+        for n, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    if not lines:
+        raise ParseError("empty document")
+    n, header = lines[0]
+    parts = header.split()
+    if not parts or parts[0] != FORMAT_NAME:
+        raise ParseError(f"line {n}: expected '{FORMAT_NAME} {FORMAT_VERSION}' header")
+    if len(parts) != 2 or parts[1] != FORMAT_VERSION:
+        raise ParseError(f"line {n}: unsupported version {' '.join(parts[1:])!r}")
+    fields, bids = {}, []
+    for n, line in lines[1:]:
+        tokens = line.split()
+        if tokens[0] == "bidder":
+            bids.append(_regex_parse_bidder(n, tokens))
+        elif tokens[0] in ("capacity", "requested_seats", "service"):
+            if tokens[0] in fields:
+                raise ParseError(f"line {n}: duplicate field {tokens[0]!r}")
+            if len(tokens) != 2:
+                raise ParseError(f"line {n}: field {tokens[0]!r} takes exactly one value")
+            fields[tokens[0]] = tokens[1]
+        else:
+            raise ParseError(f"line {n}: unknown directive {tokens[0]!r}")
+    for required in ("capacity", "requested_seats", "service"):
+        if required not in fields:
+            raise ParseError(f"missing required field {required!r}")
+    try:
+        capacity = int(fields["capacity"])
+        requested = int(fields["requested_seats"])
+    except ValueError:
+        raise ParseError("capacity and requested_seats must be integers") from None
+    try:
+        service = ServiceType.from_token(fields["service"])
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
+    return AuctionInstance(capacity, requested, service, tuple(bids))
+
+
+def _regex_parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
+    try:
+        bidder_id = tokens[1]
+        if not BIDDER_ID_RE.fullmatch(bidder_id):
+            raise ParseError(f"line {n}: bad bidder id {bidder_id!r}")
+        if tokens[2] != "available":
+            raise ParseError(f"line {n}: expected 'available' after bidder id")
+        available = int(tokens[3])
+        rest = tokens[4:]
+        concave = False
+        if rest and rest[0] == "concave":
+            concave = True
+            rest = rest[1:]
+        if not rest or rest[0] != "prices":
+            raise ParseError(f"line {n}: expected 'prices' section")
+        prices = {}
+        for item in rest[1:]:
+            size_text, _, price_text = item.partition(":")
+            size = int(size_text)
+            if size in prices:
+                raise ParseError(f"line {n}: duplicate price for size {size}")
+            prices[size] = regex_money_from_decimal(price_text)
+    except ParseError:
+        raise
+    except (IndexError, ValueError, ValidationError) as exc:
+        raise ParseError(f"line {n}: malformed bidder record ({exc})") from None
+    return BidSchedule(bidder_id, available, prices, concave=concave)
+
+
+# Characters and tokens that sit on the parser's edges: separators the two
+# ways of finding blank lines could treat differently, comment markers,
+# signs, non-ASCII digits and the directive words.
+FUZZ_PIECES = st.one_of(
+    st.text(alphabet="0123456789.:-+_# \t\n\r\x0b\x0c\x1c\x1f\x85 　١", max_size=3),
+    st.sampled_from(["bidder", "available", "concave", "prices", "capacity 5", "service",
+                     "requested_seats", "# note", "\n\n", "0.1234567", "avauction-instance v1"]),
+)
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A valid instance's document with a few pieces spliced in or cut out,
+    often at the start of a line."""
+    text = serialize_instance(draw(valid_instances()), comments=draw(st.lists(st.text(max_size=4), max_size=2)))
+    for _ in range(draw(st.integers(0, 4))):
+        line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+        start = draw(st.one_of(st.integers(0, len(text)), st.sampled_from(line_starts)))
+        end = draw(st.integers(start, min(len(text), start + 6)))
+        text = text[:start] + draw(FUZZ_PIECES) + text[end:]
+    return text
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(fuzzed_documents(), st.text()))
+@example(E1_DOC)
+@example("")
+@example("  # only a comment\n\t\n")
+@example(E1_DOC.replace("capacity 5\n", "capacity 5\n#no space\n"))
+@example(E1_DOC.replace("1:0.40", "1:١.40"))
+@example(E1_DOC.replace("1:0.40", "1:1_0"))
+@example(E1_DOC.replace("1:0.40", "1:.5 "))
+@example(E1_DOC.replace("capacity 5", "capacity\x1f5"))
+def test_parse_instance_matches_the_strip_each_line_parser(text):
+    assert outcome(parse_instance, text) == outcome(strip_each_line_parse_instance, text)

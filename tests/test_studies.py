@@ -20,6 +20,8 @@ from avauction import (
 from avauction import studies
 from avauction.studies import ratio_to_decimal
 
+from conftest import oracle_off_by_one_micro
+
 
 SMALL = dict(scenario_sizes=(1, 4, 8), cases=6, seed=303)
 
@@ -78,11 +80,34 @@ def test_truthfulness_tables():
     assert base_rows, "base (0% raise) rows present"
 
 
-def test_truthfulness_aborts_on_thin_market_violation():
-    # at K=5 a raised co-winner can keep winning and lower the total; the
-    # study is required to abort and name the offending case
+def test_truthfulness_writes_exact_thin_market_negatives():
+    # at K=5 a raised co-winner can keep winning and lower the total; VCG is
+    # not monotone in revenue, so these runs are written, not aborted
     cfg = ExperimentConfig(scenario_sizes=(5,), seed=20250810)
-    with pytest.raises(StudyInvariantViolation, match="case=4"):
+    _, changes = run_truthfulness_study(cfg)
+    negatives = [row for row in changes.rows if row[6] < 0]
+    assert len(negatives) == 3 and {row[5] for row in negatives} == {4}
+
+
+def test_truthfulness_aborts_on_thin_market_negatives_vcg_cannot_explain(monkeypatch):
+    cfg = ExperimentConfig(scenario_sizes=(5,), seed=20250810)
+    with monkeypatch.context() as patch:
+        oracle_off_by_one_micro(patch)
+        with pytest.raises(StudyInvariantViolation,
+                           match=r"^negative change of charge .*exclusion solves disagree \[.*case=4\]$"):
+            run_truthfulness_study(cfg)
+
+    original = studies.bidder_utility
+
+    def raisers_gain(instance, valuations):
+        # a raised bid is the only way an instance's bids differ from the valuations
+        ledger = original(instance, valuations)
+        if all(valuations[b.bidder_id] is b for b in instance.bids):
+            return ledger
+        return replace(ledger, utilities={b: u + 1 for b, u in ledger.utilities.items()})
+
+    monkeypatch.setattr(studies, "bidder_utility", raisers_gain)
+    with pytest.raises(StudyInvariantViolation, match=r"by raising alone \[.*case=4\]$"):
         run_truthfulness_study(cfg)
 
 
