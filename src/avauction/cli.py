@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
-from .core import Money, SeatBoundViolation, ServiceType, ValidationError, validate_instance
+from .core import Money, ServiceType, ValidationError, validate_instance
 from .instance_io import ParseError, read_instance, write_instance
 from .scenario import CostLaw, GenerationLaw, InvalidLaw, generate_batch
 from .studies import STUDY_NAMES, ExperimentConfig, StudyInvariantViolation, run_study
@@ -146,19 +146,15 @@ def cmd_charge(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     law = GenerationLaw(seed=args.seed, cost_law=CostLaw(args.law), gamma=args.gamma)
     service = ServiceType(args.service)
-    sizes = args.k or (5,)
-    # Check every setting before anything is written, with the messages
-    # generate_batch and ScenarioBatch.instance give.
-    if min(sizes) < 1 or args.capacity < 1 or args.cases < 1:
-        raise InvalidLaw("bidders, capacity, and cases must all be at least 1")
-    if not 1 <= args.qr <= args.capacity:
-        raise SeatBoundViolation(f"requested_seats {args.qr} outside [1, {args.capacity}]")
+    # Generate and assemble everything before anything is written, so a bad
+    # setting leaves no output directory behind.
+    batches = [generate_batch(law, k, args.capacity, args.cases) for k in args.k or (5,)]
+    instances = [[b.instance(i, service, args.qr) for i in range(b.case_count)] for b in batches]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for k in sizes:
-        batch = generate_batch(law, k, args.capacity, args.cases)
-        for i in range(batch.case_count):
-            instance = batch.instance(i, service, args.qr)
+    for batch, batch_instances in zip(batches, instances):
+        k = batch.bidder_count
+        for i, instance in enumerate(batch_instances):
             comments = [
                 f"generated: law={law.cost_law.value} gamma={law.gamma} "
                 f"seed={law.seed} K={k} case={i}"

@@ -7,7 +7,6 @@ instead of float tolerances.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -214,63 +213,31 @@ class AuctionInstance:
         )
 
 
-def is_strictly_increasing(values: Sequence[int]) -> bool:
-    return all(map(operator.lt, values, values[1:]))
-
-
 def has_diminishing_marginals(values: Sequence[int]) -> bool:
     """True when consecutive price differences never increase with size."""
     diffs = [b - a for a, b in zip(values, values[1:])]
     return all(a >= b for a, b in zip(diffs, diffs[1:]))
 
 
-def price_series(schedule: BidSchedule, capacity: int) -> list[int]:
-    """The schedule's prices for sizes 1..min(available_seats, capacity), in micros.
-
-    Checks what winner determination relies on: availability within
-    [0, capacity], a price for every offerable size, and strictly increasing
-    prices.  Raises on violation.
-    """
-    who = schedule.bidder_id
-    if not (0 <= schedule.available_seats <= capacity):
-        raise SeatBoundViolation(
-            f"bidder {who}: available_seats {schedule.available_seats} outside [0, {capacity}]"
-        )
-    top = schedule.available_seats
-    try:
-        series = [schedule.prices[m].micros for m in range(1, top + 1)]
-    except KeyError as exc:
-        raise MissingPrice(
-            f"bidder {who}: no price for size {exc.args[0]} (must cover 1..{top})"
-        ) from None
-    if not is_strictly_increasing(series):
-        raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
-    return series
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
-    """Check one schedule against the instance capacity; raise on violation.
+def price_series(schedule: BidSchedule, capacity: int) -> list[int]:
+    """The schedule's prices for sizes 1..available_seats, in micros.
 
-    One pass over the series makes the checks ``price_series`` makes, and
-    raises the same first violation, while it also checks the concave flag.
-    Beyond those, the id must be one token of the text format, every size
-    key must be an int in 1..top, and the schedule's fields must have the
-    types that format writes, so every valid instance survives
-    serialisation and parsing.
+    The one check of a schedule's prices, shared by validation, the engine
+    and the generator.  One pass raises the first violation of, in order:
+    availability within [0, capacity], a Money price for every size 1..top,
+    strictly increasing prices, every size key an int in 1..top, and
+    non-increasing marginals when the schedule is flagged concave.
     """
     who = schedule.bidder_id
-    if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
-        raise ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
     top = schedule.available_seats
-    if not _is_int(top) or not isinstance(schedule.concave, bool):
-        raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
     if not (0 <= top <= capacity):
         raise SeatBoundViolation(f"bidder {who}: available_seats {top} outside [0, {capacity}]")
     prices = schedule.prices
+    series: list[int] = []
     increasing = concave = True
     prev = step = None
     for m in range(1, top + 1):
@@ -280,11 +247,16 @@ def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
             raise MissingPrice(
                 f"bidder {who}: no price for size {m} (must cover 1..{top})"
             ) from None
+        except AttributeError:
+            raise ValidationError(
+                f"bidder {who}: price for size {m} must be Money, got {type(prices[m]).__name__}"
+            ) from None
         if prev is not None:
             if step is not None and micros - prev > step:
                 concave = False
             step = micros - prev
             increasing = increasing and step > 0
+        series.append(micros)
         prev = micros
     if not increasing:
         raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
@@ -296,6 +268,22 @@ def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
             )
     if schedule.concave and not concave:
         raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
+    return series
+
+
+def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
+    """Check one schedule against the instance capacity; raise on violation.
+
+    The id must be one token of the text format and the fields must have the
+    types that format writes, so every valid instance survives serialisation
+    and parsing; ``price_series`` then checks the prices.
+    """
+    who = schedule.bidder_id
+    if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
+        raise ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
+    if not _is_int(schedule.available_seats) or not isinstance(schedule.concave, bool):
+        raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
+    price_series(schedule, capacity)
 
 
 def validate_instance(instance: AuctionInstance) -> AuctionInstance:

@@ -28,11 +28,12 @@ from .core import (
     AuctionInstance,
     BidSchedule,
     Money,
+    NonConcavePrices,
+    NonMonotonePrices,
     SeatBoundViolation,
     ServiceType,
     as_fraction,
-    has_diminishing_marginals,
-    is_strictly_increasing,
+    price_series,
     round_half_up,
 )
 
@@ -104,17 +105,19 @@ def _draw_schedule(
     available = stream.randint(1, capacity)
     for _ in range(MAX_DRAW_ATTEMPTS):
         cost = draw_cost_micros(stream, law.cost_law)
-        series = [round_half_up(cost * sums[m - 1]) for m in range(1, available + 1)]
+        schedule = BidSchedule(
+            bidder_id=bidder_id,
+            available_seats=available,
+            prices={m: Money(round_half_up(cost * sums[m - 1])) for m in range(1, available + 1)},
+            concave=True,
+        )
         # Micro-rounding can collapse sub-micro marginals for tiny costs;
         # such draws are rejected so every emitted schedule validates.
-        if is_strictly_increasing(series) and has_diminishing_marginals(series):
-            prices = {m: Money(v) for m, v in enumerate(series, start=1)}
-            return BidSchedule(
-                bidder_id=bidder_id,
-                available_seats=available,
-                prices=prices,
-                concave=True,
-            )
+        try:
+            price_series(schedule, capacity)
+        except (NonMonotonePrices, NonConcavePrices):
+            continue
+        return schedule
     raise InvalidLaw(
         f"gamma {law.gamma} cannot produce valid micro-unit price curves"
     )

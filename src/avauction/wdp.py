@@ -114,8 +114,9 @@ class CompiledCase:
     ``ids[i]``'s price series in micros for sizes 1..min(available, capacity).
     Requests may ask for 1..``width`` seats (``width`` defaults to the
     capacity).  Building the case raises a ValidationError subclass on a
-    duplicate bidder id, an availability outside [0, capacity], a missing
-    price or prices that do not strictly increase.
+    duplicate bidder id or on any schedule ``price_series`` rejects, so it
+    rejects what ``validate_instance`` rejects, bar the id token and the
+    field types of the text format.
     """
 
     def __init__(self, bids: Iterable[BidSchedule], capacity: int, width: Optional[int] = None):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from avauction import (
     AuctionInstance,
     BidSchedule,
+    CompiledCase,
     DuplicateBidder,
     MissingPrice,
     Money,
@@ -23,14 +24,7 @@ from avauction import (
     money_to_decimal,
     validate_instance,
 )
-from avauction.core import (
-    BIDDER_ID_RE,
-    _is_int,
-    as_fraction,
-    price_series,
-    round_half_up,
-    validate_schedule,
-)
+from avauction.core import as_fraction, round_half_up, validate_schedule
 
 from conftest import make_instance, outcome, regex_money_from_decimal, sched
 
@@ -210,9 +204,11 @@ class TestValidation:
             lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", 0, {}, concave="no")]),
             # 2.0 finds its price as size 2, so only the key check sees it
             lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", 2, {1: Money(1), 2.0: Money(2)})]),
+            lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", 1, {1: 5})]),
+            lambda i: AuctionInstance(5, 1, i.service, [BidSchedule("A", 1, {1: "0.5"})]),
         ],
         ids=["float-capacity", "bool-request", "str-service", "bool-availability",
-             "bool-size", "str-concave", "float-size"],
+             "bool-size", "str-concave", "float-size", "int-price", "str-price"],
     )
     def test_fields_must_have_the_types_the_format_writes(self, e1, mutation):
         with pytest.raises(ValidationError):
@@ -225,28 +221,61 @@ class TestValidation:
                 assert sorted(bid.prices) == list(range(1, top + 1))
 
 
-def two_pass_validate_schedule(schedule: BidSchedule, capacity: int) -> None:
-    """validate_schedule's checks as price_series plus a loop over the keys
-    and a list of marginals: the oracle of the one-pass test below."""
+# The text format's bidder-id token, restated so the oracle below shares no
+# code with avauction.core beyond its types and exceptions.
+ORACLE_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
+
+
+def _plain_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_text_format_fields(schedule: BidSchedule) -> None:
+    """validate_schedule's own rules: an id that is one token of the text
+    format, an int availability and a bool concave flag."""
     who = schedule.bidder_id
-    if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
+    if not (isinstance(who, str) and ORACLE_ID_RE.fullmatch(who)):
         raise ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
-    if not _is_int(schedule.available_seats) or not isinstance(schedule.concave, bool):
+    if not _plain_int(schedule.available_seats) or not isinstance(schedule.concave, bool):
         raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
-    series = price_series(schedule, capacity)
-    top = len(series)
-    for size in schedule.prices:
-        if not _is_int(size) or size < 1 or size > top:
+
+
+def two_pass_price_series(schedule: BidSchedule, capacity: int) -> list[int]:
+    """price_series's checks as separate passes: a list comprehension over
+    the sizes, a pairwise comparison, a loop over the keys and a list of
+    marginals.  With check_text_format_fields, the oracle of the one-pass
+    test below."""
+    who = schedule.bidder_id
+    top = schedule.available_seats
+    if not (0 <= top <= capacity):
+        raise SeatBoundViolation(f"bidder {who}: available_seats {top} outside [0, {capacity}]")
+    prices = schedule.prices
+    try:
+        series = [prices[m].micros for m in range(1, top + 1)]
+    except KeyError as exc:
+        raise MissingPrice(
+            f"bidder {who}: no price for size {exc.args[0]} (must cover 1..{top})"
+        ) from None
+    except AttributeError:
+        m = next(m for m in range(1, top + 1) if not isinstance(prices[m], Money))
+        raise ValidationError(
+            f"bidder {who}: price for size {m} must be Money, got {type(prices[m]).__name__}"
+        ) from None
+    if not all(a < b for a, b in zip(series, series[1:])):
+        raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
+    for size in prices:
+        if not _plain_int(size) or size < 1 or size > top:
             raise OversizedCombination(f"bidder {who}: price defined for size {size} outside 1..{top}")
     diffs = [b - a for a, b in zip(series, series[1:])]
     if schedule.concave and not all(a >= b for a, b in zip(diffs, diffs[1:])):
         raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
+    return series
 
 
 @st.composite
 def rough_schedules(draw):
-    """A capacity and a schedule near the edge of validity: odd key and
-    field types, gaps, extra sizes, flat or rising marginals."""
+    """A capacity and a schedule near the edge of validity: odd key, price
+    and field types, gaps, extra sizes, flat or rising marginals."""
     capacity = draw(st.integers(1, 6))
     available = draw(st.integers(0, capacity + 1))
     prices, level, step = {}, 0, 5
@@ -255,11 +284,12 @@ def rough_schedules(draw):
         level += step
         prices[m] = Money(level)
     odd_sizes = st.one_of(st.integers(-1, 7), st.sampled_from([2.0, True, False, 1.5, "1"]))
+    odd_prices = st.one_of(st.integers(0, 30).map(Money), st.sampled_from([5, "0.5"]))
     for _ in range(draw(st.integers(0, 2))):  # then a few edits
         if prices and draw(st.booleans()):
             del prices[draw(st.sampled_from(list(prices)))]
         else:
-            prices[draw(odd_sizes)] = Money(draw(st.integers(0, 30)))
+            prices[draw(odd_sizes)] = draw(odd_prices)
     schedule = BidSchedule(
         draw(st.sampled_from(["A"] * 8 + ["x y"])),
         draw(st.sampled_from([available] * 8 + [True, 2.0])),
@@ -272,12 +302,17 @@ def rough_schedules(draw):
 @settings(max_examples=500)
 @given(rough_schedules())
 def test_one_pass_validation_raises_the_same_first_violation(case):
+    """validate_schedule, and for text-format fields the engine's compile
+    too, give the oracle's outcome: the same exception class and message,
+    or acceptance with the oracle's series as the compiled row."""
     schedule, capacity = case
-
-    def check(validate):
-        return outcome(lambda s: validate(s, capacity), schedule)
-
-    assert check(validate_schedule) == check(two_pass_validate_schedule)
+    fields = outcome(check_text_format_fields, schedule)
+    series = outcome(lambda s: two_pass_price_series(s, capacity), schedule)
+    expected = series if fields is None else fields
+    accepted = isinstance(expected, list)
+    assert outcome(lambda s: validate_schedule(s, capacity), schedule) == (None if accepted else expected)
+    if fields is None:
+        assert outcome(lambda s: CompiledCase([s], capacity).rows[0], schedule) == series
 
 
 def test_service_type_tokens():

@@ -12,17 +12,20 @@ from avauction import (
     Money,
     ServiceType,
     UnknownBidder,
+    ValidationError,
     brute_force_wdp,
     exclusion_totals,
     feasibility,
     money_from_decimal,
+    NonConcavePrices,
     NonMonotonePrices,
+    OversizedCombination,
     SeatBoundViolation,
     solve_wdp,
     validate_instance,
 )
 
-from conftest import make_instance, sched
+from conftest import make_instance, outcome, sched
 
 
 class TestKnownOptima:
@@ -331,6 +334,16 @@ def test_compiled_case_rejects_what_the_engine_cannot_solve():
         CompiledCase([sched("A", 2, {1: "0.2", 2: "0.2"})], 5)
     with pytest.raises(SeatBoundViolation):
         CompiledCase([sched("A", 6, {m: f"0.{m}" for m in range(1, 7)})], 5)
+    # the engine rejects what validate_instance rejects, with the same error
+    oversized = sched("A", 2, {1: "0.10", 2: "0.20", 3: "0.30"})
+    false_concave = sched("B", 3, {1: "0.30", 2: "0.55", 3: "0.90"}, concave=True)
+    for bid, error in ((oversized, OversizedCombination), (false_concave, NonConcavePrices)):
+        with pytest.raises(error):
+            CompiledCase([bid], 5)
+        instance = make_instance(5, 3, ServiceType.SPLITTABLE, [bid])
+        assert outcome(solve_wdp, instance) == outcome(validate_instance, instance)
+    with pytest.raises(ValidationError, match="bidder A: price for size 1 must be Money"):
+        CompiledCase([BidSchedule("A", 1, {1: 5})], 5)
     case = CompiledCase([sched("A", 1, {1: "0.1"})], 5, width=2)
     with pytest.raises(SeatBoundViolation):
         case.solve(ServiceType.SPLITTABLE, 3)
