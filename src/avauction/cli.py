@@ -123,21 +123,18 @@ def cmd_charge(args: argparse.Namespace) -> int:
     except NotServed:
         print("unservable")
         return EXIT_UNSERVABLE
-    # Every non-winner prints the optimum and a zero charge, so a K = 1000
-    # report holds only a handful of distinct amounts: render each once.
-    rendered: dict[int, str] = {}
-
-    def decimal(money: Money) -> str:
-        text = rendered.get(money.micros)
-        if text is None:
-            text = rendered[money.micros] = money.to_decimal()
-        return text
-
-    lines = [f"service {report.service.value}", f"optimum {decimal(report.optimum)}"]
-    for entry in report.per_bidder:
-        pivotal = "unservable" if entry.pivotal is None else decimal(entry.pivotal)
-        lines.append(f"bidder {entry.bidder_id} pivotal {pivotal} charge {decimal(entry.charge)}")
-    lines.append(f"total {decimal(report.total_charge)}")
+    optimum = report.optimum.to_decimal()
+    # Every bidder the report does not list prints the optimum and a zero
+    # charge, so that line is rendered once.
+    non_winner = f" pivotal {optimum} charge {Money(0).to_decimal()}"
+    listed = {}
+    for entry in report.listed:
+        pivotal = "unservable" if entry.pivotal is None else entry.pivotal.to_decimal()
+        listed[entry.bidder_id] = f" pivotal {pivotal} charge {entry.charge.to_decimal()}"
+    lines = [f"service {report.service.value}", f"optimum {optimum}"]
+    for bidder_id in report.bidder_ids:
+        lines.append(f"bidder {bidder_id}{listed.get(bidder_id, non_winner)}")
+    lines.append(f"total {report.total_charge.to_decimal()}")
     lines.append(f"fallback {'true' if report.fallback else 'false'}")
     print("\n".join(lines))
     return EXIT_OK

@@ -106,7 +106,8 @@ class Money:
         f = as_fraction(factor)
         if f < 0:
             raise NegativeAmount(f"negative scale factor {f}")
-        return Money(round_half_up(self.micros * f))
+        # round_half_up(micros * f), without building the product Fraction
+        return Money((2 * self.micros * f.numerator + f.denominator) // (2 * f.denominator))
 
     def __str__(self) -> str:
         return self.to_decimal()
@@ -228,12 +229,15 @@ def price_series(schedule: BidSchedule, capacity: int) -> list[int]:
 
     The one check of a schedule's prices, shared by validation, the engine
     and the generator.  One pass raises the first violation of, in order:
-    availability within [0, capacity], a Money price for every size 1..top,
+    an int availability and a bool concave flag, availability within
+    [0, capacity], a Money price for every size 1..top,
     strictly increasing prices, every size key an int in 1..top, and
     non-increasing marginals when the schedule is flagged concave.
     """
     who = schedule.bidder_id
     top = schedule.available_seats
+    if not _is_int(top) or not isinstance(schedule.concave, bool):
+        raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
     if not (0 <= top <= capacity):
         raise SeatBoundViolation(f"bidder {who}: available_seats {top} outside [0, {capacity}]")
     prices = schedule.prices
@@ -274,15 +278,13 @@ def price_series(schedule: BidSchedule, capacity: int) -> list[int]:
 def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
     """Check one schedule against the instance capacity; raise on violation.
 
-    The id must be one token of the text format and the fields must have the
-    types that format writes, so every valid instance survives serialisation
-    and parsing; ``price_series`` then checks the prices.
+    The id must be one token of the text format, so every valid instance
+    survives serialisation and parsing; ``price_series`` then checks the
+    field types and the prices.
     """
     who = schedule.bidder_id
     if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
         raise ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
-    if not _is_int(schedule.available_seats) or not isinstance(schedule.concave, bool):
-        raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
     price_series(schedule, capacity)
 
 

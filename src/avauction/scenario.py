@@ -11,7 +11,8 @@ of (seed, label).  Distinct labels give independent sequences, and the same
 by (case, bidder) only, never by the bidder count, so scenarios of different
 sizes share their common bidders: the K=5 batch is a prefix of the K=100
 batch for the same seed.  That is what makes the paired-seed comparisons
-across K meaningful.
+across K meaningful, and it lets the studies draw each law once, at their
+largest K, and take every smaller K with ``ScenarioBatch.head``.
 """
 
 from __future__ import annotations
@@ -147,6 +148,23 @@ class ScenarioBatch:
             requested_seats=requested_seats,
             service=service,
             bids=self.cases[case],
+        )
+
+    def head(self, bidders: int, cases: int) -> "ScenarioBatch":
+        """The first ``cases`` cases, each cut to its first ``bidders``
+        schedules: the batch ``generate_batch`` draws at that size, since
+        streams are keyed by (case, bidder) only."""
+        if not (1 <= bidders <= self.bidder_count and 1 <= cases <= self.case_count):
+            raise InvalidLaw(
+                f"head({bidders}, {cases}) outside a batch of {self.case_count} "
+                f"case(s) of {self.bidder_count} bidder(s)"
+            )
+        return ScenarioBatch(
+            law=self.law,
+            bidder_count=bidders,
+            capacity=self.capacity,
+            case_count=cases,
+            cases=tuple(schedules[:bidders] for schedules in self.cases[:cases]),
         )
 
     def case_label(self, case: int) -> str:

@@ -9,9 +9,10 @@ top of those, truthfulness checks every negative change of charge against
 the per-bidder exclusion solves and against a raise made alone, and
 asymptoticity that no change of payment is negative and that small variation
 stays below large.  Timing seat-checks each instance it times.  Every check
-aborts with the offending case seed.  All tables except timing are
-byte-identical across runs with the same config: aggregation uses exact
-rationals, never floats.
+aborts with the offending case seed.  Each study draws one batch per cost
+law, at the largest configured K, and reads every K as a ``head`` of it.
+All tables except timing are byte-identical across runs with the same
+config: aggregation uses exact rationals, never floats.
 """
 
 from __future__ import annotations
@@ -190,18 +191,19 @@ def _case_reports(
     return reports
 
 
-def _generate(config: ExperimentConfig, k: int, cost_law: Optional[CostLaw] = None,
-              cases: Optional[int] = None) -> ScenarioBatch:
-    return generate_batch(
-        config.law(cost_law), k, CAPACITY, config.cases if cases is None else cases,
-    )
+def _generate(config: ExperimentConfig, cases: int,
+              cost_law: Optional[CostLaw] = None) -> ScenarioBatch:
+    """The study's one batch of a law, at the largest K; every K it reads
+    is a ``head`` of it."""
+    return generate_batch(config.law(cost_law), max(config.scenario_sizes), CAPACITY, cases)
 
 
 def run_servability_study(config: ExperimentConfig) -> ResultTable:
     """Count unservable cases per (K, service, requested size)."""
     table = ResultTable("servability", ("K", "service", "q_r", "cases", "unservable"))
+    full = _generate(config, config.cases)
     for k in config.scenario_sizes:
-        batch = _generate(config, k)
+        batch = full.head(k, config.cases)
         counts = dict.fromkeys(REQUESTS, 0)
         for i in range(batch.case_count):
             for q in QS:
@@ -219,8 +221,9 @@ def run_charge_study(config: ExperimentConfig) -> ResultTable:
         "charges",
         ("K", "service", "q_r", "servable_cases", "mean_total_charge", "mean_optimal"),
     )
+    full = _generate(config, config.cases)
     for k in config.scenario_sizes:
-        batch = _generate(config, k)
+        batch = full.head(k, config.cases)
         acc = {request: [0, 0, 0] for request in REQUESTS}
         for i in range(batch.case_count):
             for request, report in _case_reports(batch, i).items():
@@ -257,18 +260,22 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
         "truthfulness_changes",
         ("K", "service", "q_r", "target_fraction", "raise_fraction", "case", "change_of_charge"),
     )
+    if max(config.scenario_sizes) < 2:
+        return winners_table, changes_table
+    runs = min(TRUTHFULNESS_RUNS, config.cases)
+    batch = _generate(config, runs)
     for k in config.scenario_sizes:
         if k < 2:
             continue  # the charging rule degenerates to the optimum for a monopoly
         # Only case 0 is used; streams are keyed by (seed, case, bidder), so
         # it is the same case 0 as in a full batch.
-        batch = _generate(config, k, cases=1)
-        base_reports = _case_reports(batch, 0)
+        base = batch.head(k, 1)
+        base_reports = _case_reports(base, 0)
         for q in QS:
             base_report = base_reports[(ServiceType.SPLITTABLE, q)]
             if base_report is None:
                 continue
-            base_instance = batch.instance(0, ServiceType.SPLITTABLE, q)
+            base_instance = base.instance(0, ServiceType.SPLITTABLE, q)
             base_winners = base_report.winner_allocation.winner_ids()
             for raise_f in WINNER_RAISES:
                 perturbed = perturb_bids(base_instance, base_winners, raise_f)
@@ -280,11 +287,7 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
                     ";".join(report.charge_of(b).to_decimal() for b in ids),
                     report.total_charge,
                 )
-    k = max(config.scenario_sizes)
-    if k < 2:
-        return winners_table, changes_table
-    runs = min(TRUTHFULNESS_RUNS, config.cases)
-    batch = _generate(config, k, cases=runs)
+    k = batch.bidder_count
     truthful_reports = [_case_reports(batch, case) for case in range(runs)]
     for (svc, q), frac, raise_f in product(REQUESTS, TARGET_FRACTIONS, RAISE_FRACTIONS):
         for case in range(runs):
@@ -338,12 +341,16 @@ def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
         "asymptoticity",
         ("K", "service", "q_r", "law", "qualifying_cases", "mean_change_of_payment"),
     )
+    if max(config.scenario_sizes) < 2:
+        return table
+    laws = (CostLaw.LARGE_VARIATION, CostLaw.SMALL_VARIATION)
+    full = {law: _generate(config, config.cases, law) for law in laws}
     for k in config.scenario_sizes:
         if k < 2:
             continue
         means: dict[CostLaw, dict[tuple[ServiceType, int], Optional[Fraction]]] = {}
-        for law in (CostLaw.LARGE_VARIATION, CostLaw.SMALL_VARIATION):
-            batch = _generate(config, k, cost_law=law)
+        for law in laws:
+            batch = full[law].head(k, config.cases)
             sums = {request: [0, Fraction(0)] for request in REQUESTS}
             for i in range(batch.case_count):
                 for request, report in _case_reports(batch, i).items():
@@ -386,10 +393,14 @@ def run_timing_study(config: ExperimentConfig) -> ResultTable:
     literal solve per excluded bidder, ``shared`` is ``vcg_charges`` at its
     defaults, the path every other caller runs."""
     table = ResultTable("timing", ("K", "service", "mode", "cases", "mean_seconds"))
+    if max(config.scenario_sizes) < 2:
+        return table
+    cases = min(TIMING_CASES, config.cases)
+    full = _generate(config, cases)
     for k in config.scenario_sizes:
         if k < 2:
             continue
-        batch = _generate(config, k, cases=min(TIMING_CASES, config.cases))
+        batch = full.head(k, cases)
         for svc in SERVICES:
             instances = []
             for i in range(batch.case_count):

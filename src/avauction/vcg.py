@@ -59,17 +59,39 @@ class BidderCharge:
 
 @dataclass(frozen=True)
 class ChargeReport:
+    """One request's charges.
+
+    ``listed`` holds, in id order, only the entries that differ from a
+    non-winner's (pivotal p*, charge 0); every other bidder of
+    ``bidder_ids`` (all bidders, in id order) has that entry.  The shape is
+    canonical: two reports with equal other fields are equal exactly when
+    their ``per_bidder`` tuples are.
+    """
+
     service: ServiceType
     optimum: Money
     winner_allocation: Allocation
-    per_bidder: tuple[BidderCharge, ...]
+    listed: tuple[BidderCharge, ...]
+    bidder_ids: tuple[str, ...]
     total_charge: Money
     fallback: bool
 
+    @property
+    def per_bidder(self) -> tuple[BidderCharge, ...]:
+        """Every bidder's entry, in id order."""
+        listed = {entry.bidder_id: entry for entry in self.listed}
+        zero = Money(0)
+        return tuple(
+            listed.get(bidder_id) or BidderCharge(bidder_id, self.optimum, zero)
+            for bidder_id in self.bidder_ids
+        )
+
     def charge_of(self, bidder_id: str) -> Money:
-        for entry in self.per_bidder:
+        for entry in self.listed:
             if entry.bidder_id == bidder_id:
                 return entry.charge
+        if bidder_id in self.bidder_ids:
+            return Money(0)
         raise UnknownBidder(bidder_id)
 
 
@@ -126,12 +148,14 @@ def _report(
     pivotal: Mapping[str, Optional[int]],
 ) -> ChargeReport:
     """Assemble the report.  A bidder missing from ``pivotal`` is a
-    non-winner whose exclusion total is the optimum, so it pays exactly 0."""
+    non-winner whose exclusion total is the optimum, so it pays exactly 0.
+    Only entries other than that (p*, 0) are listed, whether ``pivotal``
+    holds them or not."""
     p_star = allocation.total_bid.micros
     winning_amount = {
         bidder_id: case.price(bidder_id, size) for bidder_id, size in allocation.assignments
     }
-    listed: dict[str, BidderCharge] = {}
+    listed: list[BidderCharge] = []
     fallback = False
     total = 0
     for bidder_id, piv in pivotal.items():
@@ -150,20 +174,19 @@ def _report(
                     f"negative charge for {bidder_id}: exclusion beat the optimum"
                 )
         total += charge
-        listed[bidder_id] = BidderCharge(
-            bidder_id=bidder_id,
-            pivotal=None if piv is None else Money(piv),
-            charge=Money(charge),
-        )
-    zero = Money(0)
+        if piv != p_star or charge:
+            listed.append(BidderCharge(
+                bidder_id=bidder_id,
+                pivotal=None if piv is None else Money(piv),
+                charge=Money(charge),
+            ))
+    listed.sort(key=lambda entry: entry.bidder_id)
     return ChargeReport(
         service=service,
         optimum=allocation.total_bid,
         winner_allocation=allocation,
-        per_bidder=tuple(
-            listed.get(bidder_id) or BidderCharge(bidder_id, allocation.total_bid, zero)
-            for bidder_id in case.ids
-        ),
+        listed=tuple(listed),
+        bidder_ids=case.ids,
         total_charge=Money(p_star if fallback else total),
         fallback=fallback,
     )
@@ -174,7 +197,7 @@ def charge_identity_holds(report: ChargeReport) -> bool:
     if report.fallback:
         return False
     p_star = report.optimum.micros
-    expected = p_star + sum(e.pivotal.micros - p_star for e in report.per_bidder)
+    expected = p_star + sum(e.pivotal.micros - p_star for e in report.listed)
     return report.total_charge.micros == expected
 
 

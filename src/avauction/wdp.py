@@ -115,8 +115,8 @@ class CompiledCase:
     Requests may ask for 1..``width`` seats (``width`` defaults to the
     capacity).  Building the case raises a ValidationError subclass on a
     duplicate bidder id or on any schedule ``price_series`` rejects, so it
-    rejects what ``validate_instance`` rejects, bar the id token and the
-    field types of the text format.
+    rejects what ``validate_instance`` rejects, bar the id token of the
+    text format.
     """
 
     def __init__(self, bids: Iterable[BidSchedule], capacity: int, width: Optional[int] = None):

@@ -5,6 +5,7 @@ import pytest
 
 from avauction import (
     AuctionInstance,
+    BidderCharge,
     BidSchedule,
     Money,
     NegativeAmount,
@@ -57,6 +58,46 @@ def outcome(fn, arg):
         return fn(arg)
     except Exception as exc:  # the differential compares every failure too
         return type(exc), str(exc)
+
+
+def full_report(case, service, allocation, pivotal):
+    """A charge report's fields with one ``BidderCharge`` per bidder, as
+    ``vcg._report`` built them before reports listed only the entries that
+    differ from a non-winner's: the oracle of the lean report."""
+    p_star = allocation.total_bid.micros
+    winning_amount = {
+        bidder_id: case.price(bidder_id, size) for bidder_id, size in allocation.assignments
+    }
+    listed = {}
+    fallback = False
+    total = 0
+    for bidder_id, piv in pivotal.items():
+        own = winning_amount.get(bidder_id, 0)
+        if piv is None:
+            assert own != 0
+            fallback = True
+            charge = own
+        else:
+            charge = piv - (p_star - own)
+            assert charge >= 0
+        total += charge
+        listed[bidder_id] = BidderCharge(
+            bidder_id=bidder_id,
+            pivotal=None if piv is None else Money(piv),
+            charge=Money(charge),
+        )
+    zero = Money(0)
+    return {
+        "service": service,
+        "optimum": allocation.total_bid,
+        "winner_allocation": allocation,
+        "per_bidder": tuple(
+            listed.get(bidder_id) or BidderCharge(bidder_id, allocation.total_bid, zero)
+            for bidder_id in case.ids
+        ),
+        "total_charge": Money(p_star if fallback else total),
+        "fallback": fallback,
+    }
 
 
 def oracle_off_by_one_micro(monkeypatch):

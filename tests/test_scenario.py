@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avauction import (
     CostLaw,
@@ -141,3 +142,28 @@ class TestBatchDeterminism:
         batch = generate_batch(GenerationLaw(seed=1), 3, 5, 2)
         with pytest.raises(Exception):
             batch.instance(0, ServiceType.SPLITTABLE, 6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cost_law=st.sampled_from(list(CostLaw)),
+    seed=st.integers(0, 2**64 - 1),
+    sizes=st.integers(1, 12).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+    counts=st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+)
+def test_head_is_the_batch_generated_at_that_size(cost_law, seed, sizes, counts):
+    (big_k, k), (big_n, n) = sizes, counts
+    law = GenerationLaw(seed=seed, cost_law=cost_law)
+    head = generate_batch(law, big_k, 5, big_n).head(k, n)
+    direct = generate_batch(law, k, 5, n)
+    assert head.cases == direct.cases
+    assert (head.bidder_count, head.case_count) == (k, n)
+    assert head.digest() == direct.digest()
+    assert [head.case_label(i) for i in range(n)] == [direct.case_label(i) for i in range(n)]
+
+
+@pytest.mark.parametrize("bidders, cases", [(4, 2), (3, 3), (0, 1), (1, 0)])
+def test_head_rejects_more_than_the_batch_holds(bidders, cases):
+    batch = generate_batch(GenerationLaw(seed=1), 3, 5, 2)
+    with pytest.raises(InvalidLaw):
+        batch.head(bidders, cases)

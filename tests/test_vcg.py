@@ -4,6 +4,7 @@ import pytest
 
 from avauction import (
     BidSchedule,
+    CompiledCase,
     FallbackReport,
     MissingValuation,
     Money,
@@ -12,10 +13,12 @@ from avauction import (
     UnknownBidder,
     ValidationError,
     ZeroBaseline,
+    GenerationLaw,
     bidder_utility,
     change_of_charge,
     change_of_payment,
     charge_identity_holds,
+    generate_batch,
     money_from_decimal,
     perturb_bids,
     solve_wdp,
@@ -23,7 +26,9 @@ from avauction import (
     vcg_charges,
 )
 
-from conftest import make_instance, sched
+from avauction import vcg
+
+from conftest import full_report, make_instance, sched
 
 
 def charges_by_id(report):
@@ -274,3 +279,68 @@ def test_huge_prices_are_not_mistaken_for_infeasible(service):
     assert not report.fallback
     assert report == vcg_charges(inst, independent_solves=True)
     assert report.charge_of("B").micros == (2**62 if service is not ServiceType.PRIVATE else 2**62 + 1)
+
+
+def _lean_and_full(case, instance, pivotal):
+    allocation = case.solve(instance.service, instance.requested_seats)
+    lean = vcg._report(case, instance.service, allocation, pivotal)
+    full = full_report(case, instance.service, allocation, pivotal)
+    return {name: getattr(lean, name) for name in full}, full, lean
+
+
+def test_lean_reports_rebuild_the_full_per_bidder_tuple():
+    """From the engine's winner-only exclusions and from every bidder's
+    literal solve, the lean report's fields and rebuilt ``per_bidder`` equal
+    those of the report that built one entry per bidder."""
+    twins = make_instance(5, 1, ServiceType.SPLITTABLE,
+                          [sched("A", 1, {1: "0"}), sched("B", 1, {1: "0"})])
+    batch = generate_batch(GenerationLaw(seed=77), bidders=8, capacity=5, cases=12)
+    instances = [twins] + [
+        batch.instance(i, svc, q)
+        for i in range(batch.case_count) for svc in ServiceType for q in range(1, 6)
+    ]
+    checked = 0
+    for instance in instances:
+        case = CompiledCase.from_instance(instance)
+        allocation = case.solve(instance.service, instance.requested_seats)
+        if allocation is None:
+            continue
+        engine = case.winner_exclusions(instance.service, allocation)
+        for pivotal in (engine, vcg._independent_pivotals(instance)):
+            fields, full, lean = _lean_and_full(case, instance, pivotal)
+            assert fields == full
+            assert lean.bidder_ids is case.ids
+            assert all(e.pivotal != lean.optimum or e.charge.micros for e in lean.listed)
+        checked += 1
+    assert checked > 150
+    # a zero-priced winner whose exclusion costs p* pays 0 and is not listed
+    report = vcg_charges(twins)
+    assert report.winner_allocation.winner_ids() == ("A",) and report.listed == ()
+    assert report.charge_of("A") == Money(0)
+
+
+def test_a_non_winner_off_the_optimum_makes_the_reports_unequal(e2, monkeypatch):
+    """A literal solve that puts one non-winner's exclusion total 1 micro
+    above p* must surface as a report that differs from the engine's."""
+    assert vcg_charges(e2, independent_solves=True) == vcg_charges(e2)
+    original = vcg._independent_pivotals
+
+    def shifted(instance):
+        totals = original(instance)
+        totals["C"] += 1  # C does not win in e2
+        return totals
+
+    monkeypatch.setattr(vcg, "_independent_pivotals", shifted)
+    oracle, engine = vcg_charges(e2, independent_solves=True), vcg_charges(e2)
+    assert oracle != engine
+    assert oracle.per_bidder != engine.per_bidder
+
+
+def test_charge_of_reads_listed_then_bidder_ids(e2):
+    report = vcg_charges(e2)
+    assert [e.bidder_id for e in report.listed] == ["A", "B"]
+    assert report.bidder_ids == ("A", "B", "C")
+    assert report.charge_of("A") == Money(600_000)
+    assert report.charge_of("C") == Money(0)
+    with pytest.raises(UnknownBidder):
+        report.charge_of("Z")

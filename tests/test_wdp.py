@@ -23,6 +23,7 @@ from avauction import (
     SeatBoundViolation,
     solve_wdp,
     validate_instance,
+    vcg_charges,
 )
 
 from conftest import make_instance, outcome, sched
@@ -337,11 +338,19 @@ def test_compiled_case_rejects_what_the_engine_cannot_solve():
     # the engine rejects what validate_instance rejects, with the same error
     oversized = sched("A", 2, {1: "0.10", 2: "0.20", 3: "0.30"})
     false_concave = sched("B", 3, {1: "0.30", 2: "0.55", 3: "0.90"}, concave=True)
-    for bid, error in ((oversized, OversizedCombination), (false_concave, NonConcavePrices)):
+    float_available = BidSchedule("A", 2.0, {1: Money(1), 2: Money(2)})
+    bool_available = BidSchedule("A", True, {1: Money(1)})
+    for bid, error in (
+        (oversized, OversizedCombination),
+        (false_concave, NonConcavePrices),
+        (float_available, ValidationError),
+        (bool_available, ValidationError),
+    ):
         with pytest.raises(error):
             CompiledCase([bid], 5)
         instance = make_instance(5, 3, ServiceType.SPLITTABLE, [bid])
         assert outcome(solve_wdp, instance) == outcome(validate_instance, instance)
+        assert outcome(vcg_charges, instance) == outcome(validate_instance, instance)
     with pytest.raises(ValidationError, match="bidder A: price for size 1 must be Money"):
         CompiledCase([BidSchedule("A", 1, {1: 5})], 5)
     case = CompiledCase([sched("A", 1, {1: "0.1"})], 5, width=2)
