@@ -204,13 +204,15 @@ class AuctionInstance:
         )
 
     def without_bidder(self, bidder_id: str) -> "AuctionInstance":
-        if bidder_id not in self.bidder_ids():
+        """The instance with every bid of ``bidder_id`` removed."""
+        bids = tuple(b for b in self.bids if b.bidder_id != bidder_id)
+        if len(bids) == len(self.bids):
             raise UnknownBidder(bidder_id)
         return AuctionInstance(
             capacity=self.capacity,
             requested_seats=self.requested_seats,
             service=self.service,
-            bids=tuple(b for b in self.bids if b.bidder_id != bidder_id),
+            bids=bids,
         )
 
 

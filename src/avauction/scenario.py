@@ -2,8 +2,10 @@
 
 Each case draws, per bidder, an availability uniform on [1, Q] and a unit
 seat cost, then prices size m at cost * sum(gamma^(i-1), i=1..m) rounded
-half-up to micro-units: strictly increasing with diminishing marginals, so
-every generated schedule carries the concave flag.
+half-up to micro-units in integer arithmetic, (2 * cost * n + d) // (2 * d)
+for the sum n/d, as ``Money.scaled`` rounds: strictly increasing with
+diminishing marginals, so every generated schedule carries the concave
+flag.  A draw that micro-rounding flattens is redrawn.
 
 Every draw comes from a stream: a ``random.Random`` seeded with the sha256
 of (seed, label).  Distinct labels give independent sequences, and the same
@@ -35,7 +37,6 @@ from .core import (
     ServiceType,
     as_fraction,
     price_series,
-    round_half_up,
 )
 
 # Redraws per bidder before declaring the law degenerate (a gamma so extreme
@@ -85,14 +86,16 @@ def draw_cost_micros(stream: random.Random, cost_law: CostLaw) -> int:
     return MICROS_PER_UNIT // 2 + stream.randint(1, MICROS_PER_UNIT // 10)
 
 
-def _geometric_sums(gamma: Fraction, capacity: int) -> list[Fraction]:
-    sums = []
-    term = Fraction(1)
-    acc = Fraction(0)
-    for _ in range(capacity):
-        acc += term
-        sums.append(acc)
-        term *= gamma
+def _geometric_sums(gamma: Fraction, capacity: int) -> list[tuple[int, int]]:
+    """sum(gamma^(i-1), i=1..m) for m = 1..capacity as (numerator,
+    denominator) pairs over q^(m-1), where gamma = p/q."""
+    p, q = gamma.numerator, gamma.denominator
+    sums = [(1, 1)]
+    num, den, power = 1, 1, 1
+    for _ in range(1, capacity):
+        power *= p
+        num, den = num * q + power, den * q
+        sums.append((num, den))
     return sums
 
 
@@ -101,7 +104,7 @@ def _draw_schedule(
     bidder_id: str,
     capacity: int,
     law: GenerationLaw,
-    sums: list[Fraction],
+    sums: list[tuple[int, int]],
 ) -> BidSchedule:
     available = stream.randint(1, capacity)
     for _ in range(MAX_DRAW_ATTEMPTS):
@@ -109,7 +112,10 @@ def _draw_schedule(
         schedule = BidSchedule(
             bidder_id=bidder_id,
             available_seats=available,
-            prices={m: Money(round_half_up(cost * sums[m - 1])) for m in range(1, available + 1)},
+            prices={
+                m: Money((2 * cost * num + den) // (2 * den))
+                for m, (num, den) in enumerate(sums[:available], 1)
+            },
             concave=True,
         )
         # Micro-rounding can collapse sub-micro marginals for tiny costs;

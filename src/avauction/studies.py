@@ -264,13 +264,17 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
         return winners_table, changes_table
     runs = min(TRUTHFULNESS_RUNS, config.cases)
     batch = _generate(config, runs)
+    truthful_reports = [_case_reports(batch, case) for case in range(runs)]
     for k in config.scenario_sizes:
         if k < 2:
             continue  # the charging rule degenerates to the optimum for a monopoly
         # Only case 0 is used; streams are keyed by (seed, case, bidder), so
-        # it is the same case 0 as in a full batch.
+        # it is the same case 0 as in a full batch, and at the largest K its
+        # reports are already built.
         base = batch.head(k, 1)
-        base_reports = _case_reports(base, 0)
+        base_reports = (
+            truthful_reports[0] if k == batch.bidder_count else _case_reports(base, 0)
+        )
         for q in QS:
             base_report = base_reports[(ServiceType.SPLITTABLE, q)]
             if base_report is None:
@@ -288,7 +292,6 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
                     report.total_charge,
                 )
     k = batch.bidder_count
-    truthful_reports = [_case_reports(batch, case) for case in range(runs)]
     for (svc, q), frac, raise_f in product(REQUESTS, TARGET_FRACTIONS, RAISE_FRACTIONS):
         for case in range(runs):
             truthful = truthful_reports[case][(svc, q)]

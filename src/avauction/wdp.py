@@ -4,9 +4,10 @@ A ``CompiledCase`` holds one case's bids as checked integer price rows in
 bidder-id order, and answers every (service, requested seats) query from
 tables built lazily, once, and only as wide as the largest request asked:
 for splittable requests the minimal (cost, count) covers of each seat count
-by the bidders after i (suffix) and before j (prefix); for the
-single-vehicle services the best and second-best price at each size, since
-strictly increasing prices make exactly the requested size optimal.
+by the bidders after i (suffix) and before j (prefix), each packed into one
+int, cost * (width + 1) + count, whose int order is (cost, count) order; for
+the single-vehicle services the best and second-best price at each size,
+since strictly increasing prices make exactly the requested size optimal.
 
 Exclusion totals then need no further dynamic program: the replacement-paths
 idea of Hershberger & Suri ("Vickrey prices and shortest paths", FOCS 2001),
@@ -84,24 +85,25 @@ class Feasibility:
         }[service]
 
 
-def _cover_table(
-    rows: Iterable[list[int]], width: int
-) -> list[list[Optional[tuple[int, int]]]]:
-    """table[i][s]: minimal (cost, count) covering exactly s <= width seats
-    with the first i rows, one size or nothing from each; None if no cover."""
-    prev: list[Optional[tuple[int, int]]] = [(0, 0)] + [None] * width
+def _cover_table(rows: Iterable[list[int]], width: int) -> list[list[Optional[int]]]:
+    """table[i][s]: the minimal (cost, count) covering exactly s <= width
+    seats with the first i rows, one size or nothing from each, packed as
+    cost * (width + 1) + count; None if no cover.  Every row in a cover
+    gives at least one seat, so count <= s < width + 1: int order is
+    (cost, count) order, and ``// (width + 1)`` recovers the cost."""
+    scale = width + 1
+    prev: list[Optional[int]] = [0] + [None] * width
     table = [prev]
     for prices in rows:
         cur = prev[:]  # contribute nothing
-        for s in range(1, width + 1):
-            best = cur[s]
-            for m in range(1, min(len(prices), s) + 1):
-                rest = prev[s - m]
+        for m, price in enumerate(prices[:width], 1):
+            offer = price * scale + 1
+            for s, rest in enumerate(prev[: scale - m], m):
                 if rest is not None:
-                    cand = (prices[m - 1] + rest[0], rest[1] + 1)
+                    cand = offer + rest
+                    best = cur[s]
                     if best is None or cand < best:
-                        best = cand
-            cur[s] = best
+                        cur[s] = cand
         table.append(cur)
         prev = cur
     return table
@@ -131,8 +133,8 @@ class CompiledCase:
         for a, b in zip(self.ids, self.ids[1:]):
             if a == b:
                 raise DuplicateBidder(a)
-        self._suffix: Optional[list[list[Optional[tuple[int, int]]]]] = None
-        self._prefix: Optional[list[list[Optional[tuple[int, int]]]]] = None
+        self._suffix: Optional[list[list[Optional[int]]]] = None
+        self._prefix: Optional[list[list[Optional[int]]]] = None
         self._single: dict[int, tuple[Optional[int], Optional[int], Optional[int]]] = {}
 
     @classmethod
@@ -173,20 +175,20 @@ class CompiledCase:
         if service is not ServiceType.SPLITTABLE:
             ((bidder_id, size),) = allocation.assignments
             return {bidder_id: self._single_vehicle(size)[2]}
+        # The counts of a joined pair add up to at most q_r <= width, so the
+        # least packed sum floor-divides to the least cost exactly.
         q_r = allocation.seat_total()
+        scale = self.width + 1
         prefix, suffix = self._prefix_table(), self._suffix_table()
         totals: dict[str, Optional[int]] = {}
         for bidder_id, _ in allocation.assignments:
             j = self._row(bidder_id)
-            pre, suf = prefix[j], suffix[j + 1]
-            best: Optional[int] = None
-            for s in range(q_r + 1):
-                head, tail = pre[s], suf[q_r - s]
-                if head is not None and tail is not None:
-                    cand = head[0] + tail[0]
-                    if best is None or cand < best:
-                        best = cand
-            totals[bidder_id] = best
+            best = min(
+                (head + tail for head, tail in zip(prefix[j][: q_r + 1], suffix[j + 1][q_r::-1])
+                 if head is not None and tail is not None),
+                default=None,
+            )
+            totals[bidder_id] = None if best is None else best // scale
         return totals
 
     def _single_vehicle(self, size: int) -> tuple[Optional[int], Optional[int], Optional[int]]:
@@ -207,14 +209,16 @@ class CompiledCase:
         self._single[size] = (best, best_row, second)
         return self._single[size]
 
-    def _suffix_table(self) -> list[list[Optional[tuple[int, int]]]]:
-        """suffix[i][s]: minimal (cost, count) covering exactly s seats with bidders i.."""
+    def _suffix_table(self) -> list[list[Optional[int]]]:
+        """suffix[i][s]: the packed minimal (cost, count) covering exactly s
+        seats with bidders i.. (see ``_cover_table``)."""
         if self._suffix is None:
             self._suffix = _cover_table(reversed(self.rows), self.width)[::-1]
         return self._suffix
 
-    def _prefix_table(self) -> list[list[Optional[tuple[int, int]]]]:
-        """prefix[j][s]: minimal (cost, count) covering exactly s seats with bidders before j."""
+    def _prefix_table(self) -> list[list[Optional[int]]]:
+        """prefix[j][s]: the packed minimal (cost, count) covering exactly s
+        seats with bidders before j (see ``_cover_table``)."""
         if self._prefix is None:
             self._prefix = _cover_table(self.rows, self.width)
         return self._prefix
@@ -228,7 +232,8 @@ class CompiledCase:
         target = suffix[0][q_r]
         if target is None:
             return None
-        total = target[0]
+        scale = self.width + 1
+        total = target // scale
         assignments: list[tuple[str, int]] = []
         remaining = q_r
         for i, prices in enumerate(self.rows):
@@ -237,7 +242,7 @@ class CompiledCase:
             nxt = suffix[i + 1]
             for m in range(1, min(len(prices), remaining) + 1):
                 rest = nxt[remaining - m]
-                if rest is not None and (prices[m - 1] + rest[0], rest[1] + 1) == target:
+                if rest is not None and prices[m - 1] * scale + 1 + rest == target:
                     assignments.append((self.ids[i], m))
                     remaining -= m
                     target = rest

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -7,15 +8,21 @@ from avauction import (
     AuctionInstance,
     BidderCharge,
     BidSchedule,
+    InvalidLaw,
     Money,
     NegativeAmount,
+    NonConcavePrices,
+    NonMonotonePrices,
     PrecisionLoss,
+    ScenarioBatch,
     ServiceType,
     ValidationError,
     money_from_decimal,
+    rng_stream,
 )
 from avauction import studies
-from avauction.core import MICROS_PER_UNIT
+from avauction.core import MICROS_PER_UNIT, price_series, round_half_up
+from avauction.scenario import MAX_DRAW_ATTEMPTS, draw_cost_micros
 
 
 def sched(bidder_id, available, prices, concave=False):
@@ -58,6 +65,76 @@ def outcome(fn, arg):
         return fn(arg)
     except Exception as exc:  # the differential compares every failure too
         return type(exc), str(exc)
+
+
+def tuple_cover_table(rows, width):
+    """table[i][s]: minimal (cost, count) covering exactly s <= width seats
+    with the first i rows, one size or nothing from each; None if no cover.
+    The cover table as ``wdp._cover_table`` built it before it packed each
+    cell into one int: the oracle of the packed kernel."""
+    prev = [(0, 0)] + [None] * width
+    table = [prev]
+    for prices in rows:
+        cur = prev[:]  # contribute nothing
+        for s in range(1, width + 1):
+            best = cur[s]
+            for m in range(1, min(len(prices), s) + 1):
+                rest = prev[s - m]
+                if rest is not None:
+                    cand = (prices[m - 1] + rest[0], rest[1] + 1)
+                    if best is None or cand < best:
+                        best = cand
+            cur[s] = best
+        table.append(cur)
+        prev = cur
+    return table
+
+
+def _fraction_schedule(stream, bidder_id, capacity, law, sums):
+    available = stream.randint(1, capacity)
+    for _ in range(MAX_DRAW_ATTEMPTS):
+        cost = draw_cost_micros(stream, law.cost_law)
+        schedule = BidSchedule(
+            bidder_id=bidder_id,
+            available_seats=available,
+            prices={m: Money(round_half_up(cost * sums[m - 1])) for m in range(1, available + 1)},
+            concave=True,
+        )
+        try:
+            price_series(schedule, capacity)
+        except (NonMonotonePrices, NonConcavePrices):
+            continue
+        return schedule
+    raise InvalidLaw(
+        f"gamma {law.gamma} cannot produce valid micro-unit price curves"
+    )
+
+
+def fraction_generate_batch(law, bidders, capacity, cases):
+    """``generate_batch`` with each size priced by an exact ``Fraction``
+    product, as the generator drew before integer price curves: the oracle
+    of the generator."""
+    sums, acc, term = [], Fraction(0), Fraction(1)
+    for _ in range(capacity):
+        acc += term
+        sums.append(acc)
+        term *= law.gamma
+    return ScenarioBatch(
+        law=law,
+        bidder_count=bidders,
+        capacity=capacity,
+        case_count=cases,
+        cases=tuple(
+            tuple(
+                _fraction_schedule(
+                    rng_stream(law.seed, f"case{case:04d}/bidder{j:04d}"),
+                    f"b{j:04d}", capacity, law, sums,
+                )
+                for j in range(bidders)
+            )
+            for case in range(cases)
+        ),
+    )
 
 
 def full_report(case, service, allocation, pivotal):

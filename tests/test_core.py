@@ -19,6 +19,7 @@ from avauction import (
     PrecisionLoss,
     SeatBoundViolation,
     ServiceType,
+    UnknownBidder,
     ValidationError,
     money_from_decimal,
     money_to_decimal,
@@ -335,3 +336,21 @@ def test_service_type_tokens():
     assert ServiceType.from_token("NONSPLITTABLE") is ServiceType.NON_SPLITTABLE
     with pytest.raises(ValidationError):
         ServiceType.from_token("chartered")
+
+
+def test_without_bidder_raises_on_an_unknown_id():
+    instance = make_instance(5, 2, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0.1"})])
+    with pytest.raises(UnknownBidder):
+        instance.without_bidder("B")
+    with pytest.raises(UnknownBidder):
+        make_instance(5, 2, ServiceType.SPLITTABLE, []).without_bidder("A")
+
+
+def test_without_bidder_removes_every_bid_of_a_duplicated_id():
+    # AuctionInstance does not validate, so it can hold one id twice
+    a1, a2, b = sched("A", 1, {1: "0.1"}), sched("A", 2, {1: "0.2", 2: "0.3"}), sched("B", 1, {1: "0.4"})
+    instance = make_instance(5, 2, ServiceType.PRIVATE, [a1, b, a2])
+    assert instance.without_bidder("A") == make_instance(5, 2, ServiceType.PRIVATE, [b])
+    assert instance.without_bidder("B") == make_instance(5, 2, ServiceType.PRIVATE, [a1, a2])
+    with pytest.raises(UnknownBidder):
+        instance.without_bidder("C")

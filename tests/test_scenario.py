@@ -15,6 +15,8 @@ from avauction import (
 from avauction.core import MICROS_PER_UNIT
 from avauction.scenario import draw_cost_micros
 
+from conftest import fraction_generate_batch, outcome
+
 
 class TestRngStream:
     def test_replay_is_identical(self):
@@ -167,3 +169,28 @@ def test_head_rejects_more_than_the_batch_holds(bidders, cases):
     batch = generate_batch(GenerationLaw(seed=1), 3, 5, 2)
     with pytest.raises(InvalidLaw):
         batch.head(bidders, cases)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    cost_law=st.sampled_from(list(CostLaw)),
+    gamma=st.sampled_from([Fraction(1), Fraction(4, 5), Fraction(1, 2)]),
+    bidders=st.integers(1, 12),
+    capacity=st.integers(1, 7),
+    cases=st.integers(1, 3),
+)
+def test_integer_price_curves_match_fraction_products(seed, cost_law, gamma, bidders,
+                                                      capacity, cases):
+    law = GenerationLaw(seed=seed, cost_law=cost_law, gamma=gamma)
+    batch = generate_batch(law, bidders, capacity, cases)
+    oracle = fraction_generate_batch(law, bidders, capacity, cases)
+    assert batch.cases == oracle.cases
+    assert batch.digest() == oracle.digest()
+
+
+def test_degenerate_gamma_raises_as_the_fraction_oracle_does():
+    law = GenerationLaw(seed=1, gamma=Fraction(1, 10**6))
+    raised = outcome(lambda law: generate_batch(law, 2, 5, 1), law)
+    assert raised[0] is InvalidLaw
+    assert raised == outcome(lambda law: fraction_generate_batch(law, 2, 5, 1), law)

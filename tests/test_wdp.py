@@ -1,7 +1,8 @@
+import inspect
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avauction import (
     AuctionInstance,
@@ -26,7 +27,9 @@ from avauction import (
     vcg_charges,
 )
 
-from conftest import make_instance, outcome, sched
+from avauction import wdp
+
+from conftest import make_instance, outcome, sched, tuple_cover_table
 
 
 class TestKnownOptima:
@@ -358,3 +361,54 @@ def test_compiled_case_rejects_what_the_engine_cannot_solve():
         case.solve(ServiceType.SPLITTABLE, 3)
     with pytest.raises(SeatBoundViolation):
         solve_wdp(make_instance(5, 6, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0.1"})]))
+
+
+@st.composite
+def cover_rows(draw):
+    """Price rows for a cover table of width 1-6: each row 0..capacity
+    long, so some run past the width, with strictly increasing prices from
+    a narrow range, so different rows often repeat each other's prices."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    capacity = draw(st.integers(min_value=width, max_value=8))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        steps = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=capacity))
+        level = draw(st.integers(min_value=0, max_value=3))
+        row = []
+        for step in steps:
+            row.append(level)
+            level += step
+        rows.append(row)
+    return rows, width
+
+
+def packed_cover_property(cover_table):
+    """Every cell of ``cover_table`` unpacks with ``divmod(cell, width + 1)``
+    to the tuple oracle's (cost, count) cell, and None stays None."""
+
+    @settings(deadline=None, max_examples=300, database=None)
+    @given(cover_rows())
+    # width 3 is covered most cheaply by three one-seat offers: count == width
+    @example(([[1, 100, 200]] * 3, 3))
+    def check(drawn):
+        rows, width = drawn
+        packed = cover_table(rows, width)
+        decoded = [[None if cell is None else divmod(cell, width + 1) for cell in row]
+                   for row in packed]
+        assert decoded == tuple_cover_table(rows, width)
+
+    return check
+
+
+def test_packed_cover_table_matches_the_tuple_oracle():
+    packed_cover_property(wdp._cover_table)()
+
+
+def test_packed_cover_property_catches_a_scale_of_width():
+    source = inspect.getsource(wdp._cover_table)
+    mutated = source.replace("scale = width + 1", "scale = width")
+    assert mutated != source
+    namespace = dict(vars(wdp))
+    exec(mutated, namespace)
+    with pytest.raises(AssertionError):
+        packed_cover_property(namespace["_cover_table"])()
