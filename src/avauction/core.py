@@ -60,10 +60,10 @@ class UnknownBidder(AuctionError):
     pass
 
 
-def round_half_up(value: Fraction) -> int:
-    """Round a non-negative rational to the nearest integer, ties upward."""
-    num, den = value.numerator, value.denominator
-    return (2 * num + den) // (2 * den)
+def round_half_up(numerator: Union[int, Fraction], denominator: int = 1) -> int:
+    """Round the non-negative ratio numerator / denominator to the nearest
+    integer, ties upward; ``numerator`` may itself be a Fraction."""
+    return (2 * numerator + denominator) // (2 * denominator)
 
 
 def as_fraction(value: Union[Fraction, int, str, float]) -> Fraction:
@@ -99,15 +99,8 @@ class Money:
             raise NegativeAmount(f"negative amount: {self.micros} micros")
 
     def to_decimal(self) -> str:
-        return money_to_decimal(self)
-
-    def scaled(self, factor: Union[Fraction, int, str, float]) -> "Money":
-        """Multiply by a non-negative ratio, rounding half-up to micro-units."""
-        f = as_fraction(factor)
-        if f < 0:
-            raise NegativeAmount(f"negative scale factor {f}")
-        # round_half_up(micros * f), without building the product Fraction
-        return Money((2 * self.micros * f.numerator + f.denominator) // (2 * f.denominator))
+        """Render with exactly six fractional digits (lossless round trip)."""
+        return f"{self.micros // MICROS_PER_UNIT}.{self.micros % MICROS_PER_UNIT:06d}"
 
     def __str__(self) -> str:
         return self.to_decimal()
@@ -131,11 +124,6 @@ def money_from_decimal(text: str) -> Money:
     if text.startswith("-"):
         raise NegativeAmount(f"negative money literal {text!r}")
     raise ValidationError(f"not a decimal money literal: {text!r}")
-
-
-def money_to_decimal(money: Money) -> str:
-    """Render with exactly six fractional digits (lossless round trip)."""
-    return f"{money.micros // MICROS_PER_UNIT}.{money.micros % MICROS_PER_UNIT:06d}"
 
 
 class ServiceType(Enum):

@@ -27,7 +27,6 @@ from .core import (
     ServiceType,
     ValidationError,
     money_from_decimal,
-    money_to_decimal,
 )
 
 FORMAT_NAME = "avauction-instance"
@@ -129,7 +128,7 @@ def serialize_instance(instance: AuctionInstance, comments: Iterable[str] = ()) 
         if sched.concave:
             parts.append("concave")
         parts.append("prices")
-        parts.extend(f"{m}:{money_to_decimal(sched.prices[m])}" for m in sorted(sched.prices))
+        parts.extend(f"{m}:{sched.prices[m].to_decimal()}" for m in sorted(sched.prices))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

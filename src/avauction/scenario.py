@@ -2,10 +2,10 @@
 
 Each case draws, per bidder, an availability uniform on [1, Q] and a unit
 seat cost, then prices size m at cost * sum(gamma^(i-1), i=1..m) rounded
-half-up to micro-units in integer arithmetic, (2 * cost * n + d) // (2 * d)
-for the sum n/d, as ``Money.scaled`` rounds: strictly increasing with
-diminishing marginals, so every generated schedule carries the concave
-flag.  A draw that micro-rounding flattens is redrawn.
+half-up to micro-units in integer arithmetic, ``round_half_up(cost * n, d)``
+for the sum n/d: strictly increasing with diminishing marginals, so every
+generated schedule carries the concave flag.  A draw that micro-rounding
+flattens is redrawn.
 
 Every draw comes from a stream: a ``random.Random`` seeded with the sha256
 of (seed, label).  Distinct labels give independent sequences, and the same
@@ -35,8 +35,10 @@ from .core import (
     NonMonotonePrices,
     SeatBoundViolation,
     ServiceType,
+    _is_int,
     as_fraction,
     price_series,
+    round_half_up,
 )
 
 # Redraws per bidder before declaring the law degenerate (a gamma so extreme
@@ -75,7 +77,7 @@ class GenerationLaw:
             raise InvalidLaw(f"cost_law must be a CostLaw, got {self.cost_law!r}")
         if not (0 < self.gamma <= 1):
             raise InvalidLaw(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise InvalidLaw(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
@@ -113,7 +115,7 @@ def _draw_schedule(
             bidder_id=bidder_id,
             available_seats=available,
             prices={
-                m: Money((2 * cost * num + den) // (2 * den))
+                m: Money(round_half_up(cost * num, den))
                 for m, (num, den) in enumerate(sums[:available], 1)
             },
             concave=True,
@@ -160,7 +162,8 @@ class ScenarioBatch:
         """The first ``cases`` cases, each cut to its first ``bidders``
         schedules: the batch ``generate_batch`` draws at that size, since
         streams are keyed by (case, bidder) only."""
-        if not (1 <= bidders <= self.bidder_count and 1 <= cases <= self.case_count):
+        if not (_is_int(bidders) and _is_int(cases)
+                and 1 <= bidders <= self.bidder_count and 1 <= cases <= self.case_count):
             raise InvalidLaw(
                 f"head({bidders}, {cases}) outside a batch of {self.case_count} "
                 f"case(s) of {self.bidder_count} bidder(s)"
@@ -192,8 +195,8 @@ def generate_batch(
     law: GenerationLaw, bidders: int, capacity: int, cases: int
 ) -> ScenarioBatch:
     """Draw ``cases`` independent cases of ``bidders`` schedules each."""
-    if bidders < 1 or capacity < 1 or cases < 1:
-        raise InvalidLaw("bidders, capacity, and cases must all be at least 1")
+    if not all(_is_int(n) and n >= 1 for n in (bidders, capacity, cases)):
+        raise InvalidLaw("bidders, capacity, and cases must all be ints of at least 1")
     sums = _geometric_sums(law.gamma, capacity)
     out = []
     for case in range(cases):

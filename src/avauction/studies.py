@@ -24,7 +24,7 @@ from itertools import product
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import AuctionError, Money, ServiceType, as_fraction, round_half_up
+from .core import MICROS_PER_UNIT, AuctionError, Money, ServiceType, _is_int, as_fraction, round_half_up
 from .scenario import CostLaw, GenerationLaw, InvalidLaw, ScenarioBatch, generate_batch, rng_stream
 from .vcg import (
     ChargeReport,
@@ -62,15 +62,14 @@ class StudyInvariantViolation(AuctionError):
     """A per-case identity failed during a study; the message names the case."""
 
 
-def ratio_to_decimal(value: Fraction, places: int = 6) -> str:
-    """Render an exact rational as a fixed-point decimal, ties rounded up."""
-    sign = "-" if value < 0 else ""
-    scaled = round_half_up(abs(value) * 10**places)
-    return f"{sign}{scaled // 10**places}.{scaled % 10**places:0{places}d}"
+def ratio_to_decimal(value: Fraction) -> str:
+    """Render an exact rational with six decimals, ties rounded away from 0."""
+    micros = round_half_up(abs(value.numerator) * MICROS_PER_UNIT, value.denominator)
+    return ("-" if value < 0 else "") + Money(micros).to_decimal()
 
 
 def _mean_money(total_micros: int, count: int) -> str:
-    return ratio_to_decimal(Fraction(total_micros, count * 10**6))
+    return Money(round_half_up(total_micros, count)).to_decimal()
 
 
 @dataclass
@@ -87,10 +86,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.gamma = as_fraction(self.gamma)
-        if not self.scenario_sizes or any(k < 1 for k in self.scenario_sizes):
-            raise InvalidLaw("scenario_sizes must be non-empty, all at least 1")
-        if self.cases < 1:
-            raise InvalidLaw("cases must be at least 1")
+        if not self.scenario_sizes or not all(_is_int(k) and k >= 1 for k in self.scenario_sizes):
+            raise InvalidLaw("scenario_sizes must be non-empty, all ints of at least 1")
+        if not (_is_int(self.cases) and self.cases >= 1):
+            raise InvalidLaw("cases must be an int of at least 1")
         self.law()
 
     def law(self, cost_law: Optional[CostLaw] = None) -> GenerationLaw:
@@ -209,7 +208,7 @@ def run_servability_study(config: ExperimentConfig) -> ResultTable:
             for q in QS:
                 feasible = feasibility(batch.instance(i, ServiceType.SPLITTABLE, q))
                 for svc in SERVICES:
-                    counts[(svc, q)] += not feasible.for_service(svc)
+                    counts[(svc, q)] += not feasible[svc]
         for svc, q in REQUESTS:
             table.add(k, svc, q, batch.case_count, counts[(svc, q)])
     return table

@@ -24,6 +24,7 @@ from .core import (
     ValidationError,
     as_fraction,
     has_diminishing_marginals,
+    round_half_up,
 )
 from .wdp import Allocation, CompiledCase, solve_wdp
 
@@ -248,12 +249,15 @@ def perturb_bids(
     if unknown:
         raise UnknownBidder(", ".join(sorted(unknown)))
     factor = 1 + fraction
+    p, q = factor.numerator, factor.denominator
     new_bids = []
     for sched in instance.bids:
         if sched.bidder_id not in target_set:
             new_bids.append(sched)
             continue
-        prices = {size: price.scaled(factor) for size, price in sched.prices.items()}
+        prices = {
+            size: Money(round_half_up(price.micros * p, q)) for size, price in sched.prices.items()
+        }
         series = [prices[m].micros for m in sorted(prices)]
         new_bids.append(
             BidSchedule(

@@ -2,7 +2,8 @@
 
 A ``CompiledCase`` holds one case's bids as checked integer price rows in
 bidder-id order, and answers every (service, requested seats) query from
-tables built lazily, once, and only as wide as the largest request asked:
+tables built lazily, once, and only as wide as the largest request asked or
+the seats the rows offer, whichever is smaller:
 for splittable requests the minimal (cost, count) covers of each seat count
 by the bidders after i (suffix) and before j (prefix), each packed into one
 int, cost * (width + 1) + count, whose int order is (cost, count) order; for
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional
 
@@ -48,7 +50,8 @@ from .core import (
     validate_instance,
 )
 
-DEFAULT_ENUMERATION_CAP = 10**7
+# Assignments ``brute_force_wdp`` enumerates at most.
+ENUMERATION_CAP = 10**7
 
 
 class EnumerationCapExceeded(AuctionError):
@@ -67,22 +70,6 @@ class Allocation:
 
     def seat_total(self) -> int:
         return sum(size for _, size in self.assignments)
-
-
-@dataclass(frozen=True)
-class Feasibility:
-    """Whether each service type can be fulfilled at all."""
-
-    splittable: bool
-    non_splittable: bool
-    private: bool
-
-    def for_service(self, service: ServiceType) -> bool:
-        return {
-            ServiceType.SPLITTABLE: self.splittable,
-            ServiceType.NON_SPLITTABLE: self.non_splittable,
-            ServiceType.PRIVATE: self.private,
-        }[service]
 
 
 def _cover_table(rows: Iterable[list[int]], width: int) -> list[list[Optional[int]]]:
@@ -133,8 +120,6 @@ class CompiledCase:
         for a, b in zip(self.ids, self.ids[1:]):
             if a == b:
                 raise DuplicateBidder(a)
-        self._suffix: Optional[list[list[Optional[int]]]] = None
-        self._prefix: Optional[list[list[Optional[int]]]] = None
         self._single: dict[int, tuple[Optional[int], Optional[int], Optional[int]]] = {}
 
     @classmethod
@@ -178,8 +163,8 @@ class CompiledCase:
         # The counts of a joined pair add up to at most q_r <= width, so the
         # least packed sum floor-divides to the least cost exactly.
         q_r = allocation.seat_total()
-        scale = self.width + 1
-        prefix, suffix = self._prefix_table(), self._suffix_table()
+        prefix, suffix = self._prefix, self._suffix
+        scale = len(suffix[0])
         totals: dict[str, Optional[int]] = {}
         for bidder_id, _ in allocation.assignments:
             j = self._row(bidder_id)
@@ -209,30 +194,34 @@ class CompiledCase:
         self._single[size] = (best, best_row, second)
         return self._single[size]
 
-    def _suffix_table(self) -> list[list[Optional[int]]]:
+    def _cover_width(self) -> int:
+        """The cover tables' width: no cover holds more seats than are offered."""
+        return min(self.width, sum(map(len, self.rows)))
+
+    @cached_property
+    def _suffix(self) -> list[list[Optional[int]]]:
         """suffix[i][s]: the packed minimal (cost, count) covering exactly s
         seats with bidders i.. (see ``_cover_table``)."""
-        if self._suffix is None:
-            self._suffix = _cover_table(reversed(self.rows), self.width)[::-1]
-        return self._suffix
+        return _cover_table(reversed(self.rows), self._cover_width())[::-1]
 
-    def _prefix_table(self) -> list[list[Optional[int]]]:
+    @cached_property
+    def _prefix(self) -> list[list[Optional[int]]]:
         """prefix[j][s]: the packed minimal (cost, count) covering exactly s
         seats with bidders before j (see ``_cover_table``)."""
-        if self._prefix is None:
-            self._prefix = _cover_table(self.rows, self.width)
-        return self._prefix
+        return _cover_table(self.rows, self._cover_width())
 
     def _splittable_optimum(self, q_r: int) -> Optional[Allocation]:
         # Seat exactness: with strictly increasing prices the optimum covers
         # q_r seats exactly, so the tables target the equality form directly.
         # Walking the bidders in id order and taking the first (bidder, size)
         # that keeps the optimum reachable yields the tie-broken winner list.
-        suffix = self._suffix_table()
+        if q_r > self._cover_width():
+            return None
+        suffix = self._suffix
         target = suffix[0][q_r]
         if target is None:
             return None
-        scale = self.width + 1
+        scale = len(suffix[0])
         total = target // scale
         assignments: list[tuple[str, int]] = []
         remaining = q_r
@@ -253,14 +242,15 @@ class CompiledCase:
         return Allocation(assignments=tuple(assignments), total_bid=Money(total))
 
 
-def feasibility(instance: AuctionInstance) -> Feasibility:
+def feasibility(instance: AuctionInstance) -> dict[ServiceType, bool]:
+    """Whether each service type can serve the instance's request at all."""
     q_r, cap = instance.requested_seats, instance.capacity
     offered = [b.max_size(cap) for b in instance.bids]
-    return Feasibility(
-        splittable=sum(offered) >= q_r,
-        non_splittable=bool(offered) and max(offered) >= q_r,
-        private=any(m == cap for m in offered),
-    )
+    return {
+        ServiceType.SPLITTABLE: sum(offered) >= q_r,
+        ServiceType.NON_SPLITTABLE: bool(offered) and max(offered) >= q_r,
+        ServiceType.PRIVATE: cap in offered,
+    }
 
 
 def solve_wdp(instance: AuctionInstance) -> Optional[Allocation]:
@@ -283,9 +273,7 @@ def exclusion_totals(instance: AuctionInstance) -> dict[str, Optional[int]]:
     return totals
 
 
-def brute_force_wdp(
-    instance: AuctionInstance, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> Optional[Allocation]:
+def brute_force_wdp(instance: AuctionInstance) -> Optional[Allocation]:
     """Independent oracle: enumerate every one-size-or-nothing assignment.
 
     It reads the validated instance's own bids, in their given order, not a
@@ -299,10 +287,8 @@ def brute_force_wdp(
         [(0, 0)] + [(m, price.micros) for m, price in sorted(bid.prices.items())]
         for bid in instance.bids
     ]
-    if math.prod(len(o) for o in options) > enumeration_cap:
-        raise EnumerationCapExceeded(
-            f"search space exceeds cap of {enumeration_cap} assignments"
-        )
+    if math.prod(len(o) for o in options) > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"search space exceeds cap of {ENUMERATION_CAP} assignments")
     service = instance.service
     need = (
         instance.capacity if service is ServiceType.PRIVATE else instance.requested_seats

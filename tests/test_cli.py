@@ -207,3 +207,21 @@ def test_bad_study_settings_are_validation_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and len(err.splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["solve", "charge"])
+def test_huge_declared_request_is_unservable_at_once(tmp_path, capsys, command):
+    # Splittable cover tables are no wider than the 3 seats the bids offer,
+    # however many seats the document declares.
+    path = tmp_path / "huge.txt"
+    path.write_text(
+        "avauction-instance v1\n"
+        "capacity 1000000000\n"
+        "requested_seats 1000000000\n"
+        "service splittable\n"
+        "bidder A available 1 prices 1:0.1\n"
+        "bidder B available 2 prices 1:0.1 2:0.3\n"
+    )
+    assert main([command, str(path)]) == EXIT_UNSERVABLE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("unservable\n", "")

@@ -1,6 +1,8 @@
+import math
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +24,6 @@ from avauction import (
     UnknownBidder,
     ValidationError,
     money_from_decimal,
-    money_to_decimal,
     validate_instance,
 )
 from avauction.core import as_fraction, round_half_up, validate_schedule
@@ -59,17 +60,19 @@ class TestMoney:
 
     def test_round_trip(self):
         for text in ("0.000000", "0.780000", "12.345678", "3.000001"):
-            assert money_to_decimal(money_from_decimal(text)) == text
+            assert money_from_decimal(text).to_decimal() == text
+            assert str(money_from_decimal(text)) == text
 
     @given(st.integers(min_value=0, max_value=10**13))
     def test_round_trip_property(self, micros):
         m = Money(micros)
-        assert money_from_decimal(money_to_decimal(m)) == m
+        assert money_from_decimal(m.to_decimal()) == m
 
     def test_scaled_half_up(self):
-        assert Money(3).scaled(Fraction(1, 2)).micros == 2  # 1.5 rounds up
-        assert Money(5).scaled("0.1").micros == 1  # 0.5 rounds up
-        assert Money(100).scaled(1).micros == 100
+        # micros * p, q: a price of micros scaled by p/q, in micro-units
+        assert round_half_up(3 * 1, 2) == 2  # 3 * 1/2 = 1.5 rounds up
+        assert round_half_up(5 * 1, 10) == 1  # 5 * 0.1 = 0.5 rounds up
+        assert round_half_up(100 * 1, 1) == 100
 
     def test_ordering(self):
         assert Money(1) < Money(2) <= Money(2)
@@ -85,9 +88,9 @@ class TestMoney:
 @example(micros=3, factor=Fraction(1, 2))
 @example(micros=10**20, factor=Fraction(10**40 - 1, 10**30 + 7))
 def test_scaled_matches_the_fraction_product(micros, factor):
-    assert Money(micros).scaled(factor) == Money(round_half_up(micros * factor))
-    with pytest.raises(NegativeAmount):
-        Money(micros).scaled(-factor - 1)
+    expected = math.floor(micros * factor + Fraction(1, 2))
+    assert round_half_up(micros * factor.numerator, factor.denominator) == expected
+    assert round_half_up(micros * factor) == expected
 
 
 def test_isdecimal_accepts_exactly_the_regex_digits():
@@ -133,6 +136,17 @@ def test_round_half_up():
     assert round_half_up(Fraction(3, 2)) == 2
     assert round_half_up(Fraction(7, 3)) == 2
     assert round_half_up(Fraction(0)) == 0
+    assert round_half_up(5, 2) == round_half_up(10, 4) == 3
+    assert round_half_up(7, 3) == 2
+    assert round_half_up(0, 9) == 0
+    assert round_half_up(12) == 12
+
+
+def test_readme_quick_start_prints_the_total(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    assert capsys.readouterr().out.splitlines()[-1] == "0.900000"
 
 
 def test_as_fraction_decimal_floats():

@@ -48,6 +48,19 @@ class TestGenerationLaw:
             GenerationLaw(seed=-1)
         with pytest.raises(InvalidLaw):
             GenerationLaw(seed=2**64)
+        # a seed equal to an int would draw under a different label
+        for bad in (7.0, 1.5, True, "7", None):
+            with pytest.raises(InvalidLaw):
+                GenerationLaw(seed=bad)
+
+    def test_counts_must_be_ints(self):
+        law = GenerationLaw(seed=1)
+        for bad in (0, 1.5, 2.0, True, "2"):
+            for counts in (dict(bidders=bad, capacity=5, cases=1),
+                           dict(bidders=2, capacity=bad, cases=1),
+                           dict(bidders=2, capacity=5, cases=bad)):
+                with pytest.raises(InvalidLaw):
+                    generate_batch(law, **counts)
 
     def test_degenerate_gamma_detected(self):
         # sub-micro marginals for every possible cost draw: no valid curve exists
@@ -164,7 +177,9 @@ def test_head_is_the_batch_generated_at_that_size(cost_law, seed, sizes, counts)
     assert [head.case_label(i) for i in range(n)] == [direct.case_label(i) for i in range(n)]
 
 
-@pytest.mark.parametrize("bidders, cases", [(4, 2), (3, 3), (0, 1), (1, 0)])
+@pytest.mark.parametrize(
+    "bidders, cases", [(4, 2), (3, 3), (0, 1), (1, 0), (2.0, 1), (True, 1), (2, 1.0)]
+)
 def test_head_rejects_more_than_the_batch_holds(bidders, cases):
     batch = generate_batch(GenerationLaw(seed=1), 3, 5, 2)
     with pytest.raises(InvalidLaw):

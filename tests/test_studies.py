@@ -42,6 +42,12 @@ def test_config_validation():
     # checked when the config is built, not when a study first generates
     with pytest.raises(InvalidLaw):
         ExperimentConfig(scenario_sizes=(1,), seed=-1)
+    # every count and the seed must be an int, never a float, bool or string
+    for bad in (dict(cases=1.5), dict(cases=True), dict(cases="7"),
+                dict(scenario_sizes=(1.5,)), dict(scenario_sizes=(5, True)),
+                dict(seed=7.0), dict(seed=True)):
+        with pytest.raises(InvalidLaw):
+            ExperimentConfig(**bad)
 
 
 def test_servability_shape_and_structure():

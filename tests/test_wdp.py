@@ -106,16 +106,14 @@ class TestTieBreaks:
 
 class TestFeasibility:
     def test_e1_all_three(self, e1):
-        f = feasibility(e1)
-        assert (f.splittable, f.non_splittable, f.private) == (True, True, True)
+        assert feasibility(e1) == dict.fromkeys(ServiceType, True)
 
     def test_split_false_when_supply_short(self):
         inst = make_instance(
             5, 5, ServiceType.SPLITTABLE,
             [sched("A", 2, {1: "0.1", 2: "0.2"}), sched("B", 2, {1: "0.1", 2: "0.2"})],
         )
-        f = feasibility(inst)
-        assert not f.splittable and not f.non_splittable and not f.private
+        assert feasibility(inst) == dict.fromkeys(ServiceType, False)
 
     def test_non_splittable_without_full_vehicle(self):
         inst = make_instance(
@@ -123,20 +121,23 @@ class TestFeasibility:
             [sched("A", 2, {1: "0.1", 2: "0.2"}), sched("B", 2, {1: "0.1", 2: "0.2"})],
         )
         f = feasibility(inst)
-        assert f.splittable and f.non_splittable and not f.private
+        assert f[ServiceType.SPLITTABLE] and f[ServiceType.NON_SPLITTABLE]
+        assert not f[ServiceType.PRIVATE]
 
     def test_agrees_with_solver(self, e1, e2):
         for base in (e1, e2):
             for svc in ServiceType:
                 inst = base.with_service(svc)
-                assert feasibility(inst).for_service(svc) == (solve_wdp(inst) is not None)
+                assert feasibility(inst)[svc] == (solve_wdp(inst) is not None)
 
 
 def test_enumeration_cap():
+    # 9 bidders with 5 sizes each: 6^9 = 10,077,696 assignments, over the cap
     bids = [sched(f"b{j}", 5, {m: f"0.{m}{j}" for m in range(1, 6)}) for j in range(9)]
     inst = make_instance(5, 3, ServiceType.SPLITTABLE, bids)
+    assert 6**9 > wdp.ENUMERATION_CAP
     with pytest.raises(EnumerationCapExceeded):
-        brute_force_wdp(inst, enumeration_cap=1000)
+        brute_force_wdp(inst)
 
 
 @st.composite
@@ -171,6 +172,27 @@ def test_solver_matches_oracle(instance):
     fast = solve_wdp(instance)
     oracle = brute_force_wdp(instance)
     assert fast == oracle
+
+
+@settings(deadline=None)
+@given(small_instances(), st.integers(min_value=0, max_value=10**6))
+def test_raising_capacity_changes_no_answer(instance, extra):
+    """More capacity, with the request and the bids fixed, serves the same
+    splittable and nonsplittable requests the same way.  A case compiled
+    for every request up to that capacity builds its cover tables only as
+    wide as the seats its bids offer."""
+    offered = sum(bid.max_size(instance.capacity) for bid in instance.bids)
+    for svc in (ServiceType.SPLITTABLE, ServiceType.NON_SPLITTABLE):
+        base = instance.with_service(svc)
+        raised = AuctionInstance(base.capacity + extra, base.requested_seats, svc, base.bids)
+        oracle = brute_force_wdp(base)
+        assert brute_force_wdp(raised) == oracle
+        assert solve_wdp(raised) == oracle
+        assert outcome(vcg_charges, raised) == outcome(vcg_charges, base)
+        case = CompiledCase(raised.bids, raised.capacity)
+        assert case.solve(svc, raised.requested_seats) == oracle
+        if svc is ServiceType.SPLITTABLE and raised.requested_seats <= offered:
+            assert len(case._suffix[0]) == min(raised.capacity, offered) + 1
 
 
 @settings(deadline=None)
