@@ -8,10 +8,11 @@ instead of float tolerances.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 MICROS_PER_UNIT = 10**6
 
@@ -85,7 +86,7 @@ def as_fraction(value: Union[Fraction, int, str, float]) -> Fraction:
 BIDDER_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Money:
     """A non-negative amount in integer micro-units; bids and charges are
     non-negative by assumption, so a negative amount raises."""
@@ -141,22 +142,27 @@ class ServiceType(Enum):
             raise ValidationError(f"unknown service type {token!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BidSchedule:
     """One bidder's price for each offerable seat-combination size.
 
     ``prices`` maps sizes 1..min(available_seats, capacity) to Money; sizes a
     bidder cannot offer are absent rather than priced with sentinels.  The
     same shape doubles as a valuation schedule when it holds true valuations.
+    ``prices`` is a read-only copy of the mapping given, so a schedule never
+    changes once built; ``price_series`` relies on that to check each
+    schedule once and keep the series it checked.
     """
 
     bidder_id: str
     available_seats: int
     prices: Mapping[int, Money]
     concave: bool = False
+    # The series ``price_series`` returned once every check passed.
+    _series: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prices", dict(self.prices))
+        object.__setattr__(self, "prices", MappingProxyType(dict(self.prices)))
 
     def max_size(self, capacity: int) -> int:
         return min(self.available_seats, capacity)
@@ -204,17 +210,11 @@ class AuctionInstance:
         )
 
 
-def has_diminishing_marginals(values: Sequence[int]) -> bool:
-    """True when consecutive price differences never increase with size."""
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    return all(a >= b for a, b in zip(diffs, diffs[1:]))
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def price_series(schedule: BidSchedule, capacity: int) -> list[int]:
+def price_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     """The schedule's prices for sizes 1..available_seats, in micros.
 
     The one check of a schedule's prices, shared by validation, the engine
@@ -223,7 +223,24 @@ def price_series(schedule: BidSchedule, capacity: int) -> list[int]:
     [0, capacity], a Money price for every size 1..top,
     strictly increasing prices, every size key an int in 1..top, and
     non-increasing marginals when the schedule is flagged concave.
+
+    A schedule is checked once: the series of a check that passed is kept
+    on the schedule and returned by every later call whose capacity is at
+    least its availability.  That is exact, because the series depends only
+    on the schedule's frozen fields, and availability within the capacity
+    is the only check that depends on the call.  Any other call runs the
+    full check; a check that fails keeps nothing.
     """
+    series = schedule._series
+    if series is not None and schedule.available_seats <= capacity:
+        return series
+    series = _checked_series(schedule, capacity)
+    object.__setattr__(schedule, "_series", series)
+    return series
+
+
+def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
+    """``price_series``'s full check, which raises the first violation."""
     who = schedule.bidder_id
     top = schedule.available_seats
     if not _is_int(top) or not isinstance(schedule.concave, bool):
@@ -262,7 +279,7 @@ def price_series(schedule: BidSchedule, capacity: int) -> list[int]:
             )
     if schedule.concave and not concave:
         raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
-    return series
+    return tuple(series)
 
 
 def validate_schedule(schedule: BidSchedule, capacity: int) -> None:

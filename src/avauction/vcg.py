@@ -19,11 +19,12 @@ from .core import (
     AuctionInstance,
     BidSchedule,
     Money,
+    NonConcavePrices,
     ServiceType,
     UnknownBidder,
     ValidationError,
     as_fraction,
-    has_diminishing_marginals,
+    price_series,
     round_half_up,
 )
 from .wdp import Allocation, CompiledCase, solve_wdp
@@ -237,8 +238,9 @@ def perturb_bids(
 
     Scaled prices are rounded half-up to micro-units; strict monotonicity
     survives any non-negative raise, but micro-rounding can break an exact
-    diminishing-marginals pattern, so the concave flag is kept only when it
-    still holds on the rounded prices.
+    diminishing-marginals pattern, so a raised schedule keeps the concave
+    flag only when ``price_series`` accepts it with the flag; it then
+    carries the series that check kept.
     """
     fraction = as_fraction(raise_fraction)
     if fraction < 0:
@@ -258,15 +260,12 @@ def perturb_bids(
         prices = {
             size: Money(round_half_up(price.micros * p, q)) for size, price in sched.prices.items()
         }
-        series = [prices[m].micros for m in sorted(prices)]
-        new_bids.append(
-            BidSchedule(
-                bidder_id=sched.bidder_id,
-                available_seats=sched.available_seats,
-                prices=prices,
-                concave=sched.concave and has_diminishing_marginals(series),
-            )
-        )
+        raised = BidSchedule(sched.bidder_id, sched.available_seats, prices, sched.concave)
+        try:
+            price_series(raised, instance.capacity)
+        except NonConcavePrices:
+            raised = BidSchedule(sched.bidder_id, sched.available_seats, prices, concave=False)
+        new_bids.append(raised)
     return AuctionInstance(
         capacity=instance.capacity,
         requested_seats=instance.requested_seats,

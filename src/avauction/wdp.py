@@ -19,9 +19,11 @@ after it; a single-vehicle winner's is the second-best price at its size.
 ``None`` marks infeasibility; no sentinel price stands in for it.
 
 ``solve_wdp`` and ``exclusion_totals`` are views over a case compiled from
-one instance.  A literal enumeration oracle (``brute_force_wdp``) keeps the
-engine honest: it filters raw one-size-or-nothing assignments by the service
-constraints in their original inequality form.
+one instance.  Compiling reads each schedule's series through
+``price_series``, so a schedule checked before (by the generator, by
+validation or by an earlier compile) is not checked again; the rows are
+those shared, immutable series.  The literal enumeration oracle that keeps
+the engine honest lives with the tests.
 
 All solvers return ``None`` when the request cannot be served, and break ties
 deterministically: lowest total, then fewest assignments, then the
@@ -30,15 +32,12 @@ lexicographically smallest sorted (bidder_id, size) list.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import (
-    AuctionError,
     AuctionInstance,
     BidSchedule,
     DuplicateBidder,
@@ -47,15 +46,7 @@ from .core import (
     ServiceType,
     UnknownBidder,
     price_series,
-    validate_instance,
 )
-
-# Assignments ``brute_force_wdp`` enumerates at most.
-ENUMERATION_CAP = 10**7
-
-
-class EnumerationCapExceeded(AuctionError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,7 @@ class Allocation:
         return sum(size for _, size in self.assignments)
 
 
-def _cover_table(rows: Iterable[list[int]], width: int) -> list[list[Optional[int]]]:
+def _cover_table(rows: Iterable[Sequence[int]], width: int) -> list[list[Optional[int]]]:
     """table[i][s]: the minimal (cost, count) covering exactly s <= width
     seats with the first i rows, one size or nothing from each, packed as
     cost * (width + 1) + count; None if no cover.  Every row in a cover
@@ -100,11 +91,13 @@ class CompiledCase:
     """One case's bids, compiled once and queried for any (service, q_r).
 
     ``ids`` are the bidder ids in sorted order and ``rows[i]`` is bidder
-    ``ids[i]``'s price series in micros for sizes 1..min(available, capacity).
-    Requests may ask for 1..``width`` seats (``width`` defaults to the
-    capacity).  Building the case raises a ValidationError subclass on a
-    duplicate bidder id or on any schedule ``price_series`` rejects, so it
-    rejects what ``validate_instance`` rejects, bar the id token of the
+    ``ids[i]``'s price series in micros for sizes 1..min(available, capacity),
+    the tuple ``price_series`` keeps on the schedule, shared and never
+    written.  Requests may ask for 1..``width`` seats (``width`` defaults
+    to the capacity).  Building the case walks the bids in their given
+    order and raises a ValidationError subclass at the first bid whose id
+    repeats an earlier one or whose schedule ``price_series`` rejects, so
+    it raises what ``validate_instance`` raises, bar the id token of the
     text format.
     """
 
@@ -112,14 +105,15 @@ class CompiledCase:
         width = capacity if width is None else width
         if not (1 <= width <= capacity):
             raise SeatBoundViolation(f"requested_seats {width} outside [1, {capacity}]")
-        rows = sorted([(s.bidder_id, price_series(s, capacity)) for s in bids])
+        series: dict[str, tuple[int, ...]] = {}
+        for s in bids:
+            if s.bidder_id in series:
+                raise DuplicateBidder(s.bidder_id)
+            series[s.bidder_id] = price_series(s, capacity)
         self.capacity = capacity
         self.width = width
-        self.ids = tuple(bidder_id for bidder_id, _ in rows)
-        self.rows = [prices for _, prices in rows]
-        for a, b in zip(self.ids, self.ids[1:]):
-            if a == b:
-                raise DuplicateBidder(a)
+        self.ids = tuple(sorted(series))
+        self.rows = [series[bidder_id] for bidder_id in self.ids]
         self._single: dict[int, tuple[Optional[int], Optional[int], Optional[int]]] = {}
 
     @classmethod
@@ -271,49 +265,3 @@ def exclusion_totals(instance: AuctionInstance) -> dict[str, Optional[int]]:
     totals: dict[str, Optional[int]] = dict.fromkeys(case.ids, allocation.total_bid.micros)
     totals.update(case.winner_exclusions(instance.service, allocation))
     return totals
-
-
-def brute_force_wdp(instance: AuctionInstance) -> Optional[Allocation]:
-    """Independent oracle: enumerate every one-size-or-nothing assignment.
-
-    It reads the validated instance's own bids, in their given order, not a
-    compiled case.  Constraints are applied as literally written for each
-    service type, keeping the seat-coverage condition in its inequality form
-    (>= q_r, or >= capacity for private) rather than the equality the fast
-    solver uses.
-    """
-    validate_instance(instance)
-    options = [
-        [(0, 0)] + [(m, price.micros) for m, price in sorted(bid.prices.items())]
-        for bid in instance.bids
-    ]
-    if math.prod(len(o) for o in options) > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(f"search space exceeds cap of {ENUMERATION_CAP} assignments")
-    service = instance.service
-    need = (
-        instance.capacity if service is ServiceType.PRIVATE else instance.requested_seats
-    )
-    single = service is not ServiceType.SPLITTABLE
-    best_key: Optional[tuple[int, int, tuple[tuple[str, int], ...]]] = None
-    for combo in product(*options):
-        seats = 0
-        total = 0
-        count = 0
-        for m, price in combo:
-            if m:
-                seats += m
-                total += price
-                count += 1
-        if seats < need or (single and count > 1):
-            continue
-        if best_key is not None and (total, count) > best_key[:2]:
-            continue
-        assigns = tuple(sorted(
-            (bid.bidder_id, m) for bid, (m, _) in zip(instance.bids, combo) if m
-        ))
-        key = (total, count, assigns)
-        if best_key is None or key < best_key:
-            best_key = key
-    if best_key is None:
-        return None
-    return Allocation(assignments=best_key[2], total_bid=Money(best_key[0]))

@@ -1,10 +1,15 @@
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from typing import Optional
 
 import pytest
 
 from avauction import (
+    Allocation,
+    AuctionError,
     AuctionInstance,
     BidderCharge,
     BidSchedule,
@@ -19,6 +24,7 @@ from avauction import (
     ValidationError,
     money_from_decimal,
     rng_stream,
+    validate_instance,
 )
 from avauction import studies
 from avauction.core import MICROS_PER_UNIT, price_series, round_half_up
@@ -57,6 +63,61 @@ def regex_money_from_decimal(text: str) -> Money:
     if len(frac) > 6:
         raise PrecisionLoss(f"{text!r} has more than 6 fractional digits")
     return Money(int(whole) * MICROS_PER_UNIT + int(frac.ljust(6, "0") or "0"))
+
+
+# Assignments ``brute_force_wdp`` enumerates at most.
+ENUMERATION_CAP = 10**7
+
+
+class EnumerationCapExceeded(AuctionError):
+    pass
+
+
+def brute_force_wdp(instance: AuctionInstance) -> Optional[Allocation]:
+    """Independent oracle: enumerate every one-size-or-nothing assignment.
+
+    It reads the validated instance's own bids, in their given order, not a
+    compiled case.  Constraints are applied as literally written for each
+    service type, keeping the seat-coverage condition in its inequality form
+    (>= q_r, or >= capacity for private) rather than the equality the fast
+    solver uses.  Ties break as the engine's do: lowest total, then fewest
+    assignments, then the smallest sorted (bidder_id, size) list.
+    """
+    validate_instance(instance)
+    options = [
+        [(0, 0)] + [(m, price.micros) for m, price in sorted(bid.prices.items())]
+        for bid in instance.bids
+    ]
+    if math.prod(len(o) for o in options) > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"search space exceeds cap of {ENUMERATION_CAP} assignments")
+    service = instance.service
+    need = (
+        instance.capacity if service is ServiceType.PRIVATE else instance.requested_seats
+    )
+    single = service is not ServiceType.SPLITTABLE
+    best_key: Optional[tuple[int, int, tuple[tuple[str, int], ...]]] = None
+    for combo in product(*options):
+        seats = 0
+        total = 0
+        count = 0
+        for m, price in combo:
+            if m:
+                seats += m
+                total += price
+                count += 1
+        if seats < need or (single and count > 1):
+            continue
+        if best_key is not None and (total, count) > best_key[:2]:
+            continue
+        assigns = tuple(sorted(
+            (bid.bidder_id, m) for bid, (m, _) in zip(instance.bids, combo) if m
+        ))
+        key = (total, count, assigns)
+        if best_key is None or key < best_key:
+            best_key = key
+    if best_key is None:
+        return None
+    return Allocation(assignments=best_key[2], total_bid=Money(best_key[0]))
 
 
 def outcome(fn, arg):

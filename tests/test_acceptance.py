@@ -19,7 +19,6 @@ from avauction import (
     Money,
     ServiceType,
     bidder_utility,
-    brute_force_wdp,
     change_of_charge,
     charge_identity_holds,
     generate_batch,
@@ -39,6 +38,8 @@ from avauction.studies import (
     run_servability_study,
     time_charge,
 )
+
+from conftest import brute_force_wdp
 
 SEED = ExperimentConfig().seed
 KS_DEFAULT = ExperimentConfig().scenario_sizes

@@ -26,7 +26,7 @@ from avauction import (
     money_from_decimal,
     validate_instance,
 )
-from avauction.core import as_fraction, round_half_up, validate_schedule
+from avauction.core import as_fraction, price_series, round_half_up, validate_schedule
 
 from conftest import make_instance, outcome, regex_money_from_decimal, sched
 
@@ -342,7 +342,67 @@ def test_one_pass_validation_raises_the_same_first_violation(case):
     accepted = isinstance(expected, list)
     assert outcome(lambda s: validate_schedule(s, capacity), schedule) == (None if accepted else expected)
     if ORACLE_ID_RE.fullmatch(schedule.bidder_id):
-        assert outcome(lambda s: CompiledCase([s], capacity).rows[0], schedule) == expected
+        assert outcome(lambda s: list(CompiledCase([s], capacity).rows[0]), schedule) == expected
+
+
+def _failed(result) -> bool:
+    """Whether an ``outcome`` is an exception's (class, message)."""
+    return isinstance(result, tuple) and len(result) == 2 and isinstance(result[0], type)
+
+
+@settings(max_examples=500)
+@given(rough_schedules(), st.integers(1, 7), st.booleans())
+@example((BidSchedule("A", 3, {1: Money(1), 2: Money(2), 3: Money(3)}), 5), 2, False)
+@example((BidSchedule("A", 2, {1: Money(1), 2: Money(3), 3: Money(4)}), 5), 2, True)
+def test_a_stored_series_never_changes_an_outcome(case, capacity2, through_validation):
+    """A schedule checked once, at one capacity or through validation, gives
+    at any other capacity what a fresh equal schedule gives: the same
+    exception class and message, or the same series.  Only a check that
+    passed leaves its series on the schedule."""
+    schedule, capacity = case
+
+    def fresh():
+        return BidSchedule(schedule.bidder_id, schedule.available_seats, schedule.prices,
+                           schedule.concave)
+
+    if through_validation:
+        def first_check(s):
+            return validate_instance(make_instance(capacity, 1, ServiceType.SPLITTABLE, [s]))
+    else:
+        def first_check(s):
+            return price_series(s, capacity)
+
+    first = outcome(first_check, schedule)
+    assert first == outcome(first_check, fresh())
+    assert schedule._series == (None if _failed(first) else price_series(fresh(), capacity))
+    assert schedule == fresh()
+    for check in (lambda s: price_series(s, capacity2),
+                  lambda s: list(CompiledCase([s], capacity2).rows[0])):
+        assert outcome(check, schedule) == outcome(check, fresh())
+
+
+def test_prices_are_read_only_and_copied():
+    prices = {1: Money(1), 2: Money(2)}
+    schedule = BidSchedule("A", 2, prices)
+    prices[2] = Money(0)
+    assert schedule.prices == {1: Money(1), 2: Money(2)}
+    with pytest.raises(TypeError):
+        schedule.prices[1] = Money(5)
+    with pytest.raises(TypeError):
+        del schedule.prices[2]
+    with pytest.raises(AttributeError):
+        schedule.prices = prices
+
+
+def test_a_checked_schedule_equals_an_unchecked_one(e1):
+    checked = validate_instance(e1)
+    assert all(bid._series is not None for bid in checked.bids)
+    unchecked = make_instance(e1.capacity, e1.requested_seats, e1.service, [
+        BidSchedule(b.bidder_id, b.available_seats, b.prices, b.concave) for b in e1.bids
+    ])
+    assert all(bid._series is None for bid in unchecked.bids)
+    assert checked == unchecked
+    assert checked.bids[0] == unchecked.bids[0] and repr(checked.bids[0]) == repr(unchecked.bids[0])
 
 
 def test_service_type_tokens():

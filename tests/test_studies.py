@@ -17,7 +17,7 @@ from avauction import (
     run_timing_study,
     run_truthfulness_study,
 )
-from avauction import studies
+from avauction import core, scenario, studies
 from avauction.studies import ratio_to_decimal
 
 from conftest import oracle_off_by_one_micro
@@ -188,3 +188,28 @@ def test_study_tables_match_golden_digests():
     tables = [run_charge_study(cfg), run_asymptoticity_study(cfg), *run_truthfulness_study(cfg)]
     digests = {t.name: hashlib.sha256(t.csv_text().encode()).hexdigest() for t in tables}
     assert digests == GOLDEN
+
+
+def test_each_drawn_schedule_is_checked_once(monkeypatch):
+    """The generator checks each schedule it draws; every compile after that,
+    at every K, reads the series the schedule keeps."""
+    checked = []
+    full_check = core._checked_series
+
+    def counting(schedule, capacity):
+        checked.append(schedule)
+        return full_check(schedule, capacity)
+
+    drawn = []
+    draw = scenario._draw_schedule
+
+    def recording(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(core, "_checked_series", counting)
+    monkeypatch.setattr(scenario, "_draw_schedule", recording)
+    run_charge_study(ExperimentConfig(scenario_sizes=(5, 30), cases=20))
+    assert len(drawn) == 30 * 20
+    assert len(checked) == len(drawn)
+    assert {id(s) for s in checked} == {id(s) for s in drawn}

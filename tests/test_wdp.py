@@ -9,12 +9,10 @@ from avauction import (
     BidSchedule,
     CompiledCase,
     DuplicateBidder,
-    EnumerationCapExceeded,
     Money,
     ServiceType,
     UnknownBidder,
     ValidationError,
-    brute_force_wdp,
     exclusion_totals,
     feasibility,
     money_from_decimal,
@@ -29,7 +27,15 @@ from avauction import (
 
 from avauction import wdp
 
-from conftest import make_instance, outcome, sched, tuple_cover_table
+from conftest import (
+    ENUMERATION_CAP,
+    EnumerationCapExceeded,
+    brute_force_wdp,
+    make_instance,
+    outcome,
+    sched,
+    tuple_cover_table,
+)
 
 
 class TestKnownOptima:
@@ -135,7 +141,7 @@ def test_enumeration_cap():
     # 9 bidders with 5 sizes each: 6^9 = 10,077,696 assignments, over the cap
     bids = [sched(f"b{j}", 5, {m: f"0.{m}{j}" for m in range(1, 6)}) for j in range(9)]
     inst = make_instance(5, 3, ServiceType.SPLITTABLE, bids)
-    assert 6**9 > wdp.ENUMERATION_CAP
+    assert 6**9 > ENUMERATION_CAP
     with pytest.raises(EnumerationCapExceeded):
         brute_force_wdp(inst)
 
@@ -383,6 +389,30 @@ def test_compiled_case_rejects_what_the_engine_cannot_solve():
         case.solve(ServiceType.SPLITTABLE, 3)
     with pytest.raises(SeatBoundViolation):
         solve_wdp(make_instance(5, 6, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0.1"})]))
+
+
+FALLING = sched("A", 2, {1: "0.30", 2: "0.20"})
+
+
+@pytest.mark.parametrize(
+    "bids, expected",
+    [
+        ([sched("A", 1, {1: "0.1"}), sched("B", 1, {1: "0.2"}), FALLING],
+         (DuplicateBidder, "A")),
+        # the falling prices come before the repeated id in the given order
+        ([sched("B", 1, {1: "0.2"}), FALLING, sched("B", 1, {1: "0.3"})],
+         (NonMonotonePrices, "bidder A: prices must strictly increase with size")),
+        ([sched("B", 1, {1: "0.2"}), sched("A", 1, {1: "0.1"}), sched("B", 1, {1: "0.3"}), FALLING],
+         (DuplicateBidder, "B")),
+    ],
+    ids=["repeat-with-falling-prices", "falling-prices-first", "repeat-before-falling-prices"],
+)
+def test_the_engine_raises_the_first_violation_validation_raises(bids, expected):
+    """Validation and the engine walk the bids in their given order and
+    check each id against those seen before its prices."""
+    instance = make_instance(5, 1, ServiceType.SPLITTABLE, bids)
+    for fn in (validate_instance, CompiledCase.from_instance, solve_wdp, vcg_charges):
+        assert outcome(fn, instance) == expected, fn.__name__
 
 
 @st.composite
