@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 MICROS_PER_UNIT = 10**6
 
@@ -183,12 +183,6 @@ class AuctionInstance:
     def bidder_ids(self) -> tuple[str, ...]:
         return tuple(b.bidder_id for b in self.bids)
 
-    def schedule(self, bidder_id: str) -> BidSchedule:
-        for b in self.bids:
-            if b.bidder_id == bidder_id:
-                return b
-        raise UnknownBidder(bidder_id)
-
     def with_service(self, service: ServiceType, requested_seats: int | None = None) -> "AuctionInstance":
         return AuctionInstance(
             capacity=self.capacity,
@@ -214,15 +208,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _bad_id(who) -> ValidationError:
+    return ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
+
+
 def price_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     """The schedule's prices for sizes 1..available_seats, in micros.
 
-    The one check of a schedule's prices, shared by validation, the engine
-    and the generator.  One pass raises the first violation of, in order:
-    an int availability and a bool concave flag, availability within
-    [0, capacity], a Money price for every size 1..top,
-    strictly increasing prices, every size key an int in 1..top, and
-    non-increasing marginals when the schedule is flagged concave.
+    The one check of a schedule, shared by validation, the engine and the
+    generator.  One pass raises the first violation of, in order: an id
+    that is one token of the text format (so every valid instance survives
+    serialisation and parsing), an int availability and a bool concave
+    flag, availability within [0, capacity], a Money price for every size
+    1..top, strictly increasing prices, every size key an int in 1..top,
+    and non-increasing marginals when the schedule is flagged concave.
 
     A schedule is checked once: the series of a check that passed is kept
     on the schedule and returned by every later call whose capacity is at
@@ -242,6 +241,8 @@ def price_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
 def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     """``price_series``'s full check, which raises the first violation."""
     who = schedule.bidder_id
+    if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
+        raise _bad_id(who)
     top = schedule.available_seats
     if not _is_int(top) or not isinstance(schedule.concave, bool):
         raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
@@ -282,25 +283,9 @@ def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     return tuple(series)
 
 
-def validate_schedule(schedule: BidSchedule, capacity: int) -> None:
-    """Check one schedule against the instance capacity; raise on violation.
-
-    The id must be one token of the text format, so every valid instance
-    survives serialisation and parsing; ``price_series`` then checks the
-    field types and the prices.
-    """
-    who = schedule.bidder_id
-    if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
-        raise ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
-    price_series(schedule, capacity)
-
-
-def validate_instance(instance: AuctionInstance) -> AuctionInstance:
-    """Validate an instance and return it unchanged.
-
-    Raises a ValidationError subclass naming the first violated invariant;
-    anything that is not an ``AuctionInstance`` is rejected, never coerced.
-    """
+def check_fields(instance: AuctionInstance) -> None:
+    """Check the instance's own fields, not its bids; anything that is not
+    an ``AuctionInstance`` is rejected, never coerced."""
     if not isinstance(instance, AuctionInstance):
         raise ValidationError(f"expected an AuctionInstance, got {type(instance).__name__}")
     if not (_is_int(instance.capacity) and _is_int(instance.requested_seats)):
@@ -313,10 +298,27 @@ def validate_instance(instance: AuctionInstance) -> AuctionInstance:
         raise SeatBoundViolation(
             f"requested_seats {instance.requested_seats} outside [1, {instance.capacity}]"
         )
-    seen: set[str] = set()
-    for schedule in instance.bids:
-        if schedule.bidder_id in seen:
-            raise DuplicateBidder(schedule.bidder_id)
-        seen.add(schedule.bidder_id)
-        validate_schedule(schedule, instance.capacity)
+
+
+def bid_series(bids: Iterable[BidSchedule], capacity: int) -> dict[str, tuple[int, ...]]:
+    """Each bidder's checked price series by id, in the given order: the one
+    walk over a case's bids, which raises at the first bid whose id is not a
+    string or repeats an earlier one, or whose schedule ``price_series``
+    rejects."""
+    series: dict[str, tuple[int, ...]] = {}
+    for schedule in bids:
+        who = schedule.bidder_id
+        if not isinstance(who, str):
+            raise _bad_id(who)
+        if who in series:
+            raise DuplicateBidder(who)
+        series[who] = price_series(schedule, capacity)
+    return series
+
+
+def validate_instance(instance: AuctionInstance) -> AuctionInstance:
+    """Return the instance unchanged, or raise the first ValidationError of
+    ``check_fields`` and then ``bid_series``, the checks compiling it makes."""
+    check_fields(instance)
+    bid_series(instance.bids, instance.capacity)
     return instance

@@ -9,8 +9,9 @@ Layout, one field per line, ``#`` comments and blank lines ignored:
     bidder A available 5 prices 1:0.400000 2:0.700000 3:0.900000
     bidder B available 3 concave prices 1:0.300000 2:0.550000 3:0.780000
 
-Parsing is purely syntactic; run ``validate_instance`` on the result before
-solving.  Unknown versions are rejected.
+Parsing checks the syntax and the bidder-id token, so a bad id is a parse
+error; ``validate_instance`` checks everything else, and solving or charging
+the result makes the same checks.  Unknown versions are rejected.
 """
 
 from __future__ import annotations

@@ -329,10 +329,10 @@ def _check_negative_change(instance, perturbed, report: ChargeReport, targets: l
     _check(vcg_charges(perturbed, independent_solves=True) == report, label,
            f"{message}: the per-bidder exclusion solves disagree")
     valuations = {b.bidder_id: b for b in instance.bids}
-    truthful = bidder_utility(instance, valuations).utilities
+    truthful = bidder_utility(instance, valuations)
     for bidder_id in targets:
         alone = perturb_bids(instance, [bidder_id], raise_f)
-        gain = bidder_utility(alone, valuations).utilities[bidder_id] - truthful[bidder_id]
+        gain = bidder_utility(alone, valuations)[bidder_id] - truthful[bidder_id]
         _check(gain <= 0, label, f"{message}: {bidder_id} gains {gain} micros by raising alone")
 
 

@@ -97,14 +97,6 @@ class ChargeReport:
         raise UnknownBidder(bidder_id)
 
 
-@dataclass(frozen=True)
-class UtilityLedger:
-    """Signed per-bidder utilities in micro-units: charge minus served valuation."""
-
-    utilities: Mapping[str, int]
-    report: ChargeReport
-
-
 def _independent_pivotals(instance: AuctionInstance) -> dict[str, Optional[int]]:
     """Every bidder's exclusion total from its own literal solve."""
     totals: dict[str, Optional[int]] = {}
@@ -205,8 +197,8 @@ def charge_identity_holds(report: ChargeReport) -> bool:
 
 def bidder_utility(
     instance: AuctionInstance, valuations: Mapping[str, BidSchedule]
-) -> UtilityLedger:
-    """Per-bidder utility (micro-units, may be negative) under the given valuations."""
+) -> dict[str, int]:
+    """Each bidder's utility in micros, charge minus served valuation (may be negative)."""
     for sched in instance.bids:
         val = valuations.get(sched.bidder_id)
         if val is None:
@@ -226,7 +218,7 @@ def bidder_utility(
         else:
             served_value = valuations[bidder_id].prices[size].micros
             utilities[bidder_id] = report.charge_of(bidder_id).micros - served_value
-    return UtilityLedger(utilities=utilities, report=report)
+    return utilities
 
 
 def perturb_bids(

@@ -40,12 +40,12 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     AuctionInstance,
     BidSchedule,
-    DuplicateBidder,
     Money,
     SeatBoundViolation,
     ServiceType,
     UnknownBidder,
-    price_series,
+    bid_series,
+    check_fields,
 )
 
 
@@ -94,22 +94,16 @@ class CompiledCase:
     ``ids[i]``'s price series in micros for sizes 1..min(available, capacity),
     the tuple ``price_series`` keeps on the schedule, shared and never
     written.  Requests may ask for 1..``width`` seats (``width`` defaults
-    to the capacity).  Building the case walks the bids in their given
-    order and raises a ValidationError subclass at the first bid whose id
-    repeats an earlier one or whose schedule ``price_series`` rejects, so
-    it raises what ``validate_instance`` raises, bar the id token of the
-    text format.
+    to the capacity).  Building the case walks the bids with
+    ``bid_series``, the walk ``validate_instance`` makes, so it raises the
+    first violation that validation raises.
     """
 
     def __init__(self, bids: Iterable[BidSchedule], capacity: int, width: Optional[int] = None):
         width = capacity if width is None else width
         if not (1 <= width <= capacity):
             raise SeatBoundViolation(f"requested_seats {width} outside [1, {capacity}]")
-        series: dict[str, tuple[int, ...]] = {}
-        for s in bids:
-            if s.bidder_id in series:
-                raise DuplicateBidder(s.bidder_id)
-            series[s.bidder_id] = price_series(s, capacity)
+        series = bid_series(bids, capacity)
         self.capacity = capacity
         self.width = width
         self.ids = tuple(sorted(series))
@@ -118,7 +112,8 @@ class CompiledCase:
 
     @classmethod
     def from_instance(cls, instance: AuctionInstance) -> "CompiledCase":
-        """Compile just wide enough for the instance's own request."""
+        """Compile just wide enough for the instance's request, after ``check_fields``."""
+        check_fields(instance)
         return cls(instance.bids, instance.capacity, instance.requested_seats)
 
     def _row(self, bidder_id: str) -> int:

@@ -232,14 +232,14 @@ def test_criterion_05_dominant_strategy():
                     # own bid, which is trivially manipulable; the dominant-
                     # strategy claim is about bidders the rule can price
                     deviators = [
-                        e.bidder_id for e in truthful.report.per_bidder
+                        e.bidder_id for e in vcg_charges(instance).per_bidder
                         if e.pivotal is not None
                     ]
                     if not deviators:
                         continue
                     eligible_instances += 1
                     for bidder_id in deviators:
-                        schedule = instance.schedule(bidder_id)
+                        schedule = valuations[bidder_id]
                         sizes = len(schedule.prices)
                         trials = [[f] * sizes for f in GRID_FACTORS]
                         for s in range(sizes):
@@ -253,9 +253,9 @@ def test_criterion_05_dominant_strategy():
                             )
                         for factors in trials:
                             deviated = _swap_schedule(instance, _deviate(schedule, factors))
-                            ledger = bidder_utility(deviated, valuations)
+                            utilities = bidder_utility(deviated, valuations)
                             deviations += 1
-                            if ledger.utilities[bidder_id] > truthful.utilities[bidder_id]:
+                            if utilities[bidder_id] > truthful[bidder_id]:
                                 violations += 1
     _report(
         5, "dominant strategy",

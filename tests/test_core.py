@@ -23,10 +23,13 @@ from avauction import (
     ServiceType,
     UnknownBidder,
     ValidationError,
+    exclusion_totals,
     money_from_decimal,
+    solve_wdp,
     validate_instance,
+    vcg_charges,
 )
-from avauction.core import as_fraction, price_series, round_half_up, validate_schedule
+from avauction.core import as_fraction, price_series, round_half_up
 
 from conftest import make_instance, outcome, regex_money_from_decimal, sched
 
@@ -261,7 +264,7 @@ def _plain_int(value) -> bool:
 
 
 def check_text_format_fields(schedule: BidSchedule) -> None:
-    """validate_schedule's own rules: an id that is one token of the text
+    """price_series's field rules: an id that is one token of the text
     format, an int availability and a bool concave flag."""
     who = schedule.bidder_id
     if not (isinstance(who, str) and ORACLE_ID_RE.fullmatch(who)):
@@ -332,17 +335,14 @@ def rough_schedules(draw):
 @settings(max_examples=500)
 @given(rough_schedules())
 def test_one_pass_validation_raises_the_same_first_violation(case):
-    """validate_schedule, and for a text-format id the engine's compile
-    too, give the oracle's outcome: the same exception class and message,
-    or acceptance with the oracle's series as the compiled row."""
+    """price_series and the engine's compile give the oracle's outcome:
+    the same exception class and message, or the oracle's series."""
     schedule, capacity = case
     fields = outcome(check_text_format_fields, schedule)
     series = outcome(lambda s: two_pass_price_series(s, capacity), schedule)
     expected = series if fields is None else fields
-    accepted = isinstance(expected, list)
-    assert outcome(lambda s: validate_schedule(s, capacity), schedule) == (None if accepted else expected)
-    if ORACLE_ID_RE.fullmatch(schedule.bidder_id):
-        assert outcome(lambda s: list(CompiledCase([s], capacity).rows[0]), schedule) == expected
+    assert outcome(lambda s: list(price_series(s, capacity)), schedule) == expected
+    assert outcome(lambda s: list(CompiledCase([s], capacity).rows[0]), schedule) == expected
 
 
 def _failed(result) -> bool:
@@ -379,6 +379,77 @@ def test_a_stored_series_never_changes_an_outcome(case, capacity2, through_valid
     for check in (lambda s: price_series(s, capacity2),
                   lambda s: list(CompiledCase([s], capacity2).rows[0])):
         assert outcome(check, schedule) == outcome(check, fresh())
+
+
+def fresh(instance: AuctionInstance) -> AuctionInstance:
+    """An equal instance whose schedules keep no checked series, so no
+    check below leans on another's."""
+    return AuctionInstance(instance.capacity, instance.requested_seats, instance.service, [
+        BidSchedule(b.bidder_id, b.available_seats, b.prices, b.concave) for b in instance.bids
+    ])
+
+
+ENGINE = (CompiledCase.from_instance, solve_wdp, vcg_charges, exclusion_totals)
+ROUGH_SEATS = st.one_of(st.integers(-1, 6), st.sampled_from([True, 2.0]))
+
+
+@st.composite
+def rough_instances(draw):
+    """An instance near the edge of validity: seat fields that are out of
+    range or not plain ints, a service that is not a ServiceType, and
+    ``rough_schedules``' bids under ids that repeat, are not one token of
+    the text format, or are not strings at all."""
+    ids = st.sampled_from(["A", "B", "x y", ["A"], 5])
+    bids = [
+        BidSchedule(draw(ids), s.available_seats, s.prices, s.concave)
+        for s, _ in draw(st.lists(rough_schedules(), max_size=4))
+    ]
+    service = draw(st.sampled_from([*ServiceType, "splittable", None]))
+    return AuctionInstance(draw(ROUGH_SEATS), draw(ROUGH_SEATS), service, bids)
+
+
+@settings(max_examples=500)
+@given(rough_instances())
+def test_the_engine_rejects_exactly_what_validation_rejects(instance):
+    """Whenever validate_instance raises, every entry point of the engine
+    raises the same exception class and message; on an instance it
+    accepts, none raises a ValidationError."""
+    expected = outcome(validate_instance, fresh(instance))
+    for fn in ENGINE:
+        got = outcome(fn, fresh(instance))
+        if _failed(expected):
+            assert got == expected, fn.__name__
+        else:
+            assert not (_failed(got) and issubclass(got[0], ValidationError)), fn.__name__
+
+
+GAP_BIDS = (sched("A", 2, {1: "0.10", 2: "0.30"}), sched("B", 3, {1: "0.20", 2: "0.35", 3: "0.45"}))
+BAD_ID = "use letters, digits, '_', '.' or '-'"
+
+
+@pytest.mark.parametrize(
+    "instance, expected",
+    [
+        (AuctionInstance(5, 2, "splittable", GAP_BIDS),
+         (ValidationError, "service must be a ServiceType, got 'splittable'")),
+        (AuctionInstance(5.0, 2, ServiceType.SPLITTABLE, GAP_BIDS),
+         (ValidationError, "capacity and requested_seats must be int")),
+        (AuctionInstance(5, True, ServiceType.SPLITTABLE, GAP_BIDS),
+         (ValidationError, "capacity and requested_seats must be int")),
+        (AuctionInstance(0, 1, ServiceType.SPLITTABLE, GAP_BIDS),
+         (SeatBoundViolation, "capacity 0 must be at least 1")),
+        (AuctionInstance(5, 2, ServiceType.SPLITTABLE, [*GAP_BIDS, BidSchedule("x y", 1, {1: Money(1)})]),
+         (ValidationError, f"bad bidder id 'x y': {BAD_ID}")),
+        (AuctionInstance(5, 2, ServiceType.SPLITTABLE, [*GAP_BIDS, BidSchedule(["A"], 1, {1: Money(1)})]),
+         (ValidationError, f"bad bidder id ['A']: {BAD_ID}")),
+    ],
+    ids=["str-service", "float-capacity", "bool-request", "capacity-0", "non-token-id", "unhashable-id"],
+)
+def test_the_engine_raises_what_validation_raises(instance, expected):
+    """Instances the engine once solved, or failed on with a TypeError,
+    although validation rejects them."""
+    for fn in (validate_instance, *ENGINE):
+        assert outcome(fn, fresh(instance)) == expected, fn.__name__
 
 
 def test_prices_are_read_only_and_copied():

@@ -36,7 +36,7 @@ def test_parse_known_document():
     assert inst.requested_seats == 3
     assert inst.service is ServiceType.SPLITTABLE
     assert inst.bidder_ids() == ("A", "B")
-    assert inst.schedule("B").prices[3].micros == 780_000
+    assert inst.bids[1].prices[3].micros == 780_000
     validate_instance(inst)
 
 
@@ -52,7 +52,7 @@ def test_round_trip_preserves_concave_flag():
         [sched("x-1", 5, {m: f"0.{m}0" for m in range(1, 6)}, concave=True)],
     )
     again = parse_instance(serialize_instance(inst))
-    assert again.schedule("x-1").concave
+    assert again.bids[0].concave
     assert again == inst
 
 

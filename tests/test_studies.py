@@ -107,10 +107,10 @@ def test_truthfulness_aborts_on_thin_market_negatives_vcg_cannot_explain(monkeyp
 
     def raisers_gain(instance, valuations):
         # a raised bid is the only way an instance's bids differ from the valuations
-        ledger = original(instance, valuations)
+        utilities = original(instance, valuations)
         if all(valuations[b.bidder_id] is b for b in instance.bids):
-            return ledger
-        return replace(ledger, utilities={b: u + 1 for b, u in ledger.utilities.items()})
+            return utilities
+        return {b: u + 1 for b, u in utilities.items()}
 
     monkeypatch.setattr(studies, "bidder_utility", raisers_gain)
     with pytest.raises(StudyInvariantViolation, match=r"by raising alone \[.*case=4\]$"):
