@@ -183,13 +183,8 @@ class AuctionInstance:
     def bidder_ids(self) -> tuple[str, ...]:
         return tuple(b.bidder_id for b in self.bids)
 
-    def with_service(self, service: ServiceType, requested_seats: int | None = None) -> "AuctionInstance":
-        return AuctionInstance(
-            capacity=self.capacity,
-            requested_seats=self.requested_seats if requested_seats is None else requested_seats,
-            service=service,
-            bids=self.bids,
-        )
+    def with_service(self, service: ServiceType) -> "AuctionInstance":
+        return AuctionInstance(self.capacity, self.requested_seats, service, self.bids)
 
     def without_bidder(self, bidder_id: str) -> "AuctionInstance":
         """The instance with every bid of ``bidder_id`` removed."""
@@ -283,21 +278,25 @@ def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     return tuple(series)
 
 
+def check_request(capacity: int, service: ServiceType, requested_seats: int) -> None:
+    """The one check of a request: int capacity and seats, a ``ServiceType``
+    (never a coerced value), a capacity of at least 1 and 1 <= q_r <= capacity."""
+    if not (_is_int(capacity) and _is_int(requested_seats)):
+        raise ValidationError("capacity and requested_seats must be int")
+    if not isinstance(service, ServiceType):
+        raise ValidationError(f"service must be a ServiceType, got {service!r}")
+    if capacity < 1:
+        raise SeatBoundViolation(f"capacity {capacity} must be at least 1")
+    if not (1 <= requested_seats <= capacity):
+        raise SeatBoundViolation(f"requested_seats {requested_seats} outside [1, {capacity}]")
+
+
 def check_fields(instance: AuctionInstance) -> None:
     """Check the instance's own fields, not its bids; anything that is not
     an ``AuctionInstance`` is rejected, never coerced."""
     if not isinstance(instance, AuctionInstance):
         raise ValidationError(f"expected an AuctionInstance, got {type(instance).__name__}")
-    if not (_is_int(instance.capacity) and _is_int(instance.requested_seats)):
-        raise ValidationError("capacity and requested_seats must be int")
-    if not isinstance(instance.service, ServiceType):
-        raise ValidationError(f"service must be a ServiceType, got {instance.service!r}")
-    if instance.capacity < 1:
-        raise SeatBoundViolation(f"capacity {instance.capacity} must be at least 1")
-    if not (1 <= instance.requested_seats <= instance.capacity):
-        raise SeatBoundViolation(
-            f"requested_seats {instance.requested_seats} outside [1, {instance.capacity}]"
-        )
+    check_request(instance.capacity, instance.service, instance.requested_seats)
 
 
 def bid_series(bids: Iterable[BidSchedule], capacity: int) -> dict[str, tuple[int, ...]]:

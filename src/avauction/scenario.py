@@ -33,10 +33,10 @@ from .core import (
     Money,
     NonConcavePrices,
     NonMonotonePrices,
-    SeatBoundViolation,
     ServiceType,
     _is_int,
     as_fraction,
+    check_request,
     price_series,
     round_half_up,
 )
@@ -147,10 +147,7 @@ class ScenarioBatch:
     cases: tuple[tuple[BidSchedule, ...], ...]
 
     def instance(self, case: int, service: ServiceType, requested_seats: int) -> AuctionInstance:
-        if not (1 <= requested_seats <= self.capacity):
-            raise SeatBoundViolation(
-                f"requested_seats {requested_seats} outside [1, {self.capacity}]"
-            )
+        check_request(self.capacity, service, requested_seats)
         return AuctionInstance(
             capacity=self.capacity,
             requested_seats=requested_seats,

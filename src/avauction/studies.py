@@ -165,7 +165,7 @@ def _case_reports(
     with q_r.
     """
     label = batch.case_label(i)
-    case = CompiledCase(batch.cases[i], batch.capacity)
+    case = CompiledCase(batch.instance(i, ServiceType.SPLITTABLE, CAPACITY))
     reports: dict[tuple[ServiceType, int], Optional[ChargeReport]] = {}
     private: Optional[int] = None
     for q in QS:

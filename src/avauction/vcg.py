@@ -113,7 +113,7 @@ def vcg_charges(instance: AuctionInstance, *, independent_solves: bool = False) 
     ``independent_solves=True`` runs the literal per-bidder exclusion solves
     instead, as an oracle.  Both paths produce identical reports.
     """
-    case = CompiledCase.from_instance(instance)
+    case = CompiledCase(instance)
     allocation = case.solve(instance.service, instance.requested_seats)
     if allocation is None:
         raise NotServed("instance is unservable; no charges to compute")

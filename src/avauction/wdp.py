@@ -1,9 +1,9 @@
 """Exact winner determination for the three service types, over compiled cases.
 
-A ``CompiledCase`` holds one case's bids as checked integer price rows in
-bidder-id order, and answers every (service, requested seats) query from
-tables built lazily, once, and only as wide as the largest request asked or
-the seats the rows offer, whichever is smaller:
+A ``CompiledCase`` holds one instance's bids as checked integer price rows
+in bidder-id order, and answers every (service, requested seats) query up to
+the instance's request from tables built lazily, once, and as wide as that
+request or the seats the rows offer, whichever is smaller:
 for splittable requests the minimal (cost, count) covers of each seat count
 by the bidders after i (suffix) and before j (prefix), each packed into one
 int, cost * (width + 1) + count, whose int order is (cost, count) order; for
@@ -19,7 +19,7 @@ after it; a single-vehicle winner's is the second-best price at its size.
 ``None`` marks infeasibility; no sentinel price stands in for it.
 
 ``solve_wdp`` and ``exclusion_totals`` are views over a case compiled from
-one instance.  Compiling reads each schedule's series through
+their instance.  Compiling reads each schedule's series through
 ``price_series``, so a schedule checked before (by the generator, by
 validation or by an earlier compile) is not checked again; the rows are
 those shared, immutable series.  The literal enumeration oracle that keeps
@@ -39,13 +39,12 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     AuctionInstance,
-    BidSchedule,
     Money,
-    SeatBoundViolation,
     ServiceType,
     UnknownBidder,
     bid_series,
     check_fields,
+    check_request,
 )
 
 
@@ -88,33 +87,27 @@ def _cover_table(rows: Iterable[Sequence[int]], width: int) -> list[list[Optiona
 
 
 class CompiledCase:
-    """One case's bids, compiled once and queried for any (service, q_r).
+    """One instance's bids, compiled once and queried for any service and
+    any q_r up to the instance's request, ``width``.
 
-    ``ids`` are the bidder ids in sorted order and ``rows[i]`` is bidder
-    ``ids[i]``'s price series in micros for sizes 1..min(available, capacity),
-    the tuple ``price_series`` keeps on the schedule, shared and never
-    written.  Requests may ask for 1..``width`` seats (``width`` defaults
-    to the capacity).  Building the case walks the bids with
-    ``bid_series``, the walk ``validate_instance`` makes, so it raises the
-    first violation that validation raises.
+    A case is built only from an instance, with the checks
+    ``validate_instance`` makes (``check_fields``, then the ``bid_series``
+    walk), so it raises the first violation that validation raises.  To
+    answer every request a vehicle can take, compile an instance that asks
+    for the full capacity.  ``ids`` are the bidder ids in sorted order and
+    ``rows[i]`` is bidder ``ids[i]``'s price series in micros for sizes
+    1..min(available, capacity), the tuple ``price_series`` keeps on the
+    schedule, shared and never written.
     """
 
-    def __init__(self, bids: Iterable[BidSchedule], capacity: int, width: Optional[int] = None):
-        width = capacity if width is None else width
-        if not (1 <= width <= capacity):
-            raise SeatBoundViolation(f"requested_seats {width} outside [1, {capacity}]")
-        series = bid_series(bids, capacity)
-        self.capacity = capacity
-        self.width = width
+    def __init__(self, instance: AuctionInstance):
+        check_fields(instance)
+        series = bid_series(instance.bids, instance.capacity)
+        self.capacity = instance.capacity
+        self.width = instance.requested_seats
         self.ids = tuple(sorted(series))
         self.rows = [series[bidder_id] for bidder_id in self.ids]
         self._single: dict[int, tuple[Optional[int], Optional[int], Optional[int]]] = {}
-
-    @classmethod
-    def from_instance(cls, instance: AuctionInstance) -> "CompiledCase":
-        """Compile just wide enough for the instance's request, after ``check_fields``."""
-        check_fields(instance)
-        return cls(instance.bids, instance.capacity, instance.requested_seats)
 
     def _row(self, bidder_id: str) -> int:
         i = bisect_left(self.ids, bidder_id)
@@ -126,11 +119,9 @@ class CompiledCase:
         return self.rows[self._row(bidder_id)][size - 1]
 
     def solve(self, service: ServiceType, requested_seats: int) -> Optional[Allocation]:
-        """Exact minimum-total allocation for one request, or None."""
-        if not (1 <= requested_seats <= self.width):
-            raise SeatBoundViolation(
-                f"requested_seats {requested_seats} outside [1, {self.width}]"
-            )
+        """Exact minimum-total allocation for one request, or None; raises
+        what ``check_request`` raises for it, with ``width`` as the capacity."""
+        check_request(self.width, service, requested_seats)
         if service is ServiceType.SPLITTABLE:
             return self._splittable_optimum(requested_seats)
         size = requested_seats if service is ServiceType.NON_SPLITTABLE else self.capacity
@@ -244,7 +235,7 @@ def feasibility(instance: AuctionInstance) -> dict[ServiceType, bool]:
 
 def solve_wdp(instance: AuctionInstance) -> Optional[Allocation]:
     """Exact minimum-total allocation for the instance's service type."""
-    return CompiledCase.from_instance(instance).solve(instance.service, instance.requested_seats)
+    return CompiledCase(instance).solve(instance.service, instance.requested_seats)
 
 
 def exclusion_totals(instance: AuctionInstance) -> dict[str, Optional[int]]:
@@ -253,7 +244,7 @@ def exclusion_totals(instance: AuctionInstance) -> dict[str, Optional[int]]:
     Equivalent to running ``solve_wdp(instance.without_bidder(b))`` for
     each bidder ``b``; ``None`` marks an infeasible exclusion.
     """
-    case = CompiledCase.from_instance(instance)
+    case = CompiledCase(instance)
     allocation = case.solve(instance.service, instance.requested_seats)
     if allocation is None:
         return dict.fromkeys(case.ids)

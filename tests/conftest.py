@@ -13,6 +13,7 @@ from avauction import (
     AuctionInstance,
     BidderCharge,
     BidSchedule,
+    CompiledCase,
     InvalidLaw,
     Money,
     NegativeAmount,
@@ -44,6 +45,12 @@ def make_instance(capacity, requested, service, bids):
     return AuctionInstance(
         capacity=capacity, requested_seats=requested, service=service, bids=tuple(bids)
     )
+
+
+def full_case(bids, capacity):
+    """The bids compiled at full width, q_r = capacity, so the case answers
+    every request a vehicle of that capacity can take."""
+    return CompiledCase(make_instance(capacity, capacity, ServiceType.SPLITTABLE, bids))
 
 
 # money_from_decimal with its grammar as a regex: the oracle of the money
@@ -126,6 +133,11 @@ def outcome(fn, arg):
         return fn(arg)
     except Exception as exc:  # the differential compares every failure too
         return type(exc), str(exc)
+
+
+def failed(result) -> bool:
+    """Whether an ``outcome`` is an exception's (class, message)."""
+    return isinstance(result, tuple) and len(result) == 2 and isinstance(result[0], type)
 
 
 def tuple_cover_table(rows, width):

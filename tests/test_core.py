@@ -31,7 +31,7 @@ from avauction import (
 )
 from avauction.core import as_fraction, price_series, round_half_up
 
-from conftest import make_instance, outcome, regex_money_from_decimal, sched
+from conftest import failed, full_case, make_instance, outcome, regex_money_from_decimal, sched
 
 
 class TestMoney:
@@ -342,12 +342,7 @@ def test_one_pass_validation_raises_the_same_first_violation(case):
     series = outcome(lambda s: two_pass_price_series(s, capacity), schedule)
     expected = series if fields is None else fields
     assert outcome(lambda s: list(price_series(s, capacity)), schedule) == expected
-    assert outcome(lambda s: list(CompiledCase([s], capacity).rows[0]), schedule) == expected
-
-
-def _failed(result) -> bool:
-    """Whether an ``outcome`` is an exception's (class, message)."""
-    return isinstance(result, tuple) and len(result) == 2 and isinstance(result[0], type)
+    assert outcome(lambda s: list(full_case([s], capacity).rows[0]), schedule) == expected
 
 
 @settings(max_examples=500)
@@ -374,10 +369,10 @@ def test_a_stored_series_never_changes_an_outcome(case, capacity2, through_valid
 
     first = outcome(first_check, schedule)
     assert first == outcome(first_check, fresh())
-    assert schedule._series == (None if _failed(first) else price_series(fresh(), capacity))
+    assert schedule._series == (None if failed(first) else price_series(fresh(), capacity))
     assert schedule == fresh()
     for check in (lambda s: price_series(s, capacity2),
-                  lambda s: list(CompiledCase([s], capacity2).rows[0])):
+                  lambda s: list(full_case([s], capacity2).rows[0])):
         assert outcome(check, schedule) == outcome(check, fresh())
 
 
@@ -389,7 +384,7 @@ def fresh(instance: AuctionInstance) -> AuctionInstance:
     ])
 
 
-ENGINE = (CompiledCase.from_instance, solve_wdp, vcg_charges, exclusion_totals)
+ENGINE = (CompiledCase, solve_wdp, vcg_charges, exclusion_totals)
 ROUGH_SEATS = st.one_of(st.integers(-1, 6), st.sampled_from([True, 2.0]))
 
 
@@ -417,10 +412,10 @@ def test_the_engine_rejects_exactly_what_validation_rejects(instance):
     expected = outcome(validate_instance, fresh(instance))
     for fn in ENGINE:
         got = outcome(fn, fresh(instance))
-        if _failed(expected):
+        if failed(expected):
             assert got == expected, fn.__name__
         else:
-            assert not (_failed(got) and issubclass(got[0], ValidationError)), fn.__name__
+            assert not (failed(got) and issubclass(got[0], ValidationError)), fn.__name__
 
 
 GAP_BIDS = (sched("A", 2, {1: "0.10", 2: "0.30"}), sched("B", 3, {1: "0.20", 2: "0.35", 3: "0.45"}))

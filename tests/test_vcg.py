@@ -300,7 +300,7 @@ def test_lean_reports_rebuild_the_full_per_bidder_tuple():
     ]
     checked = 0
     for instance in instances:
-        case = CompiledCase.from_instance(instance)
+        case = CompiledCase(instance)
         allocation = case.solve(instance.service, instance.requested_seats)
         if allocation is None:
             continue

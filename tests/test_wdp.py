@@ -9,12 +9,15 @@ from avauction import (
     BidSchedule,
     CompiledCase,
     DuplicateBidder,
+    GenerationLaw,
     Money,
     ServiceType,
     UnknownBidder,
     ValidationError,
+    case_charges,
     exclusion_totals,
     feasibility,
+    generate_batch,
     money_from_decimal,
     NonConcavePrices,
     NonMonotonePrices,
@@ -31,6 +34,8 @@ from conftest import (
     ENUMERATION_CAP,
     EnumerationCapExceeded,
     brute_force_wdp,
+    failed,
+    full_case,
     make_instance,
     outcome,
     sched,
@@ -195,7 +200,7 @@ def test_raising_capacity_changes_no_answer(instance, extra):
         assert brute_force_wdp(raised) == oracle
         assert solve_wdp(raised) == oracle
         assert outcome(vcg_charges, raised) == outcome(vcg_charges, base)
-        case = CompiledCase(raised.bids, raised.capacity)
+        case = full_case(raised.bids, raised.capacity)
         assert case.solve(svc, raised.requested_seats) == oracle
         if svc is ServiceType.SPLITTABLE and raised.requested_seats <= offered:
             assert len(case._suffix[0]) == min(raised.capacity, offered) + 1
@@ -263,8 +268,6 @@ def _relaxed_multiwin_optimum(instance):
 def test_single_winning_bid_suffices_for_concave_schedules():
     # With diminishing marginals, allowing several winning combinations per
     # bidder never beats the one-combination-per-bidder optimum.
-    from avauction import GenerationLaw, generate_batch
-
     batch = generate_batch(GenerationLaw(seed=31), bidders=4, capacity=5, cases=30)
     compared = 0
     for i in range(batch.case_count):
@@ -282,7 +285,7 @@ def test_single_winning_bid_suffices_for_concave_schedules():
 def _assert_case_matches_oracle(bids, capacity):
     """Compile once, then check every (service, q_r) request's allocation and
     every bidder's exclusion total against enumeration on that request."""
-    case = CompiledCase(bids, capacity)
+    case = full_case(bids, capacity)
     for service in ServiceType:
         for q in range(1, capacity + 1):
             instance = AuctionInstance(capacity, q, service, tuple(bids))
@@ -351,7 +354,7 @@ def test_tied_single_vehicle_best_excludes_to_the_tied_price():
         sched("B", 2, {1: "0.20", 2: "0.50"}),
         sched("A", 2, {1: "0.25", 2: "0.50"}),
     ]
-    case = CompiledCase(bids, 2)
+    case = full_case(bids, 2)
     for service, q in ((ServiceType.NON_SPLITTABLE, 2), (ServiceType.PRIVATE, 1)):
         alloc = case.solve(service, q)
         assert alloc.assignments == (("A", 2),)  # smallest id among the tied
@@ -361,11 +364,11 @@ def test_tied_single_vehicle_best_excludes_to_the_tied_price():
 
 def test_compiled_case_rejects_what_the_engine_cannot_solve():
     with pytest.raises(DuplicateBidder):
-        CompiledCase([sched("A", 1, {1: "0.1"}), sched("A", 1, {1: "0.2"})], 5)
+        full_case([sched("A", 1, {1: "0.1"}), sched("A", 1, {1: "0.2"})], 5)
     with pytest.raises(NonMonotonePrices):
-        CompiledCase([sched("A", 2, {1: "0.2", 2: "0.2"})], 5)
+        full_case([sched("A", 2, {1: "0.2", 2: "0.2"})], 5)
     with pytest.raises(SeatBoundViolation):
-        CompiledCase([sched("A", 6, {m: f"0.{m}" for m in range(1, 7)})], 5)
+        full_case([sched("A", 6, {m: f"0.{m}" for m in range(1, 7)})], 5)
     # the engine rejects what validate_instance rejects, with the same error
     oversized = sched("A", 2, {1: "0.10", 2: "0.20", 3: "0.30"})
     false_concave = sched("B", 3, {1: "0.30", 2: "0.55", 3: "0.90"}, concave=True)
@@ -378,13 +381,13 @@ def test_compiled_case_rejects_what_the_engine_cannot_solve():
         (bool_available, ValidationError),
     ):
         with pytest.raises(error):
-            CompiledCase([bid], 5)
+            full_case([bid], 5)
         instance = make_instance(5, 3, ServiceType.SPLITTABLE, [bid])
         assert outcome(solve_wdp, instance) == outcome(validate_instance, instance)
         assert outcome(vcg_charges, instance) == outcome(validate_instance, instance)
     with pytest.raises(ValidationError, match="bidder A: price for size 1 must be Money"):
-        CompiledCase([BidSchedule("A", 1, {1: 5})], 5)
-    case = CompiledCase([sched("A", 1, {1: "0.1"})], 5, width=2)
+        full_case([BidSchedule("A", 1, {1: 5})], 5)
+    case = CompiledCase(make_instance(5, 2, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0.1"})]))
     with pytest.raises(SeatBoundViolation):
         case.solve(ServiceType.SPLITTABLE, 3)
     with pytest.raises(SeatBoundViolation):
@@ -411,8 +414,70 @@ def test_the_engine_raises_the_first_violation_validation_raises(bids, expected)
     """Validation and the engine walk the bids in their given order and
     check each id against those seen before its prices."""
     instance = make_instance(5, 1, ServiceType.SPLITTABLE, bids)
-    for fn in (validate_instance, CompiledCase.from_instance, solve_wdp, vcg_charges):
+    for fn in (validate_instance, CompiledCase, solve_wdp, vcg_charges):
         assert outcome(fn, instance) == expected, fn.__name__
+
+
+REQUEST_BATCH = generate_batch(GenerationLaw(seed=13), bidders=4, capacity=5, cases=3)
+ROUGH_SERVICES = st.sampled_from([*ServiceType, "splittable", None])
+ROUGH_REQUESTS = st.one_of(st.integers(-1, 7), st.sampled_from([True, 2.0]))
+
+
+def _request_outcomes(case_index, service, q_r):
+    """What validation makes of case ``case_index`` asked (service, q_r), and
+    what the entry points that take a request on a checked case make of it:
+    a case compiled at full width (``solve``, ``case_charges``) and the batch
+    that assembles the instance."""
+    case = CompiledCase(REQUEST_BATCH.instance(case_index, ServiceType.SPLITTABLE, 5))
+    bids = REQUEST_BATCH.cases[case_index]
+    expected = outcome(validate_instance, AuctionInstance(5, q_r, service, bids))
+    got = {
+        "solve": outcome(lambda q: case.solve(service, q), q_r),
+        "case_charges": outcome(lambda q: case_charges(case, service, q), q_r),
+        "batch": outcome(lambda q: REQUEST_BATCH.instance(case_index, service, q), q_r),
+    }
+    return expected, got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, REQUEST_BATCH.case_count - 1), ROUGH_SERVICES, ROUGH_REQUESTS)
+def test_a_request_is_checked_as_validation_checks_it(case_index, service, q_r):
+    """On a valid case, every entry point that takes a request raises the
+    exception class and message validation raises for that service and
+    q_r, and none raises when validation accepts."""
+    expected, got = _request_outcomes(case_index, service, q_r)
+    for name, result in got.items():
+        if failed(expected):
+            assert result == expected, name
+        else:
+            assert not failed(result), name
+
+
+NOT_A_SERVICE = (ValidationError, "service must be a ServiceType, got 'splittable'")
+NOT_AN_INT = (ValidationError, "capacity and requested_seats must be int")
+
+
+@pytest.mark.parametrize(
+    "entry, service, q_r, expected",
+    [
+        ("solve", "splittable", 2, NOT_A_SERVICE),
+        ("solve", ServiceType.SPLITTABLE, True, NOT_AN_INT),
+        ("solve", ServiceType.SPLITTABLE, 2.0, NOT_AN_INT),
+        ("batch", "splittable", 2, NOT_A_SERVICE),
+        ("batch", ServiceType.SPLITTABLE, 2.0, NOT_AN_INT),
+    ],
+    ids=["str-service-solve", "bool-request-solve", "float-request-solve",
+         "str-service-batch", "float-request-batch"],
+)
+def test_requests_validation_rejects_are_never_served(entry, service, q_r, expected):
+    """Requests a compiled case once served (a str service as the private
+    optimum, True as q_r = 1), failed on with a TypeError (2.0), or turned
+    into instances (the batch) although validation rejects them."""
+    validated, got = _request_outcomes(0, service, q_r)
+    assert validated == expected
+    assert got[entry] == expected
+    if entry == "solve":
+        assert got["case_charges"] == expected
 
 
 @st.composite
