@@ -10,6 +10,7 @@ accepts).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -55,7 +56,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"parse error: {message} ({usage})\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on the first ``main`` call of a process and
+    reused by every later call: each parse makes a fresh namespace, and help
+    and usage errors go to the streams current at that call."""
     parser = _Parser(
         prog="avauction",
         description="Exact combinatorial-auction pricing for seat requests.",
@@ -176,8 +181,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "solve": cmd_solve,
         "charge": cmd_charge,

@@ -147,6 +147,8 @@ class ScenarioBatch:
     cases: tuple[tuple[BidSchedule, ...], ...]
 
     def instance(self, case: int, service: ServiceType, requested_seats: int) -> AuctionInstance:
+        if not (_is_int(case) and 0 <= case < self.case_count):
+            raise InvalidLaw(f"case {case} outside a batch of {self.case_count} case(s)")
         check_request(self.capacity, service, requested_seats)
         return AuctionInstance(
             capacity=self.capacity,

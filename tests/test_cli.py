@@ -1,6 +1,11 @@
-import pytest
+import argparse
+import contextlib
+import io
 
-from avauction import ServiceType, parse_instance, serialize_instance, validate_instance
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from avauction import ServiceType, cli, parse_instance, serialize_instance, validate_instance
 from avauction.cli import (
     EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_UNSERVABLE, EXIT_VALIDATION, main,
 )
@@ -225,3 +230,84 @@ def test_huge_declared_request_is_unservable_at_once(tmp_path, capsys, command):
     assert main([command, str(path)]) == EXIT_UNSERVABLE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("unservable\n", "")
+
+
+# Every kind of call the parser sees: both document commands, each service
+# override, usage errors, and help; "DOC" stands for a valid document.
+ARGV_POOL = (
+    ("charge", "DOC"),
+    ("solve", "DOC"),
+    *((command, "DOC", "--service", service.value)
+      for command in ("charge", "solve") for service in ServiceType),
+    ("charge",),
+    ("bogus", "DOC"),
+    (),
+    ("--help",),
+    ("charge", "--help"),
+    ("study", "charges", "--k", "x"),
+    ("gen", "--gamma", "x"),
+    ("study", "nosuch"),
+    ("charge", "DOC", "extra"),
+)
+
+
+@pytest.fixture
+def fresh_parser():
+    """No parser left over from an earlier test, and none left to a later one."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def _run(argv):
+    """``main``'s return value or exit code, with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = ("returned", main(list(argv)))
+        except SystemExit as exc:
+            code = ("exited", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pool_runs(tmp_path_factory):
+    """Each pool argv with the document path filled in, and what it gives
+    against a parser built for that call alone."""
+    out = tmp_path_factory.mktemp("cli")
+    _run(["gen", "--k", "3", "--cases", "1", "--out", str(out)])
+    doc = out / "k003-case0000.txt"
+    runs = []
+    for argv in ARGV_POOL:
+        argv = [str(doc) if arg == "DOC" else arg for arg in argv]
+        cli.build_parser.cache_clear()
+        runs.append((argv, _run(argv)))
+    cli.build_parser.cache_clear()
+    return runs
+
+
+@settings(max_examples=30, deadline=None)
+@given(picks=st.lists(st.integers(0, len(ARGV_POOL) - 1), min_size=1, max_size=6))
+def test_a_reused_parser_answers_as_a_fresh_one(pool_runs, picks):
+    cli.build_parser.cache_clear()
+    for pick in picks:
+        argv, fresh = pool_runs[pick]
+        assert _run(argv) == fresh, argv
+
+
+def test_the_parser_is_built_on_the_first_call_only(e2, tmp_path, monkeypatch, fresh_parser):
+    path = tmp_path / "e2.txt"
+    path.write_text(serialize_instance(e2))
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        argparse.ArgumentParser.__init__(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    counts = []
+    for _ in range(3):
+        assert _run(["charge", str(path)])[0] == ("returned", EXIT_OK)
+        counts.append(len(built))
+    # the top-level parser and its four sub-commands, all in the first call
+    assert counts == [5, 5, 5]

@@ -159,6 +159,13 @@ class TestBatchDeterminism:
             batch.instance(0, ServiceType.SPLITTABLE, 6)
 
 
+@pytest.mark.parametrize("case", [-1, 2, True, 1.0], ids=["negative", "case-count", "bool", "float"])
+def test_instance_rejects_a_case_outside_the_batch(case):
+    batch = generate_batch(GenerationLaw(seed=1), 3, 5, 2)
+    with pytest.raises(InvalidLaw, match=r"outside a batch of 2 case\(s\)"):
+        batch.instance(case, ServiceType.SPLITTABLE, 2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     cost_law=st.sampled_from(list(CostLaw)),
