@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
-from .core import Money, ServiceType, ValidationError, validate_instance
+from .core import Money, ServiceType, ValidationError, as_fraction, validate_instance
 from .instance_io import ParseError, read_instance, write_instance
 from .scenario import CostLaw, GenerationLaw, InvalidLaw, generate_batch
 from .studies import STUDY_NAMES, ExperimentConfig, StudyInvariantViolation, run_study
@@ -42,8 +42,8 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
 
 def _parse_gamma(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return as_fraction(text)
+    except ValidationError:
         raise argparse.ArgumentTypeError(f"bad ratio {text!r}") from None
 
 

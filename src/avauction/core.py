@@ -68,18 +68,15 @@ def round_half_up(numerator: Union[int, Fraction], denominator: int = 1) -> int:
 
 
 def as_fraction(value: Union[Fraction, int, str, float]) -> Fraction:
-    """Coerce a ratio-like value to an exact Fraction.
+    """Coerce a ratio-like value to an exact Fraction, or raise ValidationError.
 
     Floats are interpreted through their shortest decimal repr, so 0.1 means
     exactly 1/10 rather than the nearest binary double.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    try:
+        return Fraction(str(value) if isinstance(value, float) else value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValidationError(f"not a ratio: {value!r}") from None
 
 
 # The bidder ids the instance text format can carry: one whitespace-free token.
@@ -163,9 +160,6 @@ class BidSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prices", MappingProxyType(dict(self.prices)))
-
-    def max_size(self, capacity: int) -> int:
-        return min(self.available_seats, capacity)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .core import (
     NonConcavePrices,
     NonMonotonePrices,
     ServiceType,
+    ValidationError,
     _is_int,
     as_fraction,
     check_request,
@@ -72,7 +73,10 @@ class GenerationLaw:
     gamma: Fraction = Fraction(4, 5)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", as_fraction(self.gamma))
+        try:
+            object.__setattr__(self, "gamma", as_fraction(self.gamma))
+        except ValidationError:
+            raise InvalidLaw(f"gamma must be a ratio, got {self.gamma!r}") from None
         if not isinstance(self.cost_law, CostLaw):
             raise InvalidLaw(f"cost_law must be a CostLaw, got {self.cost_law!r}")
         if not (0 < self.gamma <= 1):

@@ -24,7 +24,7 @@ from itertools import product
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import MICROS_PER_UNIT, AuctionError, Money, ServiceType, _is_int, as_fraction, round_half_up
+from .core import MICROS_PER_UNIT, AuctionError, Money, ServiceType, _is_int, round_half_up
 from .scenario import CostLaw, GenerationLaw, InvalidLaw, ScenarioBatch, generate_batch, rng_stream
 from .vcg import (
     ChargeReport,
@@ -36,7 +36,7 @@ from .vcg import (
     perturb_bids,
     vcg_charges,
 )
-from .wdp import Allocation, CompiledCase, feasibility, solve_wdp
+from .wdp import Allocation, CompiledCase, solve_wdp
 
 SERVICES = (ServiceType.SPLITTABLE, ServiceType.NON_SPLITTABLE, ServiceType.PRIVATE)
 
@@ -85,12 +85,11 @@ class ExperimentConfig:
     seed: int = 20250810
 
     def __post_init__(self) -> None:
-        self.gamma = as_fraction(self.gamma)
         if not self.scenario_sizes or not all(_is_int(k) and k >= 1 for k in self.scenario_sizes):
             raise InvalidLaw("scenario_sizes must be non-empty, all ints of at least 1")
         if not (_is_int(self.cases) and self.cases >= 1):
             raise InvalidLaw("cases must be an int of at least 1")
-        self.law()
+        self.gamma = self.law().gamma
 
     def law(self, cost_law: Optional[CostLaw] = None) -> GenerationLaw:
         return GenerationLaw(
@@ -205,10 +204,9 @@ def run_servability_study(config: ExperimentConfig) -> ResultTable:
         batch = full.head(k, config.cases)
         counts = dict.fromkeys(REQUESTS, 0)
         for i in range(batch.case_count):
-            for q in QS:
-                feasible = feasibility(batch.instance(i, ServiceType.SPLITTABLE, q))
-                for svc in SERVICES:
-                    counts[(svc, q)] += not feasible[svc]
+            case = CompiledCase(batch.instance(i, ServiceType.SPLITTABLE, CAPACITY))
+            for request in REQUESTS:
+                counts[request] += not case.servable(*request)
         for svc, q in REQUESTS:
             table.add(k, svc, q, batch.case_count, counts[(svc, q)])
     return table

@@ -16,7 +16,7 @@ applied across requests as well as across bidders.  A non-winner's exclusion
 total is the optimum p*, because the chosen allocation stays feasible
 without it; a splittable winner's joins the prefix before it to the suffix
 after it; a single-vehicle winner's is the second-best price at its size.
-``None`` marks infeasibility; no sentinel price stands in for it.
+``None`` marks an unservable request; no sentinel price stands in for it.
 
 ``solve_wdp`` and ``exclusion_totals`` are views over a case compiled from
 their instance.  Compiling reads each schedule's series through
@@ -25,9 +25,10 @@ validation or by an earlier compile) is not checked again; the rows are
 those shared, immutable series.  The literal enumeration oracle that keeps
 the engine honest lives with the tests.
 
-All solvers return ``None`` when the request cannot be served, and break ties
-deterministically: lowest total, then fewest assignments, then the
-lexicographically smallest sorted (bidder_id, size) list.
+All solvers return ``None`` exactly when ``CompiledCase.servable`` is false
+(a split asks more seats than the bids offer, or no one bidder offers the
+single vehicle's size), and break ties deterministically: lowest total, then
+fewest assignments, then the lexicographically smallest sorted (bidder_id, size) list.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     AuctionInstance,
     Money,
+    OversizedCombination,
     ServiceType,
     UnknownBidder,
+    _is_int,
     bid_series,
     check_fields,
     check_request,
@@ -107,6 +110,9 @@ class CompiledCase:
         self.width = instance.requested_seats
         self.ids = tuple(sorted(series))
         self.rows = [series[bidder_id] for bidder_id in self.ids]
+        # The cover tables' width: no cover holds more seats than are offered.
+        self.cover_width = min(self.width, sum(map(len, self.rows)))
+        self.longest = max(map(len, self.rows), default=0)
         self._single: dict[int, tuple[Optional[int], Optional[int], Optional[int]]] = {}
 
     def _row(self, bidder_id: str) -> int:
@@ -116,18 +122,31 @@ class CompiledCase:
         return i
 
     def price(self, bidder_id: str, size: int) -> int:
-        return self.rows[self._row(bidder_id)][size - 1]
+        row = self.rows[self._row(bidder_id)]
+        if not (_is_int(size) and 1 <= size <= len(row)):
+            raise OversizedCombination(f"bidder {bidder_id}: no size {size!r} in 1..{len(row)}")
+        return row[size - 1]
+
+    def servable(self, service: ServiceType, requested_seats: int) -> bool:
+        """The one servability rule; raises what ``check_request`` raises,
+        with ``width`` as the capacity.  A row offers every size up to its
+        length, so any q_r up to the seats offered can be split exactly."""
+        check_request(self.width, service, requested_seats)
+        if service is ServiceType.SPLITTABLE:
+            return requested_seats <= self.cover_width
+        if service is ServiceType.NON_SPLITTABLE:
+            return requested_seats <= self.longest
+        return self.capacity <= self.longest
 
     def solve(self, service: ServiceType, requested_seats: int) -> Optional[Allocation]:
-        """Exact minimum-total allocation for one request, or None; raises
-        what ``check_request`` raises for it, with ``width`` as the capacity."""
-        check_request(self.width, service, requested_seats)
+        """Exact minimum-total allocation for one request, or None when it is
+        not ``servable``, which raises for a request validation rejects."""
+        if not self.servable(service, requested_seats):
+            return None
         if service is ServiceType.SPLITTABLE:
             return self._splittable_optimum(requested_seats)
         size = requested_seats if service is ServiceType.NON_SPLITTABLE else self.capacity
         best, best_row, _ = self._single_vehicle(size)
-        if best is None:
-            return None
         return Allocation(assignments=((self.ids[best_row], size),), total_bid=Money(best))
 
     def winner_exclusions(
@@ -174,33 +193,25 @@ class CompiledCase:
         self._single[size] = (best, best_row, second)
         return self._single[size]
 
-    def _cover_width(self) -> int:
-        """The cover tables' width: no cover holds more seats than are offered."""
-        return min(self.width, sum(map(len, self.rows)))
-
     @cached_property
     def _suffix(self) -> list[list[Optional[int]]]:
         """suffix[i][s]: the packed minimal (cost, count) covering exactly s
         seats with bidders i.. (see ``_cover_table``)."""
-        return _cover_table(reversed(self.rows), self._cover_width())[::-1]
+        return _cover_table(reversed(self.rows), self.cover_width)[::-1]
 
     @cached_property
     def _prefix(self) -> list[list[Optional[int]]]:
         """prefix[j][s]: the packed minimal (cost, count) covering exactly s
         seats with bidders before j (see ``_cover_table``)."""
-        return _cover_table(self.rows, self._cover_width())
+        return _cover_table(self.rows, self.cover_width)
 
-    def _splittable_optimum(self, q_r: int) -> Optional[Allocation]:
+    def _splittable_optimum(self, q_r: int) -> Allocation:
         # Seat exactness: with strictly increasing prices the optimum covers
         # q_r seats exactly, so the tables target the equality form directly.
         # Walking the bidders in id order and taking the first (bidder, size)
         # that keeps the optimum reachable yields the tie-broken winner list.
-        if q_r > self._cover_width():
-            return None
         suffix = self._suffix
         target = suffix[0][q_r]
-        if target is None:
-            return None
         scale = len(suffix[0])
         total = target // scale
         assignments: list[tuple[str, int]] = []
@@ -220,17 +231,6 @@ class CompiledCase:
                 if nxt[remaining] != target:
                     raise AssertionError("splittable reconstruction lost the optimum")
         return Allocation(assignments=tuple(assignments), total_bid=Money(total))
-
-
-def feasibility(instance: AuctionInstance) -> dict[ServiceType, bool]:
-    """Whether each service type can serve the instance's request at all."""
-    q_r, cap = instance.requested_seats, instance.capacity
-    offered = [b.max_size(cap) for b in instance.bids]
-    return {
-        ServiceType.SPLITTABLE: sum(offered) >= q_r,
-        ServiceType.NON_SPLITTABLE: bool(offered) and max(offered) >= q_r,
-        ServiceType.PRIVATE: cap in offered,
-    }
 
 
 def solve_wdp(instance: AuctionInstance) -> Optional[Allocation]:

@@ -12,6 +12,9 @@ from avauction import (
     BidSchedule,
     CompiledCase,
     DuplicateBidder,
+    ExperimentConfig,
+    GenerationLaw,
+    InvalidLaw,
     MissingPrice,
     Money,
     NegativeAmount,
@@ -25,6 +28,7 @@ from avauction import (
     ValidationError,
     exclusion_totals,
     money_from_decimal,
+    perturb_bids,
     solve_wdp,
     validate_instance,
     vcg_charges,
@@ -157,6 +161,25 @@ def test_as_fraction_decimal_floats():
     assert as_fraction("0.3") == Fraction(3, 10)
     assert as_fraction(Fraction(4, 5)) == Fraction(4, 5)
     assert as_fraction(2) == Fraction(2)
+
+
+NOT_RATIOS = ["abc", float("nan"), float("inf"), "1/0", None]
+NOT_RATIO_IDS = ["text", "nan", "inf", "zero-denominator", "none"]
+
+
+@pytest.mark.parametrize("value", NOT_RATIOS, ids=NOT_RATIO_IDS)
+def test_a_value_that_is_no_ratio_raises_one_error_class(value, e1):
+    """Every value ``Fraction`` rejects raises ValidationError from
+    ``as_fraction`` and ``perturb_bids``, and InvalidLaw from the law and
+    the study config, where ValueError, ZeroDivisionError or TypeError
+    escaped before."""
+    with pytest.raises(ValidationError, match="not a ratio"):
+        as_fraction(value)
+    with pytest.raises(ValidationError, match="not a ratio"):
+        perturb_bids(e1, {"B"}, value)
+    for build in (lambda: GenerationLaw(seed=1, gamma=value), lambda: ExperimentConfig(gamma=value)):
+        with pytest.raises(InvalidLaw, match=f"gamma must be a ratio, got {re.escape(repr(value))}"):
+            build()
 
 
 class TestValidation:

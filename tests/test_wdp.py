@@ -10,13 +10,13 @@ from avauction import (
     CompiledCase,
     DuplicateBidder,
     GenerationLaw,
+    MissingPrice,
     Money,
     ServiceType,
     UnknownBidder,
     ValidationError,
     case_charges,
     exclusion_totals,
-    feasibility,
     generate_batch,
     money_from_decimal,
     NonConcavePrices,
@@ -115,6 +115,12 @@ class TestTieBreaks:
         assert len(runs) == 1
 
 
+def feasibility(instance):
+    """Each service's ``servable`` answer at the instance's request, as a dict."""
+    case = CompiledCase(instance)
+    return {svc: case.servable(svc, instance.requested_seats) for svc in ServiceType}
+
+
 class TestFeasibility:
     def test_e1_all_three(self, e1):
         assert feasibility(e1) == dict.fromkeys(ServiceType, True)
@@ -134,12 +140,6 @@ class TestFeasibility:
         f = feasibility(inst)
         assert f[ServiceType.SPLITTABLE] and f[ServiceType.NON_SPLITTABLE]
         assert not f[ServiceType.PRIVATE]
-
-    def test_agrees_with_solver(self, e1, e2):
-        for base in (e1, e2):
-            for svc in ServiceType:
-                inst = base.with_service(svc)
-                assert feasibility(inst)[svc] == (solve_wdp(inst) is not None)
 
 
 def test_enumeration_cap():
@@ -192,7 +192,7 @@ def test_raising_capacity_changes_no_answer(instance, extra):
     splittable and nonsplittable requests the same way.  A case compiled
     for every request up to that capacity builds its cover tables only as
     wide as the seats its bids offer."""
-    offered = sum(bid.max_size(instance.capacity) for bid in instance.bids)
+    offered = sum(bid.available_seats for bid in instance.bids)
     for svc in (ServiceType.SPLITTABLE, ServiceType.NON_SPLITTABLE):
         base = instance.with_service(svc)
         raised = AuctionInstance(base.capacity + extra, base.requested_seats, svc, base.bids)
@@ -246,7 +246,7 @@ def _relaxed_multiwin_optimum(instance):
     combinations, capped by its seat availability; splittable coverage only."""
     per_bidder = []
     for bid in instance.bids:
-        top = bid.max_size(instance.capacity)
+        top = bid.available_seats
         sizes = list(range(1, top + 1))
         options = []
         for mask in range(1 << len(sizes)):
@@ -330,6 +330,64 @@ def compiled_cases(draw):
 def test_compiled_case_matches_oracle_on_every_request(drawn):
     bids, capacity = drawn
     _assert_case_matches_oracle(bids, capacity)
+
+
+@settings(deadline=None, max_examples=200)
+@given(compiled_cases(), st.data())
+def test_servable_is_exactly_when_the_oracle_allocates(drawn, data):
+    """``servable`` is the one servability rule: on a case compiled at any
+    width, for every service and every q_r up to that width, it holds
+    exactly when enumeration finds an allocation, and ``solve`` returns
+    None exactly when it does not hold.  The drawn bids include bidders
+    offering 0 seats and cases with no bids at all."""
+    bids, capacity = drawn
+    width = data.draw(st.integers(min_value=1, max_value=capacity), label="width")
+    case = CompiledCase(make_instance(capacity, width, ServiceType.SPLITTABLE, bids))
+    for service in ServiceType:
+        for q in range(1, width + 1):
+            servable = case.servable(service, q)
+            oracle = brute_force_wdp(make_instance(capacity, q, service, bids))
+            assert servable == (oracle is not None), (service, q)
+            assert (case.solve(service, q) is None) == (not servable), (service, q)
+
+
+NINE_SEATS = sched("A", 9, {m: f"0.{m}" for m in range(1, 10)})
+PAIR = sched("B", 2, {1: "0.10", 2: "0.20"})
+
+
+@pytest.mark.parametrize(
+    "instance, expected",
+    [
+        (make_instance(5, 2, ServiceType.SPLITTABLE, [NINE_SEATS]),
+         (SeatBoundViolation, "bidder A: available_seats 9 outside [0, 5]")),
+        (make_instance(5, 2, ServiceType.SPLITTABLE, [PAIR, sched("B", 1, {1: "0.30"})]),
+         (DuplicateBidder, "B")),
+        (make_instance(5, 2, ServiceType.SPLITTABLE, [sched("A", 3, {1: "0.10", 3: "0.30"})]),
+         (MissingPrice, "bidder A: no price for size 2 (must cover 1..3)")),
+        (make_instance(2, 3, ServiceType.SPLITTABLE, [PAIR]),
+         (SeatBoundViolation, "requested_seats 3 outside [1, 2]")),
+    ],
+    ids=["nine-seats-on-five", "duplicate-id", "missing-price", "request-over-capacity"],
+)
+def test_invalid_instances_get_no_servability_answer(instance, expected):
+    """Instances a closed form over the raw bids once called servable
+    (nine declared seats for every service, q_r 3 on a capacity-2 vehicle
+    for private) or answered at all: compiling each raises what validation
+    raises, so none reaches ``servable``."""
+    assert outcome(validate_instance, instance) == expected
+    assert outcome(CompiledCase, instance) == expected
+
+
+@pytest.mark.parametrize(
+    "size", [0, -1, True, 3, 1.0], ids=["zero", "negative", "bool", "past-row", "float"]
+)
+def test_price_rejects_a_size_the_row_does_not_offer(size):
+    """A size outside 1..len(row), or not an int, once read another size's
+    price (0, -1, True) or raised IndexError (3) or TypeError (1.0)."""
+    case = full_case([PAIR], 5)
+    assert [case.price("B", 1), case.price("B", 2)] == [100_000, 200_000]
+    with pytest.raises(OversizedCombination, match=r"bidder B: no size .* in 1\.\.2"):
+        case.price("B", size)
 
 
 @pytest.mark.parametrize(
@@ -426,12 +484,13 @@ ROUGH_REQUESTS = st.one_of(st.integers(-1, 7), st.sampled_from([True, 2.0]))
 def _request_outcomes(case_index, service, q_r):
     """What validation makes of case ``case_index`` asked (service, q_r), and
     what the entry points that take a request on a checked case make of it:
-    a case compiled at full width (``solve``, ``case_charges``) and the batch
-    that assembles the instance."""
+    a case compiled at full width (``servable``, ``solve``, ``case_charges``)
+    and the batch that assembles the instance."""
     case = CompiledCase(REQUEST_BATCH.instance(case_index, ServiceType.SPLITTABLE, 5))
     bids = REQUEST_BATCH.cases[case_index]
     expected = outcome(validate_instance, AuctionInstance(5, q_r, service, bids))
     got = {
+        "servable": outcome(lambda q: case.servable(service, q), q_r),
         "solve": outcome(lambda q: case.solve(service, q), q_r),
         "case_charges": outcome(lambda q: case_charges(case, service, q), q_r),
         "batch": outcome(lambda q: REQUEST_BATCH.instance(case_index, service, q), q_r),
@@ -477,7 +536,7 @@ def test_requests_validation_rejects_are_never_served(entry, service, q_r, expec
     assert validated == expected
     assert got[entry] == expected
     if entry == "solve":
-        assert got["case_charges"] == expected
+        assert got["servable"] == got["case_charges"] == expected
 
 
 @st.composite
