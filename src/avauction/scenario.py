@@ -46,6 +46,10 @@ from .core import (
 # that micro-rounding can never produce a valid price curve).
 MAX_DRAW_ATTEMPTS = 1000
 
+# The most digits gamma's numerator or denominator may have, so that every
+# message and label that renders gamma stays short.
+MAX_GAMMA_DIGITS = 100
+
 
 class InvalidLaw(AuctionError):
     pass
@@ -77,6 +81,10 @@ class GenerationLaw:
             object.__setattr__(self, "gamma", as_fraction(self.gamma))
         except ValidationError:
             raise InvalidLaw(f"gamma must be a ratio, got {self.gamma!r}") from None
+        if max(abs(self.gamma.numerator), self.gamma.denominator) >= 10**MAX_GAMMA_DIGITS:
+            raise InvalidLaw(
+                f"gamma must be a ratio of integers of at most {MAX_GAMMA_DIGITS} digits"
+            )
         if not isinstance(self.cost_law, CostLaw):
             raise InvalidLaw(f"cost_law must be a CostLaw, got {self.cost_law!r}")
         if not (0 < self.gamma <= 1):

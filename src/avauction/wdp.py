@@ -10,12 +10,24 @@ int, cost * (width + 1) + count, whose int order is (cost, count) order; for
 the single-vehicle services the best and second-best price at each size,
 since strictly increasing prices make exactly the requested size optimal.
 
+The splittable tables hold only the rows that can win.  Rank the offers of
+each size m <= W, the table width, by (price, bidder id).  A cover of at
+most W seats with an offer of size m has at most W - m other winners.  If
+that offer is not among the W - m + 1 first, one of those belongs to no
+winner, and swapping it in is cheaper, or as cheap with a smaller sorted
+(bidder_id, size) list.  So the tie-broken optimum uses only the W - m + 1
+first offers of each size.  Excluding a winner frees one place, so the
+W - m + 2 first hold an optimum of every winner's exclusion too.  The tables
+are built over the rows of those offers, in id order: at most W(W + 3)/2
+rows, and every row when K is no larger.
+
 Exclusion totals then need no further dynamic program: the replacement-paths
 idea of Hershberger & Suri ("Vickrey prices and shortest paths", FOCS 2001),
 applied across requests as well as across bidders.  A non-winner's exclusion
 total is the optimum p*, because the chosen allocation stays feasible
-without it; a splittable winner's joins the prefix before it to the suffix
-after it; a single-vehicle winner's is the second-best price at its size.
+without it; a splittable winner's joins the kept rows' prefix before it to
+their suffix after it; a single-vehicle winner's is the second-best price
+at its size.
 ``None`` marks an unservable request; no sentinel price stands in for it.
 
 ``solve_wdp`` and ``exclusion_totals`` are views over a case compiled from
@@ -36,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, zip_longest
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -87,6 +100,28 @@ def _cover_table(rows: Iterable[Sequence[int]], width: int) -> list[list[Optiona
         table.append(cur)
         prev = cur
     return table
+
+
+def _contenders(rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """The indices, ascending, of the rows whose offers can enter a
+    tie-broken optimum of at most ``width`` seats or any winner's exclusion
+    total: at each size m <= width, the width - m + 2 first offers by
+    (price, row), at most width(width + 3)/2 rows in all.  There must be
+    at least width + 1 rows."""
+    # A size a row does not offer reads as one past every price; a row's
+    # last price is its highest.
+    past = 1 + max((row[-1] for row in rows if row), default=0)
+    kept: set[int] = set()
+    for m, column in enumerate(islice(zip_longest(*rows, fillvalue=past), width), 1):
+        n = width - m + 2
+        # The n-th lowest price, or the highest when fewer rows offer m seats.
+        cut = min(sorted(column)[n - 1], past - 1)
+        first = [i for i, price in enumerate(column) if price <= cut]
+        if len(first) > n:  # a tie at the cut goes to the smaller rows
+            below = [i for i in first if column[i] < cut]
+            first = below + [i for i in first if column[i] == cut][: n - len(below)]
+        kept.update(first)
+    return sorted(kept)
 
 
 class CompiledCase:
@@ -164,9 +199,10 @@ class CompiledCase:
         q_r = allocation.seat_total()
         prefix, suffix = self._prefix, self._suffix
         scale = len(suffix[0])
+        ids = self._kept[0]
         totals: dict[str, Optional[int]] = {}
         for bidder_id, _ in allocation.assignments:
-            j = self._row(bidder_id)
+            j = bisect_left(ids, bidder_id)
             best = min(
                 (head + tail for head, tail in zip(prefix[j][: q_r + 1], suffix[j + 1][q_r::-1])
                  if head is not None and tail is not None),
@@ -194,21 +230,31 @@ class CompiledCase:
         return self._single[size]
 
     @cached_property
+    def _kept(self) -> tuple[Sequence[str], Sequence[tuple[int, ...]]]:
+        """The ids and rows, in id order, the cover tables are built over:
+        every row when no more rows than ``_contenders`` can keep."""
+        width = self.cover_width
+        if len(self.rows) <= width * (width + 3) // 2:
+            return self.ids, self.rows
+        kept = _contenders(self.rows, width)
+        return [self.ids[i] for i in kept], [self.rows[i] for i in kept]
+
+    @cached_property
     def _suffix(self) -> list[list[Optional[int]]]:
         """suffix[i][s]: the packed minimal (cost, count) covering exactly s
-        seats with bidders i.. (see ``_cover_table``)."""
-        return _cover_table(reversed(self.rows), self.cover_width)[::-1]
+        seats with the kept rows i.. (see ``_cover_table``)."""
+        return _cover_table(reversed(self._kept[1]), self.cover_width)[::-1]
 
     @cached_property
     def _prefix(self) -> list[list[Optional[int]]]:
         """prefix[j][s]: the packed minimal (cost, count) covering exactly s
-        seats with bidders before j (see ``_cover_table``)."""
-        return _cover_table(self.rows, self.cover_width)
+        seats with the kept rows before j (see ``_cover_table``)."""
+        return _cover_table(self._kept[1], self.cover_width)
 
     def _splittable_optimum(self, q_r: int) -> Allocation:
         # Seat exactness: with strictly increasing prices the optimum covers
         # q_r seats exactly, so the tables target the equality form directly.
-        # Walking the bidders in id order and taking the first (bidder, size)
+        # Walking the kept rows in id order and taking the first (bidder, size)
         # that keeps the optimum reachable yields the tie-broken winner list.
         suffix = self._suffix
         target = suffix[0][q_r]
@@ -216,14 +262,15 @@ class CompiledCase:
         total = target // scale
         assignments: list[tuple[str, int]] = []
         remaining = q_r
-        for i, prices in enumerate(self.rows):
+        ids, rows = self._kept
+        for i, prices in enumerate(rows):
             if not remaining:
                 break
             nxt = suffix[i + 1]
             for m in range(1, min(len(prices), remaining) + 1):
                 rest = nxt[remaining - m]
                 if rest is not None and prices[m - 1] * scale + 1 + rest == target:
-                    assignments.append((self.ids[i], m))
+                    assignments.append((ids[i], m))
                     remaining -= m
                     target = rest
                     break

@@ -1,8 +1,7 @@
-import math
 import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional
 
 import pytest
@@ -81,7 +80,8 @@ class EnumerationCapExceeded(AuctionError):
 
 
 def brute_force_wdp(instance: AuctionInstance) -> Optional[Allocation]:
-    """Independent oracle: enumerate every one-size-or-nothing assignment.
+    """Independent oracle: enumerate every one-size-or-nothing assignment
+    that can be optimal.
 
     It reads the validated instance's own bids, in their given order, not a
     compiled case.  Constraints are applied as literally written for each
@@ -89,39 +89,43 @@ def brute_force_wdp(instance: AuctionInstance) -> Optional[Allocation]:
     (>= q_r, or >= capacity for private) rather than the equality the fast
     solver uses.  Ties break as the engine's do: lowest total, then fewest
     assignments, then the smallest sorted (bidder_id, size) list.
+
+    A single vehicle takes one winner.  A split with more winners than the
+    seats it needs is never optimal: dropping its smallest winner still
+    covers them, at no greater total and with one winner fewer.  So only
+    assignments of at most that many winners are enumerated, which keeps a
+    small request cheap at any K.
     """
     validate_instance(instance)
     options = [
-        [(0, 0)] + [(m, price.micros) for m, price in sorted(bid.prices.items())]
-        for bid in instance.bids
+        [(m, price.micros) for m, price in sorted(bid.prices.items())] for bid in instance.bids
     ]
-    if math.prod(len(o) for o in options) > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(f"search space exceeds cap of {ENUMERATION_CAP} assignments")
     service = instance.service
     need = (
         instance.capacity if service is ServiceType.PRIVATE else instance.requested_seats
     )
-    single = service is not ServiceType.SPLITTABLE
+    most = min(need if service is ServiceType.SPLITTABLE else 1, len(options))
+    ways = [1] + [0] * most  # ways[c]: the assignments of exactly c winners
+    for sizes in options:
+        for count in range(most, 0, -1):
+            ways[count] += ways[count - 1] * len(sizes)
+    if sum(ways) > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"search space exceeds cap of {ENUMERATION_CAP} assignments")
     best_key: Optional[tuple[int, int, tuple[tuple[str, int], ...]]] = None
-    for combo in product(*options):
-        seats = 0
-        total = 0
-        count = 0
-        for m, price in combo:
-            if m:
-                seats += m
-                total += price
-                count += 1
-        if seats < need or (single and count > 1):
-            continue
-        if best_key is not None and (total, count) > best_key[:2]:
-            continue
-        assigns = tuple(sorted(
-            (bid.bidder_id, m) for bid, (m, _) in zip(instance.bids, combo) if m
-        ))
-        key = (total, count, assigns)
-        if best_key is None or key < best_key:
-            best_key = key
+    for count in range(most + 1):
+        for chosen in combinations(range(len(options)), count):
+            for combo in product(*(options[i] for i in chosen)):
+                if sum(m for m, _ in combo) < need:
+                    continue
+                total = sum(price for _, price in combo)
+                if best_key is not None and (total, count) > best_key[:2]:
+                    continue
+                assigns = tuple(sorted(
+                    (instance.bids[i].bidder_id, m) for i, (m, _) in zip(chosen, combo)
+                ))
+                key = (total, count, assigns)
+                if best_key is None or key < best_key:
+                    best_key = key
     if best_key is None:
         return None
     return Allocation(assignments=best_key[2], total_bid=Money(best_key[0]))

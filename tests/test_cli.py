@@ -108,6 +108,22 @@ def test_gen_rejects_bad_gamma(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+HUGE_GAMMA = "validation error: gamma must be a ratio of integers of at most 100 digits\n"
+
+
+@pytest.mark.parametrize("gamma", ["1e-200", "1e-2000", "1e-20000"])
+@pytest.mark.parametrize("command", ["gen", "study"])
+def test_a_gamma_of_too_many_digits_is_refused_in_one_short_line(
+    tmp_path, capsys, command, gamma
+):
+    """Such gammas once printed their 200- or 2,000-digit fraction in the
+    error, or (at 1e-20000) exited 1 with a traceback from rendering it."""
+    argv = ["gen", "--k", "1", "--cases", "1"] if command == "gen" else ["study", "charges"]
+    assert main([*argv, "--gamma", gamma, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", HUGE_GAMMA)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--k", "2,0"], ["--cases", "0"], ["--qr", "6"], ["--qr", "0"], ["--capacity", "0"]],

@@ -43,6 +43,12 @@ class TestGenerationLaw:
             GenerationLaw(seed=1, gamma=Fraction(6, 5))
         GenerationLaw(seed=1, gamma=1)
 
+    def test_gamma_digit_bound(self):
+        GenerationLaw(seed=1, gamma=Fraction(10**99 - 1, 10**99))
+        for gamma in (Fraction(1, 10**100), Fraction(10**100 - 1, 10**100), Fraction(10**100)):
+            with pytest.raises(InvalidLaw, match="^gamma must be a ratio of integers of at most"):
+                GenerationLaw(seed=1, gamma=gamma)
+
     def test_seed_bounds(self):
         with pytest.raises(InvalidLaw):
             GenerationLaw(seed=-1)

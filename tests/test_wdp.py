@@ -1,8 +1,9 @@
 import inspect
 from itertools import product
+from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from avauction import (
     AuctionInstance,
@@ -143,10 +144,11 @@ class TestFeasibility:
 
 
 def test_enumeration_cap():
-    # 9 bidders with 5 sizes each: 6^9 = 10,077,696 assignments, over the cap
-    bids = [sched(f"b{j}", 5, {m: f"0.{m}{j}" for m in range(1, 6)}) for j in range(9)]
-    inst = make_instance(5, 3, ServiceType.SPLITTABLE, bids)
-    assert 6**9 > ENUMERATION_CAP
+    # 20 bidders with 5 sizes each, splitting 5 seats: the 15,504 sets of
+    # five winners alone take 5^5 size choices each, over the cap
+    bids = [sched(f"b{j:02}", 5, {m: f"0.{m}{j:02}" for m in range(1, 6)}) for j in range(20)]
+    inst = make_instance(5, 5, ServiceType.SPLITTABLE, bids)
+    assert comb(20, 5) * 5**5 > ENUMERATION_CAP
     with pytest.raises(EnumerationCapExceeded):
         brute_force_wdp(inst)
 
@@ -588,3 +590,65 @@ def test_packed_cover_property_catches_a_scale_of_width():
     exec(mutated, namespace)
     with pytest.raises(AssertionError):
         packed_cover_property(namespace["_cover_table"])()
+
+
+@st.composite
+def crowded_cases(draw):
+    """10-30 bidders on a vehicle of 1-3 seats, so always more than the
+    width(width + 3)/2 rows the cover tables keep, with prices from a tiny
+    range, so that many offers tie across ids and sizes."""
+    capacity = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=10, max_value=30))
+    bids = []
+    for bidder_id in draw(st.permutations([f"b{j:02}" for j in range(k)])):
+        available = draw(st.integers(min_value=0, max_value=capacity))
+        level = draw(st.integers(min_value=0, max_value=1))
+        prices = {}
+        for m in range(1, available + 1):
+            level += draw(st.integers(min_value=1, max_value=2))
+            prices[m] = Money(level)
+        bids.append(BidSchedule(bidder_id, available, prices))
+    return bids, capacity
+
+
+def crowded_property(phases=tuple(Phase)):
+    """A case of many tied bidders, built over the kept rows only, answers
+    every service and q_r as enumeration does, ties included, and each
+    winner's exclusion total is the enumerated optimum without it."""
+
+    @settings(deadline=None, max_examples=100, database=None, phases=phases)
+    @given(crowded_cases())
+    def check(drawn):
+        bids, capacity = drawn
+        case = full_case(bids, capacity)
+        assert len(case._kept[1]) <= case.cover_width * (case.cover_width + 3) // 2
+        for service in ServiceType:
+            for q in range(1, capacity + 1):
+                instance = make_instance(capacity, q, service, bids)
+                alloc = case.solve(service, q)
+                assert alloc == brute_force_wdp(instance), (service, q)
+                if alloc is None:
+                    continue
+                for bidder_id, total in case.winner_exclusions(service, alloc).items():
+                    without = brute_force_wdp(instance.without_bidder(bidder_id))
+                    assert total == (None if without is None else without.total_bid.micros)
+
+    return check
+
+
+def test_crowded_ties_match_the_oracle():
+    crowded_property()()
+
+
+def test_the_crowded_property_catches_one_kept_offer_fewer_per_size(monkeypatch):
+    """Keeping the width - m + 1 first offers at size m still finds every
+    optimum, but not every winner's exclusion total.  The failure is not
+    shrunk: only that there is one matters here."""
+    source = inspect.getsource(wdp._contenders)
+    mutated = source.replace("width - m + 2", "width - m + 1")
+    assert mutated != source
+    namespace = dict(vars(wdp))
+    exec(mutated, namespace)
+    monkeypatch.setattr(wdp, "_contenders", namespace["_contenders"])
+    with pytest.raises(AssertionError):
+        crowded_property(phases=(Phase.generate,))()
