@@ -16,10 +16,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
-from .core import Money, ServiceType, ValidationError, as_fraction, validate_instance
+from .core import (
+    Money, OversizedRatio, ServiceType, ValidationError, as_fraction, validate_instance,
+)
 from .instance_io import ParseError, read_instance, write_instance
-from .scenario import CostLaw, GenerationLaw, InvalidLaw, generate_batch
-from .studies import STUDY_NAMES, ExperimentConfig, StudyInvariantViolation, run_study
+from .scenario import MAX_GAMMA_DIGITS, CostLaw, GenerationLaw, InvalidLaw, generate_batch
+from .studies import CAPACITY, STUDY_NAMES, ExperimentConfig, StudyInvariantViolation, run_study
 from .vcg import NotServed, vcg_charges
 from .wdp import solve_wdp
 
@@ -40,9 +42,11 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_gamma(text: str) -> Fraction:
+def _parse_gamma(text: str) -> Fraction | str:
     try:
-        return as_fraction(text)
+        return as_fraction(text, MAX_GAMMA_DIGITS)
+    except OversizedRatio:
+        return text  # well formed: GenerationLaw refuses it, exit 65
     except ValidationError:
         raise argparse.ArgumentTypeError(f"bad ratio {text!r}") from None
 
@@ -66,34 +70,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorial-auction pricing for seat requests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    services = [s.value for s in ServiceType]
+    defaults = ExperimentConfig  # the headline protocol
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=20250810, help="RNG seed (u64)")
+        p.add_argument("--seed", type=int, default=defaults.seed, help="RNG seed (u64)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--law", choices=["large", "small"], default="large",
-                       help="unit-cost variation regime")
-        p.add_argument("--gamma", type=_parse_gamma, default=Fraction(4, 5),
+        p.add_argument("--law", choices=[law.value for law in CostLaw],
+                       default=defaults.cost_law.value, help="unit-cost variation regime")
+        p.add_argument("--gamma", type=_parse_gamma, default=defaults.gamma,
                        help="marginal decay ratio in (0, 1], e.g. 0.8 or 4/5")
-        p.add_argument("--cases", type=int, default=100, help="random cases per scenario")
+        p.add_argument("--cases", type=int, default=defaults.cases,
+                       help="random cases per scenario")
         p.add_argument("--k", type=_parse_k_list, default=None,
                        help="comma-separated bidder counts, e.g. 1,5,10,30,50,100")
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("instance", help="instance document path")
-    p_solve.add_argument("--service", choices=[s.value for s in ServiceType],
+    p_solve.add_argument("--service", choices=services,
                          default=None, help="override the file's service type")
 
     p_charge = sub.add_parser("charge", help="compute the full charge report")
     p_charge.add_argument("instance", help="instance document path")
-    p_charge.add_argument("--service", choices=[s.value for s in ServiceType],
+    p_charge.add_argument("--service", choices=services,
                           default=None, help="override the file's service type")
 
     p_gen = sub.add_parser("gen", help="generate random instance files")
     add_common(p_gen)
-    p_gen.add_argument("--service", choices=[s.value for s in ServiceType],
-                       default="splittable")
+    p_gen.add_argument("--service", choices=services, default="splittable")
     p_gen.add_argument("--qr", type=int, default=1, help="requested seats")
-    p_gen.add_argument("--capacity", type=int, default=5)
+    p_gen.add_argument("--capacity", type=int, default=CAPACITY)
 
     p_study = sub.add_parser("study", help="run a study and write its CSV tables")
     p_study.add_argument("name", choices=STUDY_NAMES)
@@ -157,10 +163,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     for batch, batch_instances in zip(batches, instances):
         k = batch.bidder_count
         for i, instance in enumerate(batch_instances):
-            comments = [
-                f"generated: law={law.cost_law.value} gamma={law.gamma} "
-                f"seed={law.seed} K={k} case={i}"
-            ]
+            comments = [f"generated: {batch.case_label(i)}"]
             write_instance(out / f"k{k:03d}-case{i:04d}.txt", instance, comments)
         print(f"wrote {batch.case_count} instance(s) for K={k} under {out}")
     return EXIT_OK

@@ -57,6 +57,10 @@ class NegativeAmount(ValidationError):
     pass
 
 
+class OversizedRatio(ValidationError):
+    pass
+
+
 class UnknownBidder(AuctionError):
     pass
 
@@ -67,16 +71,36 @@ def round_half_up(numerator: Union[int, Fraction], denominator: int = 1) -> int:
     return (2 * numerator + denominator) // (2 * denominator)
 
 
-def as_fraction(value: Union[Fraction, int, str, float]) -> Fraction:
+# A decimal text's exponent as Fraction reads it, after the text's last "e".
+_EXPONENT_RE = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)(\s*)", re.DOTALL)
+
+
+def as_fraction(
+    value: Union[Fraction, int, str, float], max_digits: Optional[int] = None
+) -> Fraction:
     """Coerce a ratio-like value to an exact Fraction, or raise ValidationError.
 
     Floats are interpreted through their shortest decimal repr, so 0.1 means
-    exactly 1/10 rather than the nearest binary double.
+    exactly 1/10 rather than the nearest binary double.  With ``max_digits``,
+    a ratio with more digits in either term raises OversizedRatio; a text
+    scaled by 10^X does so before 10^X is built (seconds at X = 10^7) when
+    |X| > len(text) + max_digits, as a nonzero mantissa's terms are below
+    10^len(text).
     """
     try:
-        return Fraction(str(value) if isinstance(value, float) else value)
+        match = max_digits is not None and isinstance(value, str) and _EXPONENT_RE.fullmatch(value)
+        if match:  # the text at exponent 0 is well formed exactly when the text is
+            mantissa = Fraction(f"{match[1]}e0{match[3]}")
+            if not mantissa:
+                return mantissa
+            if abs(int(match[2])) > len(value) + max_digits:
+                raise OversizedRatio(f"a ratio of more than {max_digits} digits")
+        ratio = Fraction(str(value) if isinstance(value, float) else value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValidationError(f"not a ratio: {value!r}") from None
+    if max_digits is not None and max(abs(ratio.numerator), ratio.denominator) >= 10**max_digits:
+        raise OversizedRatio(f"a ratio of more than {max_digits} digits")
+    return ratio
 
 
 # The bidder ids the instance text format can carry: one whitespace-free token.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -33,6 +33,7 @@ from .core import (
     Money,
     NonConcavePrices,
     NonMonotonePrices,
+    OversizedRatio,
     ServiceType,
     ValidationError,
     _is_int,
@@ -78,13 +79,13 @@ class GenerationLaw:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "gamma", as_fraction(self.gamma))
-        except ValidationError:
-            raise InvalidLaw(f"gamma must be a ratio, got {self.gamma!r}") from None
-        if max(abs(self.gamma.numerator), self.gamma.denominator) >= 10**MAX_GAMMA_DIGITS:
+            object.__setattr__(self, "gamma", as_fraction(self.gamma, MAX_GAMMA_DIGITS))
+        except OversizedRatio:
             raise InvalidLaw(
                 f"gamma must be a ratio of integers of at most {MAX_GAMMA_DIGITS} digits"
-            )
+            ) from None
+        except ValidationError:
+            raise InvalidLaw(f"gamma must be a ratio, got {self.gamma!r}") from None
         if not isinstance(self.cost_law, CostLaw):
             raise InvalidLaw(f"cost_law must be a CostLaw, got {self.cost_law!r}")
         if not (0 < self.gamma <= 1):
@@ -146,17 +147,24 @@ def _draw_schedule(
 
 @dataclass(frozen=True)
 class ScenarioBatch:
-    """Generated bid schedules: one tuple of schedules per random case.
+    """Generated bid schedules: one tuple of schedules per random case, each
+    of ``bidder_count`` bidders.
 
     A case is evaluated at every requested size and service type, so the
     batch stores the schedules and assembles instances on demand.
     """
 
     law: GenerationLaw
-    bidder_count: int
     capacity: int
-    case_count: int
     cases: tuple[tuple[BidSchedule, ...], ...]
+
+    @property
+    def bidder_count(self) -> int:
+        return len(self.cases[0])
+
+    @property
+    def case_count(self) -> int:
+        return len(self.cases)
 
     def instance(self, case: int, service: ServiceType, requested_seats: int) -> AuctionInstance:
         if not (_is_int(case) and 0 <= case < self.case_count):
@@ -179,13 +187,7 @@ class ScenarioBatch:
                 f"head({bidders}, {cases}) outside a batch of {self.case_count} "
                 f"case(s) of {self.bidder_count} bidder(s)"
             )
-        return ScenarioBatch(
-            law=self.law,
-            bidder_count=bidders,
-            capacity=self.capacity,
-            case_count=cases,
-            cases=tuple(schedules[:bidders] for schedules in self.cases[:cases]),
-        )
+        return replace(self, cases=tuple(schedules[:bidders] for schedules in self.cases[:cases]))
 
     def case_label(self, case: int) -> str:
         return (
@@ -216,10 +218,4 @@ def generate_batch(
             stream = rng_stream(law.seed, f"case{case:04d}/bidder{j:04d}")
             schedules.append(_draw_schedule(stream, f"b{j:04d}", capacity, law, sums))
         out.append(tuple(schedules))
-    return ScenarioBatch(
-        law=law,
-        bidder_count=bidders,
-        capacity=capacity,
-        case_count=cases,
-        cases=tuple(out),
-    )
+    return ScenarioBatch(law=law, capacity=capacity, cases=tuple(out))

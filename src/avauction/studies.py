@@ -40,8 +40,6 @@ from .wdp import Allocation, CompiledCase, solve_wdp
 
 SERVICES = (ServiceType.SPLITTABLE, ServiceType.NON_SPLITTABLE, ServiceType.PRIVATE)
 
-DEFAULT_SCENARIO_SIZES = (1, 5, 10, 30, 50, 100)
-
 # Vehicle capacity of every generated case, and so the requested sizes q_r.
 CAPACITY = 5
 QS = tuple(range(1, CAPACITY + 1))
@@ -74,14 +72,14 @@ def _mean_money(total_micros: int, count: int) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """The study settings ``avauction study`` exposes; defaults mirror the
-    headline protocol.  Settings no case generator accepts raise InvalidLaw
-    here, before any study runs."""
+    """The study settings the command line exposes, defaulting to the
+    headline protocol (cost law and gamma are ``GenerationLaw``'s).  Settings
+    no case generator accepts raise InvalidLaw here, before any study runs."""
 
-    scenario_sizes: tuple[int, ...] = DEFAULT_SCENARIO_SIZES
+    scenario_sizes: tuple[int, ...] = (1, 5, 10, 30, 50, 100)
     cases: int = 100
-    cost_law: CostLaw = CostLaw.LARGE_VARIATION
-    gamma: Fraction = Fraction(4, 5)
+    cost_law: CostLaw = GenerationLaw.cost_law
+    gamma: Fraction = GenerationLaw.gamma
     seed: int = 20250810
 
     def __post_init__(self) -> None:
@@ -189,6 +187,12 @@ def _case_reports(
     return reports
 
 
+def _markets(config: ExperimentConfig) -> tuple[int, ...]:
+    """The configured K of two bidders or more: a monopoly's charge is its
+    own bid, so only these show how charges respond to bids."""
+    return tuple(k for k in config.scenario_sizes if k >= 2)
+
+
 def _generate(config: ExperimentConfig, cases: int,
               cost_law: Optional[CostLaw] = None) -> ScenarioBatch:
     """The study's one batch of a law, at the largest K; every K it reads
@@ -257,14 +261,13 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
         "truthfulness_changes",
         ("K", "service", "q_r", "target_fraction", "raise_fraction", "case", "change_of_charge"),
     )
-    if max(config.scenario_sizes) < 2:
+    markets = _markets(config)
+    if not markets:
         return winners_table, changes_table
     runs = min(TRUTHFULNESS_RUNS, config.cases)
     batch = _generate(config, runs)
     truthful_reports = [_case_reports(batch, case) for case in range(runs)]
-    for k in config.scenario_sizes:
-        if k < 2:
-            continue  # the charging rule degenerates to the optimum for a monopoly
+    for k in markets:
         # Only case 0 is used; streams are keyed by (seed, case, bidder), so
         # it is the same case 0 as in a full batch, and at the largest K its
         # reports are already built.
@@ -341,13 +344,12 @@ def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
         "asymptoticity",
         ("K", "service", "q_r", "law", "qualifying_cases", "mean_change_of_payment"),
     )
-    if max(config.scenario_sizes) < 2:
+    markets = _markets(config)
+    if not markets:
         return table
     laws = (CostLaw.LARGE_VARIATION, CostLaw.SMALL_VARIATION)
     full = {law: _generate(config, config.cases, law) for law in laws}
-    for k in config.scenario_sizes:
-        if k < 2:
-            continue
+    for k in markets:
         means: dict[CostLaw, dict[tuple[ServiceType, int], Optional[Fraction]]] = {}
         for law in laws:
             batch = full[law].head(k, config.cases)
@@ -393,13 +395,12 @@ def run_timing_study(config: ExperimentConfig) -> ResultTable:
     literal solve per excluded bidder, ``shared`` is ``vcg_charges`` at its
     defaults, the path every other caller runs."""
     table = ResultTable("timing", ("K", "service", "mode", "cases", "mean_seconds"))
-    if max(config.scenario_sizes) < 2:
+    markets = _markets(config)
+    if not markets:
         return table
     cases = min(TIMING_CASES, config.cases)
     full = _generate(config, cases)
-    for k in config.scenario_sizes:
-        if k < 2:
-            continue
+    for k in markets:
         batch = full.head(k, cases)
         for svc in SERVICES:
             instances = []

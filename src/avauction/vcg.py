@@ -61,22 +61,26 @@ class BidderCharge:
 
 @dataclass(frozen=True)
 class ChargeReport:
-    """One request's charges.
+    """One request's charges; the optimum p* is ``winner_allocation``'s total.
 
     ``listed`` holds, in id order, only the entries that differ from a
     non-winner's (pivotal p*, charge 0); every other bidder of
     ``bidder_ids`` (all bidders, in id order) has that entry.  The shape is
     canonical: two reports with equal other fields are equal exactly when
-    their ``per_bidder`` tuples are.
+    their ``per_bidder`` tuples are.  ``total_charge`` is kept, not derived,
+    for ``charge_identity_holds`` to check.
     """
 
     service: ServiceType
-    optimum: Money
     winner_allocation: Allocation
     listed: tuple[BidderCharge, ...]
     bidder_ids: tuple[str, ...]
     total_charge: Money
     fallback: bool
+
+    @property
+    def optimum(self) -> Money:
+        return self.winner_allocation.total_bid
 
     @property
     def per_bidder(self) -> tuple[BidderCharge, ...]:
@@ -155,7 +159,7 @@ def _report(
     for bidder_id, piv in pivotal.items():
         own = winning_amount.get(bidder_id, 0)
         if piv is None:
-            if own == 0:
+            if bidder_id not in winning_amount:
                 raise AssertionError(
                     f"non-winner {bidder_id} cannot make the request unservable"
                 )
@@ -177,7 +181,6 @@ def _report(
     listed.sort(key=lambda entry: entry.bidder_id)
     return ChargeReport(
         service=service,
-        optimum=allocation.total_bid,
         winner_allocation=allocation,
         listed=tuple(listed),
         bidder_ids=case.ids,

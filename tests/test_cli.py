@@ -1,13 +1,29 @@
 import argparse
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avauction import ServiceType, cli, parse_instance, serialize_instance, validate_instance
+import avauction
+from avauction import (
+    CostLaw,
+    ExperimentConfig,
+    GenerationLaw,
+    ServiceType,
+    cli,
+    generate_batch,
+    parse_instance,
+    serialize_instance,
+    studies,
+    validate_instance,
+)
 from avauction.cli import (
-    EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_UNSERVABLE, EXIT_VALIDATION, main,
+    EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_UNSERVABLE, EXIT_VALIDATION, build_parser, main,
 )
 
 from conftest import make_instance, oracle_off_by_one_micro, sched
@@ -80,6 +96,24 @@ def test_charge_fallback_output(e1_file, capsys):
     assert "bidder A pivotal unservable charge 1.150000" in out
 
 
+def test_a_zero_priced_sole_winner_charges_as_a_fallback(tmp_path, capsys):
+    """Such a document once exited 1 with an AssertionError traceback."""
+    path = tmp_path / "zero.txt"
+    path.write_text(
+        "avauction-instance v1\ncapacity 5\nrequested_seats 1\nservice splittable\n"
+        "bidder A available 1 prices 1:0\n"
+    )
+    assert main(["charge", str(path)]) == EXIT_OK
+    assert capsys.readouterr() == (
+        "service splittable\n"
+        "optimum 0.000000\n"
+        "bidder A pivotal unservable charge 0.000000\n"
+        "total 0.000000\n"
+        "fallback true\n",
+        "",
+    )
+
+
 def test_charge_unservable_exit_code(tmp_path, capsys):
     inst = make_instance(5, 4, ServiceType.PRIVATE, [sched("A", 2, {1: "0.1", 2: "0.2"})])
     path = tmp_path / "np.txt"
@@ -96,11 +130,25 @@ def test_gen_writes_parseable_instances(tmp_path, capsys):
     assert code == EXIT_OK
     files = sorted(out.glob("*.txt"))
     assert len(files) == 4
-    for f in files:
-        inst = validate_instance(parse_instance(f.read_text()))
+    batch = generate_batch(GenerationLaw(seed=11), 3, 5, 4)
+    for i, f in enumerate(files):
+        text = f.read_text()
+        assert f"# generated: {batch.case_label(i)}\n" in text
+        inst = validate_instance(parse_instance(text))
         assert inst.requested_seats == 2
         assert inst.service is ServiceType.NON_SPLITTABLE
         assert len(inst.bids) == 3
+
+
+@pytest.mark.parametrize("argv", [["study", "charges"], ["gen"]])
+def test_the_command_line_defaults_are_the_study_defaults(argv):
+    args = build_parser().parse_args(argv)
+    config = ExperimentConfig()
+    assert (args.seed, CostLaw(args.law), args.gamma, args.cases) == (
+        config.seed, config.cost_law, config.gamma, config.cases,
+    )
+    if argv == ["gen"]:
+        assert args.capacity == studies.CAPACITY
 
 
 def test_gen_rejects_bad_gamma(tmp_path, capsys):
@@ -122,6 +170,30 @@ def test_a_gamma_of_too_many_digits_is_refused_in_one_short_line(
     assert main([*argv, "--gamma", gamma, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert capsys.readouterr() == ("", HUGE_GAMMA)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("gamma, err", [
+    ("1e-10000000", HUGE_GAMMA),
+    ("0e-10000000", "validation error: gamma must lie in (0, 1], got 0\n"),
+])
+@pytest.mark.parametrize("command", [["gen"], ["study", "servability"]])
+def test_a_huge_exponent_gamma_is_refused_before_its_power_of_ten_is_built(
+    tmp_path, command, gamma, err
+):
+    """Such gammas once spent about 13 s building 10^10000000 before the
+    checks refused them; the timeout turns a regression into a failure."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(avauction.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    out = tmp_path / "out"
+    argv = [*command, "--k", "1", "--cases", "1", "--gamma", gamma, "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "avauction.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_VALIDATION, "", err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -181,8 +253,9 @@ def test_truthfulness_writes_negative_changes_vcg_explains(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["charge"], ["study", "charges", "--k", "x"], ["gen", "--law", "medium"], []],
-    ids=["missing-file", "bad-k", "bad-choice", "no-command"],
+    [["charge"], ["study", "charges", "--k", "x"], ["gen", "--law", "medium"], [],
+     ["gen", "--gamma", "abc"]],
+    ids=["missing-file", "bad-k", "bad-choice", "no-command", "bad-gamma"],
 )
 def test_usage_errors_exit_parse_not_unservable(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -33,7 +33,7 @@ from avauction import (
     validate_instance,
     vcg_charges,
 )
-from avauction.core import as_fraction, price_series, round_half_up
+from avauction.core import OversizedRatio, as_fraction, price_series, round_half_up
 
 from conftest import failed, full_case, make_instance, outcome, regex_money_from_decimal, sched
 
@@ -161,6 +161,37 @@ def test_as_fraction_decimal_floats():
     assert as_fraction("0.3") == Fraction(3, 10)
     assert as_fraction(Fraction(4, 5)) == Fraction(4, 5)
     assert as_fraction(2) == Fraction(2)
+
+
+def _bounded_fraction(value, max_digits):
+    """``as_fraction(value, max_digits)`` as built in full: the Fraction,
+    then the digit bound."""
+    ratio = as_fraction(value)
+    if max(abs(ratio.numerator), ratio.denominator) >= 10**max_digits:
+        raise OversizedRatio(f"a ratio of more than {max_digits} digits")
+    return ratio
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.from_regex(r"\A\s?[-+]?[0-9]{0,3}(\.[0-9]{0,3})?(/[0-9]{1,2})?([eE][-+]?[0-9]{1,3}(_[0-9])?)?\s?\Z")
+    | st.text("0123456789.eE+-_/ ", max_size=8),
+    st.integers(1, 5) | st.just(100),
+)
+@example("0.00001e5", 1)
+@example("500e-3", 1)
+@example("1e-103", 100)
+@example("1e-104", 100)
+@example("0e-999", 100)
+@example("1e 5", 100)
+@example("4/5e999", 100)
+def test_a_digit_bound_refuses_what_the_built_fraction_would(text, max_digits):
+    """A decimal exponent far past the bound is refused before its power of
+    ten is built, with the outcome of building it: the same ratio, the same
+    refusal, and "not a ratio" for every malformed text."""
+    assert outcome(lambda t: as_fraction(t, max_digits), text) == outcome(
+        lambda t: _bounded_fraction(t, max_digits), text
+    )
 
 
 NOT_RATIOS = ["abc", float("nan"), float("inf"), "1/0", None]

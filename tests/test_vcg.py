@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from avauction import (
     BidSchedule,
@@ -28,7 +29,7 @@ from avauction import (
 
 from avauction import vcg
 
-from conftest import full_report, make_instance, sched
+from conftest import full_report, make_instance, sched, small_instances
 
 
 def charges_by_id(report):
@@ -343,3 +344,54 @@ def test_charge_of_reads_listed_then_bidder_ids(e2):
     assert report.charge_of("C") == Money(0)
     with pytest.raises(UnknownBidder):
         report.charge_of("Z")
+
+
+ZERO_PRICED_WINNERS = {
+    # A sole bidder at 0: its exclusion leaves no supply.
+    "sole": (
+        make_instance(5, 1, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0"})]),
+        {"A": None}, {"A": 0},
+    ),
+    # A and B split 2 seats at 0; without B, A cannot cover them.
+    "co-winner": (
+        make_instance(5, 2, ServiceType.SPLITTABLE,
+                      [sched("A", 1, {1: "0"}), sched("B", 2, {1: "0", 2: "1"})]),
+        {"A": 1_000_000, "B": None}, {"A": 1_000_000, "B": 0},
+    ),
+    # A one-seat vehicle hired whole from its only bidder.
+    "private": (
+        make_instance(1, 1, ServiceType.PRIVATE, [sched("A", 1, {1: "0"})]),
+        {"A": None}, {"A": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_PRICED_WINNERS)
+def test_a_winner_bidding_0_whose_exclusion_is_unservable_is_a_fallback(name):
+    """A bidder won because the allocation holds it, not because it bid
+    more than 0: such a report once raised an AssertionError."""
+    instance, pivotals, charges = ZERO_PRICED_WINNERS[name]
+    report = vcg_charges(instance)
+    assert report.optimum == Money(0)
+    assert pivotals_by_id(report) == pivotals
+    assert charges_by_id(report) == charges
+    assert report.fallback and report.total_charge == Money(0)
+    assert report == vcg_charges(instance, independent_solves=True)
+    fields, full, _ = _lean_and_full(CompiledCase(instance), instance,
+                                     vcg._independent_pivotals(instance))
+    assert fields == full
+
+
+@settings(deadline=None)
+@given(small_instances())
+def test_engine_and_literal_solves_agree_when_prices_may_be_0(instance):
+    """The engine's report equals the literal per-bidder solves' and the
+    one-entry-per-bidder report, on instances whose bidders may bid 0."""
+    if solve_wdp(instance) is None:
+        return
+    report = vcg_charges(instance)
+    assert report == vcg_charges(instance, independent_solves=True)
+    case = CompiledCase(instance)
+    pivotal = case.winner_exclusions(instance.service, report.winner_allocation)
+    fields, full, _ = _lean_and_full(case, instance, pivotal)
+    assert fields == full

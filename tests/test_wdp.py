@@ -40,6 +40,7 @@ from conftest import (
     make_instance,
     outcome,
     sched,
+    small_instances,
     tuple_cover_table,
 )
 
@@ -151,31 +152,6 @@ def test_enumeration_cap():
     assert comb(20, 5) * 5**5 > ENUMERATION_CAP
     with pytest.raises(EnumerationCapExceeded):
         brute_force_wdp(inst)
-
-
-@st.composite
-def small_instances(draw, max_bidders=4, capacity=5):
-    k = draw(st.integers(min_value=1, max_value=max_bidders))
-    # ids in a drawn order, so bid order and id order disagree
-    ids = draw(st.permutations([f"b{j}" for j in range(k)]))
-    bids = []
-    for bidder_id in ids:
-        available = draw(st.integers(min_value=0, max_value=capacity))
-        top = min(available, capacity)
-        increments = draw(
-            st.lists(st.integers(min_value=1, max_value=500_000), min_size=top, max_size=top)
-        )
-        prices, level = {}, 0
-        for m, inc in enumerate(increments, start=1):
-            level += inc
-            prices[m] = Money(level)
-        bids.append(BidSchedule(bidder_id, available, prices))
-    return AuctionInstance(
-        capacity=capacity,
-        requested_seats=draw(st.integers(min_value=1, max_value=capacity)),
-        service=draw(st.sampled_from(list(ServiceType))),
-        bids=tuple(bids),
-    )
 
 
 @settings(deadline=None)
