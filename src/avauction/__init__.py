@@ -5,8 +5,6 @@ seat requests, settles strategy-proof pivotal charges, and replays the
 accompanying Monte-Carlo studies deterministically from a seed.
 """
 
-import types
-
 from .core import (
     AuctionError,
     AuctionInstance,
@@ -70,8 +68,18 @@ from .wdp import (
 
 __version__ = "0.1.0"
 
-# Every public name imported above; the submodules stay out.
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, types.ModuleType)
-)
+__all__ = [
+    "Allocation", "AuctionError", "AuctionInstance", "BidSchedule", "BidderCharge",
+    "ChargeReport", "CompiledCase", "CostLaw", "DuplicateBidder", "ExperimentConfig",
+    "FallbackReport", "GenerationLaw", "InvalidLaw", "MissingPrice", "MissingValuation",
+    "Money", "NegativeAmount", "NonConcavePrices", "NonMonotonePrices", "NotServed",
+    "OversizedCombination", "ParseError", "PrecisionLoss", "ResultTable",
+    "ScenarioBatch", "SeatBoundViolation", "ServiceType", "StudyInvariantViolation",
+    "UnknownBidder", "ValidationError", "ZeroBaseline", "bidder_utility",
+    "case_charges", "change_of_charge", "change_of_payment", "charge_identity_holds",
+    "exclusion_totals", "generate_batch", "money_from_decimal", "parse_instance",
+    "perturb_bids", "read_instance", "rng_stream", "run_asymptoticity_study",
+    "run_charge_study", "run_servability_study", "run_study", "run_timing_study",
+    "run_truthfulness_study", "serialize_instance", "solve_wdp", "validate_instance",
+    "vcg_charges", "write_instance",
+]

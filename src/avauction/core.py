@@ -73,6 +73,7 @@ def round_half_up(numerator: Union[int, Fraction], denominator: int = 1) -> int:
 
 # A decimal text's exponent as Fraction reads it, after the text's last "e".
 _EXPONENT_RE = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)(\s*)", re.DOTALL)
+_DIGIT_RE = re.compile(r"\d")
 
 
 def as_fraction(
@@ -89,8 +90,8 @@ def as_fraction(
     """
     try:
         match = max_digits is not None and isinstance(value, str) and _EXPONENT_RE.fullmatch(value)
-        if match:  # the text at exponent 0 is well formed exactly when the text is
-            mantissa = Fraction(f"{match[1]}e0{match[3]}")
+        if match:  # zeroing the exponent's digits keeps the text well formed or not
+            mantissa = Fraction(match[1] + "e" + _DIGIT_RE.sub("0", match[2]) + match[3])
             if not mantissa:
                 return mantissa
             if abs(int(match[2])) > len(value) + max_digits:

@@ -158,6 +158,10 @@ class ScenarioBatch:
     capacity: int
     cases: tuple[tuple[BidSchedule, ...], ...]
 
+    def __post_init__(self) -> None:
+        if len({len(schedules) for schedules in self.cases}) != 1:
+            raise InvalidLaw("a batch needs at least one case, all of one bidder count")
+
     @property
     def bidder_count(self) -> int:
         return len(self.cases[0])

@@ -3,6 +3,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +34,7 @@ from avauction import (
     validate_instance,
     vcg_charges,
 )
+from avauction import core
 from avauction.core import OversizedRatio, as_fraction, price_series, round_half_up
 
 from conftest import failed, full_case, make_instance, outcome, regex_money_from_decimal, sched
@@ -172,12 +174,16 @@ def _bounded_fraction(value, max_digits):
     return ratio
 
 
+RATIO_TEXTS = st.from_regex(
+    r"\A\s?[-+]?[0-9]{0,3}(\.[0-9]{0,3})?(/[0-9]{1,2})?([eE][-+]?[0-9]{1,3}(_[0-9])?)?\s?\Z"
+) | st.text("0123456789.eE+-_/ ", max_size=8)
+DIGIT_BOUNDS = st.integers(1, 5) | st.just(100)
+
+
 @settings(deadline=None, max_examples=300)
-@given(
-    st.from_regex(r"\A\s?[-+]?[0-9]{0,3}(\.[0-9]{0,3})?(/[0-9]{1,2})?([eE][-+]?[0-9]{1,3}(_[0-9])?)?\s?\Z")
-    | st.text("0123456789.eE+-_/ ", max_size=8),
-    st.integers(1, 5) | st.just(100),
-)
+@given(RATIO_TEXTS, DIGIT_BOUNDS)
+@example("1e99_9", 1)
+@example("0e1_0", 1)
 @example("0.00001e5", 1)
 @example("500e-3", 1)
 @example("1e-103", 100)
@@ -192,6 +198,29 @@ def test_a_digit_bound_refuses_what_the_built_fraction_would(text, max_digits):
     assert outcome(lambda t: as_fraction(t, max_digits), text) == outcome(
         lambda t: _bounded_fraction(t, max_digits), text
     )
+
+
+class _FractionWithoutUnderscores(Fraction):
+    """Fraction as Python 3.10 reads a text: a "_" anywhere is refused."""
+
+    def __new__(cls, numerator=0, denominator=None, **kwargs):
+        if isinstance(numerator, str) and "_" in numerator:
+            raise ValueError(f"Invalid literal for Fraction: {numerator!r}")
+        return super().__new__(cls, numerator, denominator, **kwargs)
+
+
+@settings(deadline=None, max_examples=100)
+@given(RATIO_TEXTS, DIGIT_BOUNDS)
+@example("1e99_9", 1)
+@example("0e1_0", 1)
+def test_a_digit_bound_follows_the_grammar_of_the_running_fraction(text, max_digits):
+    """The early refusal reads a text as the running Python's Fraction
+    does, so under a grammar with no "_" an exponent with one is still "not
+    a ratio", never an oversized ratio or 0."""
+    with mock.patch.object(core, "Fraction", _FractionWithoutUnderscores):
+        assert outcome(lambda t: as_fraction(t, max_digits), text) == outcome(
+            lambda t: _bounded_fraction(t, max_digits), text
+        )
 
 
 NOT_RATIOS = ["abc", float("nan"), float("inf"), "1/0", None]

@@ -7,6 +7,7 @@ from avauction import (
     CostLaw,
     GenerationLaw,
     InvalidLaw,
+    ScenarioBatch,
     ServiceType,
     generate_batch,
     rng_stream,
@@ -188,6 +189,14 @@ def test_head_is_the_batch_generated_at_that_size(cost_law, seed, sizes, counts)
     assert (head.bidder_count, head.case_count) == (k, n)
     assert head.digest() == direct.digest()
     assert [head.case_label(i) for i in range(n)] == [direct.case_label(i) for i in range(n)]
+
+
+@pytest.mark.parametrize("drop", [None, 1], ids=["no-cases", "ragged"])
+def test_a_batch_without_cases_or_of_mixed_bidder_counts_is_refused(drop):
+    batch = generate_batch(GenerationLaw(seed=1), 3, 5, 2)
+    cases = () if drop is None else (batch.cases[0], batch.cases[1][:-drop])
+    with pytest.raises(InvalidLaw, match="^a batch needs at least one case, all of one bidder count$"):
+        ScenarioBatch(law=batch.law, capacity=batch.capacity, cases=cases)
 
 
 @pytest.mark.parametrize(
