@@ -74,7 +74,8 @@ def _mean_money(total_micros: int, count: int) -> str:
 class ExperimentConfig:
     """The study settings the command line exposes, defaulting to the
     headline protocol (cost law and gamma are ``GenerationLaw``'s).  Settings
-    no case generator accepts raise InvalidLaw here, before any study runs."""
+    no case generator accepts, and a bidder count given twice, raise
+    InvalidLaw here, before any study runs."""
 
     scenario_sizes: tuple[int, ...] = (1, 5, 10, 30, 50, 100)
     cases: int = 100
@@ -85,6 +86,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.scenario_sizes or not all(_is_int(k) and k >= 1 for k in self.scenario_sizes):
             raise InvalidLaw("scenario_sizes must be non-empty, all ints of at least 1")
+        if len(set(self.scenario_sizes)) != len(self.scenario_sizes):
+            raise InvalidLaw("scenario_sizes must not repeat a bidder count")
         if not (_is_int(self.cases) and self.cases >= 1):
             raise InvalidLaw("cases must be an int of at least 1")
         self.gamma = self.law().gamma
@@ -379,9 +382,10 @@ def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def time_charge(instance, repeats: int, independent_solves: bool = True) -> float:
-    """Best-of-``repeats`` wall time of one full charge computation: by
-    default the literal per-bidder exclusion solves, else the shared pass."""
+def time_charge(instance, repeats: int, independent_solves: bool) -> float:
+    """Best-of-``repeats`` wall time of one full charge computation: the
+    literal per-bidder exclusion solves if ``independent_solves``, else the
+    shared pass."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()

@@ -76,11 +76,15 @@ class ChargeReport:
     listed: tuple[BidderCharge, ...]
     bidder_ids: tuple[str, ...]
     total_charge: Money
-    fallback: bool
 
     @property
     def optimum(self) -> Money:
         return self.winner_allocation.total_bid
+
+    @property
+    def fallback(self) -> bool:
+        """Whether a winner's exclusion is unservable (its entry is listed)."""
+        return any(entry.pivotal is None for entry in self.listed)
 
     @property
     def per_bidder(self) -> tuple[BidderCharge, ...]:
@@ -154,7 +158,6 @@ def _report(
         bidder_id: case.price(bidder_id, size) for bidder_id, size in allocation.assignments
     }
     listed: list[BidderCharge] = []
-    fallback = False
     total = 0
     for bidder_id, piv in pivotal.items():
         own = winning_amount.get(bidder_id, 0)
@@ -163,7 +166,6 @@ def _report(
                 raise AssertionError(
                     f"non-winner {bidder_id} cannot make the request unservable"
                 )
-            fallback = True
             charge = own
         else:
             charge = piv - (p_star - own)
@@ -184,8 +186,7 @@ def _report(
         winner_allocation=allocation,
         listed=tuple(listed),
         bidder_ids=case.ids,
-        total_charge=Money(p_star if fallback else total),
-        fallback=fallback,
+        total_charge=Money(p_star if None in pivotal.values() else total),
     )
 
 

@@ -7,8 +7,10 @@ request or the seats the rows offer, whichever is smaller:
 for splittable requests the minimal (cost, count) covers of each seat count
 by the bidders after i (suffix) and before j (prefix), each packed into one
 int, cost * (width + 1) + count, whose int order is (cost, count) order; for
-the single-vehicle services the best and second-best price at each size,
-since strictly increasing prices make exactly the requested size optimal.
+the single-vehicle services the two first offers of each size, since
+strictly increasing prices make exactly the requested size optimal.  One
+ranking of each size's offers by (price, bidder id), ``_first_offers``,
+gives those two and the rows the splittable tables keep.
 
 The splittable tables hold only the rows that can win.  Rank the offers of
 each size m <= W, the table width, by (price, bidder id).  A cover of at
@@ -26,8 +28,8 @@ idea of Hershberger & Suri ("Vickrey prices and shortest paths", FOCS 2001),
 applied across requests as well as across bidders.  A non-winner's exclusion
 total is the optimum p*, because the chosen allocation stays feasible
 without it; a splittable winner's joins the kept rows' prefix before it to
-their suffix after it; a single-vehicle winner's is the second-best price
-at its size.
+their suffix after it; a single-vehicle winner's is the second offer of
+its size.
 ``None`` marks an unservable request; no sentinel price stands in for it.
 
 ``solve_wdp`` and ``exclusion_totals`` are views over a case compiled from
@@ -48,7 +50,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, zip_longest
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -102,25 +103,23 @@ def _cover_table(rows: Iterable[Sequence[int]], width: int) -> list[list[Optiona
     return table
 
 
+def _first_offers(rows: Sequence[Sequence[int]], size: int, n: int) -> list[tuple[int, int]]:
+    """The n first (price, row) pairs, ascending, among the rows that offer
+    exactly ``size`` seats, or all of them when fewer do.  Each offer is
+    ranked packed into one int, price * len(rows) + row, whose int order is
+    (price, row) order since row < len(rows): a tie in price goes to the
+    smaller row, which is the smaller bidder id."""
+    scale = len(rows)
+    packed = [prices[size - 1] * scale + i for i, prices in enumerate(rows) if len(prices) >= size]
+    return [divmod(offer, scale) for offer in sorted(packed)[:n]]
+
+
 def _contenders(rows: Sequence[Sequence[int]], width: int) -> list[int]:
     """The indices, ascending, of the rows whose offers can enter a
     tie-broken optimum of at most ``width`` seats or any winner's exclusion
-    total: at each size m <= width, the width - m + 2 first offers by
-    (price, row), at most width(width + 3)/2 rows in all.  There must be
-    at least width + 1 rows."""
-    # A size a row does not offer reads as one past every price; a row's
-    # last price is its highest.
-    past = 1 + max((row[-1] for row in rows if row), default=0)
-    kept: set[int] = set()
-    for m, column in enumerate(islice(zip_longest(*rows, fillvalue=past), width), 1):
-        n = width - m + 2
-        # The n-th lowest price, or the highest when fewer rows offer m seats.
-        cut = min(sorted(column)[n - 1], past - 1)
-        first = [i for i, price in enumerate(column) if price <= cut]
-        if len(first) > n:  # a tie at the cut goes to the smaller rows
-            below = [i for i in first if column[i] < cut]
-            first = below + [i for i in first if column[i] == cut][: n - len(below)]
-        kept.update(first)
+    total: at each size m <= width, the width - m + 2 first offers, at most
+    width(width + 3)/2 rows in all."""
+    kept = {i for m in range(1, width + 1) for _, i in _first_offers(rows, m, width - m + 2)}
     return sorted(kept)
 
 
@@ -148,7 +147,7 @@ class CompiledCase:
         # The cover tables' width: no cover holds more seats than are offered.
         self.cover_width = min(self.width, sum(map(len, self.rows)))
         self.longest = max(map(len, self.rows), default=0)
-        self._single: dict[int, tuple[Optional[int], Optional[int], Optional[int]]] = {}
+        self._single: dict[int, list[tuple[int, int]]] = {}
 
     def _row(self, bidder_id: str) -> int:
         i = bisect_left(self.ids, bidder_id)
@@ -181,8 +180,8 @@ class CompiledCase:
         if service is ServiceType.SPLITTABLE:
             return self._splittable_optimum(requested_seats)
         size = requested_seats if service is ServiceType.NON_SPLITTABLE else self.capacity
-        best, best_row, _ = self._single_vehicle(size)
-        return Allocation(assignments=((self.ids[best_row], size),), total_bid=Money(best))
+        best, row = self._single_vehicle(size)[0]
+        return Allocation(assignments=((self.ids[row], size),), total_bid=Money(best))
 
     def winner_exclusions(
         self, service: ServiceType, allocation: Allocation
@@ -193,7 +192,8 @@ class CompiledCase:
         bidder's exclusion total is ``allocation.total_bid``."""
         if service is not ServiceType.SPLITTABLE:
             ((bidder_id, size),) = allocation.assignments
-            return {bidder_id: self._single_vehicle(size)[2]}
+            offers = self._single_vehicle(size)
+            return {bidder_id: offers[1][0] if len(offers) == 2 else None}
         # The counts of a joined pair add up to at most q_r <= width, so the
         # least packed sum floor-divides to the least cost exactly.
         q_r = allocation.seat_total()
@@ -211,23 +211,13 @@ class CompiledCase:
             totals[bidder_id] = None if best is None else best // scale
         return totals
 
-    def _single_vehicle(self, size: int) -> tuple[Optional[int], Optional[int], Optional[int]]:
-        """(best price, its row, second-best price) among offers of exactly
-        ``size`` seats; ties go to the smaller bidder id, and the second-best
-        price then equals the best."""
-        cached = self._single.get(size)
-        if cached is not None:
-            return cached
-        best = best_row = second = None
-        for i, prices in enumerate(self.rows):
-            if len(prices) >= size:
-                price = prices[size - 1]
-                if best is None or price < best:
-                    second, best, best_row = best, price, i
-                elif second is None or price < second:
-                    second = price
-        self._single[size] = (best, best_row, second)
-        return self._single[size]
+    def _single_vehicle(self, size: int) -> list[tuple[int, int]]:
+        """The best and second-best (price, row) among offers of exactly
+        ``size`` seats (``_first_offers``), fewer when fewer rows offer it."""
+        offers = self._single.get(size)
+        if offers is None:
+            offers = self._single[size] = _first_offers(self.rows, size, 2)
+        return offers
 
     @cached_property
     def _kept(self) -> tuple[Sequence[str], Sequence[tuple[int, ...]]]:

@@ -491,7 +491,7 @@ def test_criterion_11_timing():
         ]
         instances = [inst for inst in instances if solve_wdp(inst) is not None]
         per_k_instances[k] = instances
-        times = [time_charge(inst, repeats=3) for inst in instances]
+        times = [time_charge(inst, repeats=3, independent_solves=True) for inst in instances]
         means[k] = sum(times) / len(times)
     xs = [math.log(k) for k in sizes]
     ys = [math.log(means[k]) for k in sizes]
@@ -499,7 +499,9 @@ def test_criterion_11_timing():
     slope = (n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)) / (
         n * sum(x * x for x in xs) - sum(xs) ** 2
     )
-    sequential = sum(time_charge(inst, repeats=5) for inst in per_k_instances[100])
+    sequential = sum(
+        time_charge(inst, repeats=5, independent_solves=True) for inst in per_k_instances[100]
+    )
     shared = sum(
         time_charge(inst, repeats=5, independent_solves=False) for inst in per_k_instances[100]
     )

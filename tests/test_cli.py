@@ -293,14 +293,17 @@ def test_unreadable_file_is_parse_error(tmp_path, capsys, kind):
         # K=1 is skipped by the studies, so only building the config sees the seed
         ["study", "timing", "--k", "1", "--seed", "-1"],
         ["study", "asymptoticity", "--k", "1", "--gamma", "5"],
+        # a bidder count given twice would write each of its rows twice
+        ["study", "asymptoticity", "--k", "2,2", "--cases", "1"],
     ],
-    ids=["cases-0", "k-0", "seed-negative", "gamma-above-1"],
+    ids=["cases-0", "k-0", "seed-negative", "gamma-above-1", "k-repeated"],
 )
 def test_bad_study_settings_are_validation_errors(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and len(err.splitlines()) == 1
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "charge"])

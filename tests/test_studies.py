@@ -42,6 +42,9 @@ def test_config_validation():
     # checked when the config is built, not when a study first generates
     with pytest.raises(InvalidLaw):
         ExperimentConfig(scenario_sizes=(1,), seed=-1)
+    # a bidder count given twice would write each of its rows twice
+    with pytest.raises(InvalidLaw, match="repeat"):
+        ExperimentConfig(scenario_sizes=(2, 5, 2))
     # every count and the seed must be an int, never a float, bool or string
     for bad in (dict(cases=1.5), dict(cases=True), dict(cases="7"),
                 dict(scenario_sizes=(1.5,)), dict(scenario_sizes=(5, True)),

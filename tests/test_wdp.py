@@ -1,4 +1,5 @@
 import inspect
+import textwrap
 from itertools import product
 from math import comb
 
@@ -626,5 +627,35 @@ def test_the_crowded_property_catches_one_kept_offer_fewer_per_size(monkeypatch)
     namespace = dict(vars(wdp))
     exec(mutated, namespace)
     monkeypatch.setattr(wdp, "_contenders", namespace["_contenders"])
+    with pytest.raises(AssertionError):
+        crowded_property(phases=(Phase.generate,))()
+
+
+def test_the_crowded_property_catches_ties_ranked_to_the_larger_row(monkeypatch):
+    """Ranking the offers of one size by (price, -row) hands every tie in
+    price to the larger bidder id, in the kept rows and the single-vehicle
+    best alike."""
+    first_offers = wdp._first_offers
+
+    def larger_row_first(rows, size, n):
+        last = len(rows) - 1
+        return [(price, last - i) for price, i in first_offers(rows[::-1], size, n)]
+
+    monkeypatch.setattr(wdp, "_first_offers", larger_row_first)
+    with pytest.raises(AssertionError):
+        crowded_property(phases=(Phase.generate,))()
+
+
+def test_the_crowded_property_catches_a_single_vehicle_read_of_one_offer(monkeypatch):
+    """Reading only the first offer of the requested size still finds every
+    single-vehicle optimum, but loses the second-best price that is its
+    winner's exclusion total."""
+    source = textwrap.dedent(inspect.getsource(wdp.CompiledCase._single_vehicle))
+    mutated = source.replace("_first_offers(self.rows, size, 2)",
+                             "_first_offers(self.rows, size, 1)")
+    assert mutated != source
+    namespace = dict(vars(wdp))
+    exec(mutated, namespace)
+    monkeypatch.setattr(wdp.CompiledCase, "_single_vehicle", namespace["_single_vehicle"])
     with pytest.raises(AssertionError):
         crowded_property(phases=(Phase.generate,))()
