@@ -20,7 +20,7 @@ from .core import (
     Money, OversizedRatio, ServiceType, ValidationError, as_fraction, validate_instance,
 )
 from .instance_io import ParseError, read_instance, write_instance
-from .scenario import MAX_GAMMA_DIGITS, CostLaw, GenerationLaw, InvalidLaw, generate_batch
+from .scenario import MAX_GAMMA_DIGITS, CostLaw, InvalidLaw, generate_batch
 from .studies import CAPACITY, STUDY_NAMES, ExperimentConfig, StudyInvariantViolation, run_study
 from .vcg import NotServed, vcg_charges
 from .wdp import solve_wdp
@@ -151,12 +151,26 @@ def cmd_charge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _config(args: argparse.Namespace, default_sizes: tuple[int, ...]) -> ExperimentConfig:
+    """The settings ``gen`` and ``study`` share, checked by the study config."""
+    return ExperimentConfig(
+        scenario_sizes=args.k or default_sizes,
+        cases=args.cases,
+        cost_law=CostLaw(args.law),
+        gamma=args.gamma,
+        seed=args.seed,
+    )
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    law = GenerationLaw(seed=args.seed, cost_law=CostLaw(args.law), gamma=args.gamma)
+    config = _config(args, (5,))
     service = ServiceType(args.service)
     # Generate and assemble everything before anything is written, so a bad
     # setting leaves no output directory behind.
-    batches = [generate_batch(law, k, args.capacity, args.cases) for k in args.k or (5,)]
+    batches = [
+        generate_batch(config.law(), k, args.capacity, config.cases)
+        for k in config.scenario_sizes
+    ]
     instances = [[b.instance(i, service, args.qr) for i in range(b.case_count)] for b in batches]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,13 +184,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        scenario_sizes=args.k or ExperimentConfig.scenario_sizes,
-        cases=args.cases,
-        cost_law=CostLaw(args.law),
-        gamma=args.gamma,
-        seed=args.seed,
-    )
+    config = _config(args, ExperimentConfig.scenario_sizes)
     for table in run_study(args.name, config):
         path = table.write_csv(args.out)
         print(f"wrote {path}")

@@ -157,6 +157,8 @@ class ScenarioBatch:
     law: GenerationLaw
     capacity: int
     cases: tuple[tuple[BidSchedule, ...], ...]
+    # Case i of the batch is case first_case + i of the law's draw.
+    first_case: int = 0
 
     def __post_init__(self) -> None:
         if len({len(schedules) for schedules in self.cases}) != 1:
@@ -196,7 +198,7 @@ class ScenarioBatch:
     def case_label(self, case: int) -> str:
         return (
             f"seed={self.law.seed} law={self.law.cost_law.value} "
-            f"gamma={self.law.gamma} K={self.bidder_count} case={case}"
+            f"gamma={self.law.gamma} K={self.bidder_count} case={self.first_case + case}"
         )
 
     def digest(self) -> str:
@@ -209,17 +211,21 @@ class ScenarioBatch:
 
 
 def generate_batch(
-    law: GenerationLaw, bidders: int, capacity: int, cases: int
+    law: GenerationLaw, bidders: int, capacity: int, cases: int, first_case: int = 0
 ) -> ScenarioBatch:
-    """Draw ``cases`` independent cases of ``bidders`` schedules each."""
+    """Draw ``cases`` independent cases of ``bidders`` schedules each,
+    starting at case ``first_case``: since streams are keyed by (case,
+    bidder), that is the same slice of any batch that draws those cases."""
     if not all(_is_int(n) and n >= 1 for n in (bidders, capacity, cases)):
         raise InvalidLaw("bidders, capacity, and cases must all be ints of at least 1")
+    if not (_is_int(first_case) and first_case >= 0):
+        raise InvalidLaw(f"first_case must be an int of at least 0, got {first_case!r}")
     sums = _geometric_sums(law.gamma, capacity)
     out = []
-    for case in range(cases):
+    for case in range(first_case, first_case + cases):
         schedules = []
         for j in range(bidders):
             stream = rng_stream(law.seed, f"case{case:04d}/bidder{j:04d}")
             schedules.append(_draw_schedule(stream, f"b{j:04d}", capacity, law, sums))
         out.append(tuple(schedules))
-    return ScenarioBatch(law=law, capacity=capacity, cases=tuple(out))
+    return ScenarioBatch(law=law, capacity=capacity, cases=tuple(out), first_case=first_case)

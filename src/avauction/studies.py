@@ -13,13 +13,23 @@ aborts with the offending case seed.  Each study draws one batch per cost
 law, at the largest configured K, and reads every K as a ``head`` of it.
 All tables except timing are byte-identical across runs with the same
 config: aggregation uses exact rationals, never floats.
+
+Servability, charges and asymptoticity split their cases into contiguous
+ranges, one per CPU the process may run on and at most one per case.  Each
+range draws only its own cases in a forked process and returns its exact
+counts and sums, which are added in range order; with one range it runs in
+this process.  So their tables do not depend on the number of ranges, and
+a failure raises what one loop over every case would raise first.
+Truthfulness and timing run in this process.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Optional, Union
@@ -72,8 +82,9 @@ def _mean_money(total_micros: int, count: int) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """The study settings the command line exposes, defaulting to the
-    headline protocol (cost law and gamma are ``GenerationLaw``'s).  Settings
+    """The study settings the command line exposes (``gen`` checks its
+    shared settings here too), defaulting to the headline protocol (cost
+    law and gamma are ``GenerationLaw``'s).  Settings
     no case generator accepts, and a bidder count given twice, raise
     InvalidLaw here, before any study runs."""
 
@@ -196,38 +207,125 @@ def _markets(config: ExperimentConfig) -> tuple[int, ...]:
     return tuple(k for k in config.scenario_sizes if k >= 2)
 
 
-def _generate(config: ExperimentConfig, cases: int,
+def _generate(config: ExperimentConfig, cases: range,
               cost_law: Optional[CostLaw] = None) -> ScenarioBatch:
-    """The study's one batch of a law, at the largest K; every K it reads
-    is a ``head`` of it."""
-    return generate_batch(config.law(cost_law), max(config.scenario_sizes), CAPACITY, cases)
+    """The study's batch of a law over ``cases``, at the largest K; every
+    K it reads is a ``head`` of it."""
+    return generate_batch(
+        config.law(cost_law), max(config.scenario_sizes), CAPACITY, len(cases), cases.start
+    )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _range_blocks(blocks, config: ExperimentConfig, laws: tuple, cases: range):
+    """Draw ``cases`` of each law and run ``blocks`` over those batches.
+
+    Returns what it made, with the exception that stopped it or ``None``:
+    a ``None`` item once every batch is drawn, then each finished block.
+    """
+    made: list = []
+    try:
+        batches = [_generate(config, cases, law) for law in laws]
+        made.append(None)
+        for block in blocks(config, *batches):
+            made.append(block)
+    except Exception as exc:
+        return made, exc
+    return made, None
+
+
+def _forked(run, ranges: list[range]) -> list:
+    """``run`` of each range, each in a process forked from this one.
+
+    A bare fork and pipe per range: a process pool's imports, queues and
+    threads cost about 25 ms more a study, a tenth of servability's time.
+    """
+    import pickle
+
+    children = []
+    for cases in ranges:
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child sends its result and leaves, running no exit handler
+            status = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as sink:
+                    pickle.dump(run(cases), sink)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        children.append((pid, read))
+    sent = []
+    for pid, read in children:
+        with open(read, "rb") as source:
+            sent.append((source.read(), os.waitpid(pid, 0)[1]))
+    for data, status in sent:
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"the process of a case range exited with {code}")
+    return [pickle.loads(data) for data, _ in sent]
+
+
+def _merged_blocks(blocks, config: ExperimentConfig, laws: tuple = (None,)):
+    """Yield each block of ``blocks``, summed cell by cell over contiguous
+    case ranges, in the order one loop over all cases makes them.
+
+    ``blocks(config, *batches)`` yields, per block, a dict from each
+    request to a list of exact counts and sums.  Each range runs in a
+    forked process, one range per usable CPU and at most one per case, or
+    in this process when there is one range, so nothing is drawn here.
+    Where ranges fail, this raises what the one loop would raise first:
+    drawing comes before every block, and within a block case ranges go
+    in order.
+    """
+    workers = min(_usable_cpus(), config.cases)
+    bounds = [config.cases * r // workers for r in range(workers + 1)]
+    ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    run = partial(_range_blocks, blocks, config, laws)
+    results = [run(ranges[0])] if workers == 1 else _forked(run, ranges)
+    # The first range to stop the earliest, the one loop's first failure.
+    failed = min(((len(made), exc) for made, exc in results if exc is not None),
+                 key=lambda failure: failure[0], default=None)
+    for b in range(1, len(results[0][0]) if failed is None else failed[0]):
+        yield {
+            request: [sum(column) for column in zip(*(made[b][request] for made, _ in results))]
+            for request in REQUESTS
+        }
+    if failed is not None:
+        raise failed[1]
+
+
+def _servability_blocks(config: ExperimentConfig, full: ScenarioBatch):
+    for k in config.scenario_sizes:
+        batch = full.head(k, full.case_count)
+        counts = {request: [0] for request in REQUESTS}
+        for i in range(batch.case_count):
+            case = CompiledCase(batch.instance(i, ServiceType.SPLITTABLE, CAPACITY))
+            for request in REQUESTS:
+                counts[request][0] += not case.servable(*request)
+        yield counts
 
 
 def run_servability_study(config: ExperimentConfig) -> ResultTable:
     """Count unservable cases per (K, service, requested size)."""
     table = ResultTable("servability", ("K", "service", "q_r", "cases", "unservable"))
-    full = _generate(config, config.cases)
-    for k in config.scenario_sizes:
-        batch = full.head(k, config.cases)
-        counts = dict.fromkeys(REQUESTS, 0)
-        for i in range(batch.case_count):
-            case = CompiledCase(batch.instance(i, ServiceType.SPLITTABLE, CAPACITY))
-            for request in REQUESTS:
-                counts[request] += not case.servable(*request)
+    for k, counts in zip(config.scenario_sizes, _merged_blocks(_servability_blocks, config)):
         for svc, q in REQUESTS:
-            table.add(k, svc, q, batch.case_count, counts[(svc, q)])
+            table.add(k, svc, q, config.cases, counts[(svc, q)][0])
     return table
 
 
-def run_charge_study(config: ExperimentConfig) -> ResultTable:
-    """Mean charging-rule total and mean optimal total per (K, service, q_r)."""
-    table = ResultTable(
-        "charges",
-        ("K", "service", "q_r", "servable_cases", "mean_total_charge", "mean_optimal"),
-    )
-    full = _generate(config, config.cases)
+def _charge_blocks(config: ExperimentConfig, full: ScenarioBatch):
     for k in config.scenario_sizes:
-        batch = full.head(k, config.cases)
+        batch = full.head(k, full.case_count)
         acc = {request: [0, 0, 0] for request in REQUESTS}
         for i in range(batch.case_count):
             for request, report in _case_reports(batch, i).items():
@@ -236,6 +334,16 @@ def run_charge_study(config: ExperimentConfig) -> ResultTable:
                     cell[0] += 1
                     cell[1] += report.total_charge.micros
                     cell[2] += report.optimum.micros
+        yield acc
+
+
+def run_charge_study(config: ExperimentConfig) -> ResultTable:
+    """Mean charging-rule total and mean optimal total per (K, service, q_r)."""
+    table = ResultTable(
+        "charges",
+        ("K", "service", "q_r", "servable_cases", "mean_total_charge", "mean_optimal"),
+    )
+    for k, acc in zip(config.scenario_sizes, _merged_blocks(_charge_blocks, config)):
         for (svc, q), (count, charge_sum, opt_sum) in acc.items():
             if count:
                 table.add(k, svc, q, count,
@@ -268,7 +376,7 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
     if not markets:
         return winners_table, changes_table
     runs = min(TRUTHFULNESS_RUNS, config.cases)
-    batch = _generate(config, runs)
+    batch = _generate(config, range(runs))
     truthful_reports = [_case_reports(batch, case) for case in range(runs)]
     for k in markets:
         # Only case 0 is used; streams are keyed by (seed, case, bidder), so
@@ -340,6 +448,23 @@ def _check_negative_change(instance, perturbed, report: ChargeReport, targets: l
         _check(gain <= 0, label, f"{message}: {bidder_id} gains {gain} micros by raising alone")
 
 
+def _asymptoticity_blocks(config: ExperimentConfig, *fulls: ScenarioBatch):
+    for k in _markets(config):
+        for full in fulls:
+            batch = full.head(k, full.case_count)
+            sums = {request: [0, Fraction(0)] for request in REQUESTS}
+            for i in range(batch.case_count):
+                for request, report in _case_reports(batch, i).items():
+                    if report is None or report.fallback:
+                        continue
+                    cop = change_of_payment(report)
+                    _check(cop >= 0, batch.case_label(i), f"negative change of payment {cop}")
+                    cell = sums[request]
+                    cell[0] += 1
+                    cell[1] += cop
+            yield sums
+
+
 def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
     """Mean change of payment per (K, service, q_r) under both bid-variation
     regimes, with the paired small < large comparison enforced per cell."""
@@ -351,21 +476,11 @@ def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
     if not markets:
         return table
     laws = (CostLaw.LARGE_VARIATION, CostLaw.SMALL_VARIATION)
-    full = {law: _generate(config, config.cases, law) for law in laws}
+    merged = _merged_blocks(_asymptoticity_blocks, config, laws)
     for k in markets:
         means: dict[CostLaw, dict[tuple[ServiceType, int], Optional[Fraction]]] = {}
         for law in laws:
-            batch = full[law].head(k, config.cases)
-            sums = {request: [0, Fraction(0)] for request in REQUESTS}
-            for i in range(batch.case_count):
-                for request, report in _case_reports(batch, i).items():
-                    if report is None or report.fallback:
-                        continue
-                    cop = change_of_payment(report)
-                    _check(cop >= 0, batch.case_label(i), f"negative change of payment {cop}")
-                    cell = sums[request]
-                    cell[0] += 1
-                    cell[1] += cop
+            sums = next(merged)
             means[law] = {}
             for (svc, q), (count, total) in sums.items():
                 mean = means[law][(svc, q)] = total / count if count else None
@@ -403,7 +518,7 @@ def run_timing_study(config: ExperimentConfig) -> ResultTable:
     if not markets:
         return table
     cases = min(TIMING_CASES, config.cases)
-    full = _generate(config, cases)
+    full = _generate(config, range(cases))
     for k in markets:
         batch = full.head(k, cases)
         for svc in SERVICES:

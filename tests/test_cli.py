@@ -209,6 +209,17 @@ def test_gen_checks_every_setting_before_writing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["gen"], ["study", "charges"]])
+def test_a_repeated_bidder_count_is_refused_alike_by_gen_and_study(tmp_path, capsys, command):
+    """``gen --k 2,2`` once wrote the K = 2 batch twice and exited 0."""
+    out = tmp_path / "d"
+    assert main([*command, "--k", "2,2", "--cases", "1", "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr() == (
+        "", "validation error: scenario_sizes must not repeat a bidder count\n"
+    )
+    assert not out.exists()
+
+
 def test_study_servability_cli(tmp_path, capsys):
     code = main([
         "study", "servability", "--k", "1,4", "--cases", "6",

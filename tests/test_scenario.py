@@ -191,6 +191,30 @@ def test_head_is_the_batch_generated_at_that_size(cost_law, seed, sizes, counts)
     assert [head.case_label(i) for i in range(n)] == [direct.case_label(i) for i in range(n)]
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    bidders=st.integers(1, 6),
+    span=st.integers(0, 5).flatmap(lambda first: st.tuples(st.just(first), st.integers(1, 4))),
+)
+def test_a_batch_from_a_first_case_is_that_slice_of_the_full_batch(seed, bidders, span):
+    first, n = span
+    law = GenerationLaw(seed=seed)
+    full = generate_batch(law, bidders, 5, first + n)
+    part = generate_batch(law, bidders, 5, n, first_case=first)
+    assert part.cases == full.cases[first:]
+    assert [part.case_label(i) for i in range(n)] == [
+        full.case_label(first + i) for i in range(n)
+    ]
+    assert part.head(bidders, n).case_label(n - 1).endswith(f" case={first + n - 1}")
+
+
+@pytest.mark.parametrize("first", [-1, 1.0, True, "1"])
+def test_the_first_case_must_be_an_int_of_at_least_0(first):
+    with pytest.raises(InvalidLaw, match="first_case"):
+        generate_batch(GenerationLaw(seed=1), 2, 5, 1, first_case=first)
+
+
 @pytest.mark.parametrize("drop", [None, 1], ids=["no-cases", "ragged"])
 def test_a_batch_without_cases_or_of_mixed_bidder_counts_is_refused(drop):
     batch = generate_batch(GenerationLaw(seed=1), 3, 5, 2)

@@ -1,10 +1,12 @@
 import hashlib
+import os
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from avauction import (
+    CostLaw,
     ExperimentConfig,
     InvalidLaw,
     Money,
@@ -195,7 +197,9 @@ def test_study_tables_match_golden_digests():
 
 def test_each_drawn_schedule_is_checked_once(monkeypatch):
     """The generator checks each schedule it draws; every compile after that,
-    at every K, reads the series the schedule keeps."""
+    at every K, reads the series the schedule keeps.  The lists fill in the
+    process that draws, so the whole study runs here at one worker, and
+    then each range of a three-worker split runs here on its own."""
     checked = []
     full_check = core._checked_series
 
@@ -212,7 +216,118 @@ def test_each_drawn_schedule_is_checked_once(monkeypatch):
 
     monkeypatch.setattr(core, "_checked_series", counting)
     monkeypatch.setattr(scenario, "_draw_schedule", recording)
-    run_charge_study(ExperimentConfig(scenario_sizes=(5, 30), cases=20))
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)
+    cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)
+    run_charge_study(cfg)
     assert len(drawn) == 30 * 20
     assert len(checked) == len(drawn)
     assert {id(s) for s in checked} == {id(s) for s in drawn}
+
+    for cases in (range(0, 6), range(6, 13), range(13, 20)):
+        drawn.clear()
+        checked.clear()
+        made, failure = studies._range_blocks(studies._charge_blocks, cfg, (None,), cases)
+        assert failure is None and len(made) == 1 + len(cfg.scenario_sizes)
+        assert len(drawn) == 30 * len(cases)
+        assert len(checked) == len(drawn)
+        assert {id(s) for s in checked} == {id(s) for s in drawn}
+
+
+RANGED = {
+    "servability": run_servability_study,
+    "charges": run_charge_study,
+    "asymptoticity": run_asymptoticity_study,
+}
+
+
+def _at_workers(monkeypatch, workers, run, cfg):
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: workers)
+    return run(cfg)
+
+
+@pytest.mark.parametrize("name", RANGED)
+def test_ranged_tables_do_not_depend_on_the_worker_count(monkeypatch, name):
+    run = RANGED[name]
+    for cfg in (ExperimentConfig(scenario_sizes=(1, 5, 30), cases=7, seed=11),
+                ExperimentConfig(scenario_sizes=(3, 8), cases=2, seed=12)):
+        texts = {
+            workers: _at_workers(monkeypatch, workers, run, cfg).csv_text()
+            for workers in (1, 2, 3)
+        }
+        assert texts[2] == texts[1] and texts[3] == texts[1]
+
+
+def test_the_worker_count_is_one_per_cpu_and_at_most_one_per_case(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    cfg = ExperimentConfig(scenario_sizes=(4,), cases=2)
+    expected = _at_workers(monkeypatch, 1, run_servability_study, cfg).csv_text()
+    assert forks == []  # one worker runs in this process
+    assert _at_workers(monkeypatch, 3, run_servability_study, cfg).csv_text() == expected
+    assert len(forks) == 2
+
+
+def test_a_range_whose_process_dies_fails_the_study(monkeypatch):
+    monkeypatch.setattr(studies, "_range_blocks", lambda *args: os._exit(3))
+    with pytest.raises(ChildProcessError, match="exited with 3$"):
+        _at_workers(monkeypatch, 2, run_charge_study, ExperimentConfig(scenario_sizes=(2,), cases=2))
+
+
+def _planted(monkeypatch, faults):
+    """Make ``_case_reports`` raise at each (K, absolute case) of ``faults``."""
+    original = studies._case_reports
+
+    def faulty(batch, i):
+        fault = faults.get((batch.bidder_count, batch.first_case + i))
+        if fault is not None:
+            raise fault(f"planted [{batch.case_label(i)}]")
+        return original(batch, i)
+
+    monkeypatch.setattr(studies, "_case_reports", faulty)
+
+
+@pytest.mark.parametrize("name", ["charges", "asymptoticity"])
+@pytest.mark.parametrize("first", [StudyInvariantViolation, AssertionError])
+def test_ranged_studies_raise_what_one_worker_raises_first(monkeypatch, name, first):
+    """Faults in the first and last of three ranges: the later case at the
+    smaller K is the one a single loop over K, then case, meets first."""
+    run = RANGED[name]
+    cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)
+    _planted(monkeypatch, {(30, 3): StudyInvariantViolation, (5, 15): first})
+    raised = {}
+    for workers in (1, 3):
+        with pytest.raises(first) as info:
+            _at_workers(monkeypatch, workers, run, cfg)
+        raised[workers] = str(info.value)
+    assert raised[3] == raised[1]
+    assert raised[1].endswith(" K=5 case=15]")
+
+
+def test_asymptoticity_compares_the_laws_of_a_k_before_later_cases(monkeypatch):
+    """The small < large check of K = 5 fails before a fault at K = 30, at
+    any worker count: small-law cases are scored on their large-law bids."""
+    original = studies._case_reports
+
+    def large_bids(batch, i):
+        if batch.law.cost_law is CostLaw.SMALL_VARIATION and batch.bidder_count == 5:
+            law = replace(batch.law, cost_law=CostLaw.LARGE_VARIATION)
+            batch = scenario.generate_batch(law, 5, batch.capacity, batch.case_count,
+                                            batch.first_case)
+        return original(batch, i)
+
+    monkeypatch.setattr(studies, "_case_reports", large_bids)
+    _planted(monkeypatch, {(30, 3): StudyInvariantViolation})
+    cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)
+    raised = {}
+    for workers in (1, 3):
+        with pytest.raises(StudyInvariantViolation) as info:
+            _at_workers(monkeypatch, workers, run_asymptoticity_study, cfg)
+        raised[workers] = str(info.value)
+    assert raised[3] == raised[1]
+    assert "not below large-variation mean" in raised[1] and " K=5 " in raised[1]
