@@ -14,13 +14,15 @@ law, at the largest configured K, and reads every K as a ``head`` of it.
 All tables except timing are byte-identical across runs with the same
 config: aggregation uses exact rationals, never floats.
 
-Servability, charges and asymptoticity split their cases into contiguous
-ranges, one per CPU the process may run on and at most one per case.  Each
-range draws only its own cases in a forked process and returns its exact
-counts and sums, which are added in range order; with one range it runs in
-this process.  So their tables do not depend on the number of ranges, and
-a failure raises what one loop over every case would raise first.
-Truthfulness and timing run in this process.
+Servability, charges and asymptoticity each give only a per-case score, a
+dict from each request to a tuple of exact counts and sums, and their table
+rows.  One driver, ``_tally``, owns the rest: it splits the cases into
+contiguous ranges, one per CPU the process may run on and at most one per
+case; each range draws only its own cases in a forked process and returns
+its summed scores, which are added in range order; with one range it runs
+in this process.  So their tables do not depend on the number of ranges,
+and a failure raises what one loop over every case would raise first.
+Truthfulness and timing run their own loops in this process.
 """
 
 from __future__ import annotations
@@ -223,21 +225,31 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _range_blocks(blocks, config: ExperimentConfig, laws: tuple, cases: range):
-    """Draw ``cases`` of each law and run ``blocks`` over those batches.
+def _range_sums(score, config: ExperimentConfig, ks: tuple, laws: tuple, cases: range):
+    """Draw ``cases`` of each law, then sum ``score`` over them at each K
+    of ``ks`` and then each law, one block per (K, law).
 
     Returns what it made, with the exception that stopped it or ``None``:
     a ``None`` item once every batch is drawn, then each finished block.
     """
     made: list = []
     try:
-        batches = [_generate(config, cases, law) for law in laws]
+        fulls = [_generate(config, cases, law) for law in laws]
         made.append(None)
-        for block in blocks(config, *batches):
-            made.append(block)
+        for k in ks:
+            for full in fulls:
+                batch = full.head(k, full.case_count)
+                made.append(_summed(score(batch, i) for i in range(batch.case_count)))
     except Exception as exc:
         return made, exc
     return made, None
+
+
+def _summed(parts) -> dict:
+    """Add dicts from each request to a tuple of exact counts and sums."""
+    parts = list(parts)
+    return {request: tuple(map(sum, zip(*(part[request] for part in parts))))
+            for request in REQUESTS}
 
 
 def _forked(run, ranges: list[range]) -> list:
@@ -245,24 +257,39 @@ def _forked(run, ranges: list[range]) -> list:
 
     A bare fork and pipe per range: a process pool's imports, queues and
     threads cost about 25 ms more a study, a tenth of servability's time.
+    If a fork fails, the ranges already started are stopped and reaped,
+    every pipe end is closed, and the fork's error is raised.
     """
     import pickle
+    import signal
 
     children = []
-    for cases in ranges:
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # the child sends its result and leaves, running no exit handler
-            status = 1
+    try:
+        for cases in ranges:
+            read, write = os.pipe()
             try:
+                pid = os.fork()
+                if pid == 0:  # the child sends its result and leaves, running no exit handler
+                    status = 1
+                    try:
+                        os.close(read)
+                        with open(write, "wb") as sink:
+                            pickle.dump(run(cases), sink)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            except OSError:
                 os.close(read)
-                with open(write, "wb") as sink:
-                    pickle.dump(run(cases), sink)
-                status = 0
+                raise
             finally:
-                os._exit(status)
-        os.close(write)
-        children.append((pid, read))
+                os.close(write)
+            children.append((pid, read))
+    except OSError:
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
     sent = []
     for pid, read in children:
         with open(read, "rb") as source:
@@ -274,67 +301,47 @@ def _forked(run, ranges: list[range]) -> list:
     return [pickle.loads(data) for data, _ in sent]
 
 
-def _merged_blocks(blocks, config: ExperimentConfig, laws: tuple = (None,)):
-    """Yield each block of ``blocks``, summed cell by cell over contiguous
-    case ranges, in the order one loop over all cases makes them.
+def _tally(score, config: ExperimentConfig, ks: tuple, laws: tuple = (None,)):
+    """Yield ``score(batch, i)`` summed over every case, at each K of ``ks``
+    and then each law, in the order one loop over all cases makes them.
 
-    ``blocks(config, *batches)`` yields, per block, a dict from each
-    request to a list of exact counts and sums.  Each range runs in a
-    forked process, one range per usable CPU and at most one per case, or
-    in this process when there is one range, so nothing is drawn here.
-    Where ranges fail, this raises what the one loop would raise first:
-    drawing comes before every block, and within a block case ranges go
-    in order.
+    Each range runs ``_range_sums``, so nothing is drawn here.  Where
+    ranges fail, this raises what the one loop would raise first: drawing
+    comes before every block, and within a block case ranges go in order.
     """
     workers = min(_usable_cpus(), config.cases)
     bounds = [config.cases * r // workers for r in range(workers + 1)]
     ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    run = partial(_range_blocks, blocks, config, laws)
+    run = partial(_range_sums, score, config, ks, laws)
     results = [run(ranges[0])] if workers == 1 else _forked(run, ranges)
     # The first range to stop the earliest, the one loop's first failure.
     failed = min(((len(made), exc) for made, exc in results if exc is not None),
                  key=lambda failure: failure[0], default=None)
     for b in range(1, len(results[0][0]) if failed is None else failed[0]):
-        yield {
-            request: [sum(column) for column in zip(*(made[b][request] for made, _ in results))]
-            for request in REQUESTS
-        }
+        yield _summed(made[b] for made, _ in results)
     if failed is not None:
         raise failed[1]
 
 
-def _servability_blocks(config: ExperimentConfig, full: ScenarioBatch):
-    for k in config.scenario_sizes:
-        batch = full.head(k, full.case_count)
-        counts = {request: [0] for request in REQUESTS}
-        for i in range(batch.case_count):
-            case = CompiledCase(batch.instance(i, ServiceType.SPLITTABLE, CAPACITY))
-            for request in REQUESTS:
-                counts[request][0] += not case.servable(*request)
-        yield counts
+def _unservable(batch: ScenarioBatch, i: int) -> dict:
+    case = CompiledCase(batch.instance(i, ServiceType.SPLITTABLE, CAPACITY))
+    return {request: (not case.servable(*request),) for request in REQUESTS}
 
 
 def run_servability_study(config: ExperimentConfig) -> ResultTable:
     """Count unservable cases per (K, service, requested size)."""
     table = ResultTable("servability", ("K", "service", "q_r", "cases", "unservable"))
-    for k, counts in zip(config.scenario_sizes, _merged_blocks(_servability_blocks, config)):
+    sizes = config.scenario_sizes
+    for k, counts in zip(sizes, _tally(_unservable, config, sizes)):
         for svc, q in REQUESTS:
             table.add(k, svc, q, config.cases, counts[(svc, q)][0])
     return table
 
 
-def _charge_blocks(config: ExperimentConfig, full: ScenarioBatch):
-    for k in config.scenario_sizes:
-        batch = full.head(k, full.case_count)
-        acc = {request: [0, 0, 0] for request in REQUESTS}
-        for i in range(batch.case_count):
-            for request, report in _case_reports(batch, i).items():
-                if report is not None:
-                    cell = acc[request]
-                    cell[0] += 1
-                    cell[1] += report.total_charge.micros
-                    cell[2] += report.optimum.micros
-        yield acc
+def _charge_sums(batch: ScenarioBatch, i: int) -> dict:
+    return {request: (0, 0, 0) if report is None
+            else (1, report.total_charge.micros, report.optimum.micros)
+            for request, report in _case_reports(batch, i).items()}
 
 
 def run_charge_study(config: ExperimentConfig) -> ResultTable:
@@ -343,13 +350,10 @@ def run_charge_study(config: ExperimentConfig) -> ResultTable:
         "charges",
         ("K", "service", "q_r", "servable_cases", "mean_total_charge", "mean_optimal"),
     )
-    for k, acc in zip(config.scenario_sizes, _merged_blocks(_charge_blocks, config)):
-        for (svc, q), (count, charge_sum, opt_sum) in acc.items():
-            if count:
-                table.add(k, svc, q, count,
-                          _mean_money(charge_sum, count), _mean_money(opt_sum, count))
-            else:
-                table.add(k, svc, q, 0, "", "")
+    sizes = config.scenario_sizes
+    for k, sums in zip(sizes, _tally(_charge_sums, config, sizes)):
+        for (svc, q), (count, *totals) in sums.items():
+            table.add(k, svc, q, count, *(_mean_money(t, count) if count else "" for t in totals))
     return table
 
 
@@ -448,21 +452,14 @@ def _check_negative_change(instance, perturbed, report: ChargeReport, targets: l
         _check(gain <= 0, label, f"{message}: {bidder_id} gains {gain} micros by raising alone")
 
 
-def _asymptoticity_blocks(config: ExperimentConfig, *fulls: ScenarioBatch):
-    for k in _markets(config):
-        for full in fulls:
-            batch = full.head(k, full.case_count)
-            sums = {request: [0, Fraction(0)] for request in REQUESTS}
-            for i in range(batch.case_count):
-                for request, report in _case_reports(batch, i).items():
-                    if report is None or report.fallback:
-                        continue
-                    cop = change_of_payment(report)
-                    _check(cop >= 0, batch.case_label(i), f"negative change of payment {cop}")
-                    cell = sums[request]
-                    cell[0] += 1
-                    cell[1] += cop
-            yield sums
+def _payment_changes(batch: ScenarioBatch, i: int) -> dict:
+    changes = dict.fromkeys(REQUESTS, (0, 0))
+    for request, report in _case_reports(batch, i).items():
+        if report is not None and not report.fallback:
+            cop = change_of_payment(report)
+            _check(cop >= 0, batch.case_label(i), f"negative change of payment {cop}")
+            changes[request] = (1, cop)
+    return changes
 
 
 def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
@@ -476,7 +473,7 @@ def run_asymptoticity_study(config: ExperimentConfig) -> ResultTable:
     if not markets:
         return table
     laws = (CostLaw.LARGE_VARIATION, CostLaw.SMALL_VARIATION)
-    merged = _merged_blocks(_asymptoticity_blocks, config, laws)
+    merged = _tally(_payment_changes, config, markets, laws)
     for k in markets:
         means: dict[CostLaw, dict[tuple[ServiceType, int], Optional[Fraction]]] = {}
         for law in laws:

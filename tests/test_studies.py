@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 from dataclasses import replace
@@ -226,7 +227,8 @@ def test_each_drawn_schedule_is_checked_once(monkeypatch):
     for cases in (range(0, 6), range(6, 13), range(13, 20)):
         drawn.clear()
         checked.clear()
-        made, failure = studies._range_blocks(studies._charge_blocks, cfg, (None,), cases)
+        made, failure = studies._range_sums(studies._charge_sums, cfg, cfg.scenario_sizes,
+                                            (None,), cases)
         assert failure is None and len(made) == 1 + len(cfg.scenario_sizes)
         assert len(drawn) == 30 * len(cases)
         assert len(checked) == len(drawn)
@@ -274,9 +276,32 @@ def test_the_worker_count_is_one_per_cpu_and_at_most_one_per_case(monkeypatch):
 
 
 def test_a_range_whose_process_dies_fails_the_study(monkeypatch):
-    monkeypatch.setattr(studies, "_range_blocks", lambda *args: os._exit(3))
+    monkeypatch.setattr(studies, "_range_sums", lambda *args: os._exit(3))
     with pytest.raises(ChildProcessError, match="exited with 3$"):
         _at_workers(monkeypatch, 2, run_charge_study, ExperimentConfig(scenario_sizes=(2,), cases=2))
+
+
+def test_a_fork_that_fails_leaves_no_process_or_pipe_behind(monkeypatch):
+    """The second of three forks fails: the one range started is stopped and
+    reaped, every pipe end is closed, and the fork's error is raised."""
+    forks = []
+    fork = os.fork
+
+    def refusing_the_second():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", refusing_the_second)
+    open_before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        _at_workers(monkeypatch, 3, run_servability_study,
+                    ExperimentConfig(scenario_sizes=(4,), cases=3))
+    assert len(forks) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == open_before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _planted(monkeypatch, faults):
@@ -307,6 +332,25 @@ def test_ranged_studies_raise_what_one_worker_raises_first(monkeypatch, name, fi
         raised[workers] = str(info.value)
     assert raised[3] == raised[1]
     assert raised[1].endswith(" K=5 case=15]")
+
+
+def test_a_range_that_fails_to_draw_wins_over_an_earlier_block(monkeypatch):
+    """One loop draws every case before its first block, so a range that
+    cannot draw its cases fails before a fault in an earlier range's first
+    block, at any worker count."""
+    original = studies._generate
+
+    def refusing(config, cases, cost_law=None):
+        if 15 in cases:
+            raise InvalidLaw("cannot draw case 15")
+        return original(config, cases, cost_law)
+
+    monkeypatch.setattr(studies, "_generate", refusing)
+    _planted(monkeypatch, {(5, 0): StudyInvariantViolation})
+    cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)
+    for workers in (1, 3):
+        with pytest.raises(InvalidLaw, match="case 15$"):
+            _at_workers(monkeypatch, workers, run_charge_study, cfg)
 
 
 def test_asymptoticity_compares_the_laws_of_a_k_before_later_cases(monkeypatch):
