@@ -8,7 +8,7 @@ instead of float tolerances.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
@@ -123,14 +123,33 @@ class Money:
 
     def to_decimal(self) -> str:
         """Render with exactly six fractional digits (lossless round trip)."""
-        return f"{self.micros // MICROS_PER_UNIT}.{self.micros % MICROS_PER_UNIT:06d}"
+        return micros_to_decimal(self.micros)
 
     def __str__(self) -> str:
         return self.to_decimal()
 
 
-def money_from_decimal(text: str) -> Money:
-    """Parse a non-negative decimal string with at most 6 fractional digits.
+# ``str`` refuses an int of more than ``sys.get_int_max_str_digits()``
+# digits (4300 unless set, never below 640), so a longer whole part is
+# rendered in blocks of this many digits.
+_BLOCK_DIGITS = 600
+_BLOCK = 10**_BLOCK_DIGITS
+
+
+def micros_to_decimal(micros: int) -> str:
+    """The one money renderer: non-negative micros with exactly six
+    fractional digits, exact at any size."""
+    whole, frac = divmod(micros, MICROS_PER_UNIT)
+    blocks = []
+    while whole >= _BLOCK:
+        whole, block = divmod(whole, _BLOCK)
+        blocks.append(f"{block:0{_BLOCK_DIGITS}d}")
+    return f"{whole}{''.join(reversed(blocks))}.{frac:06d}"
+
+
+def micros_from_decimal(text: str) -> int:
+    """The one money grammar: a non-negative decimal string with at most 6
+    fractional digits, in micros.
 
     The grammar is digits with an optional fraction (``12``, ``12.``,
     ``12.5``) or a bare fraction (``.5``); a digit is any character
@@ -143,10 +162,15 @@ def money_from_decimal(text: str) -> Money:
     if (whole.isdecimal() or not whole and frac) and (not frac or frac.isdecimal()):
         if len(frac) > 6:
             raise PrecisionLoss(f"{text!r} has more than 6 fractional digits")
-        return Money(int(whole or "0") * MICROS_PER_UNIT + int(frac.ljust(6, "0")))
+        return int(whole or "0") * MICROS_PER_UNIT + int(frac.ljust(6, "0"))
     if text.startswith("-"):
         raise NegativeAmount(f"negative money literal {text!r}")
     raise ValidationError(f"not a decimal money literal: {text!r}")
+
+
+def money_from_decimal(text: str) -> Money:
+    """``micros_from_decimal``'s amount as Money."""
+    return Money(micros_from_decimal(text))
 
 
 class ServiceType(Enum):
@@ -165,26 +189,78 @@ class ServiceType(Enum):
 
 
 @dataclass(frozen=True, slots=True)
+class _NotMoney:
+    """A price given to ``BidSchedule`` that is not Money, kept as given
+    for ``price_series`` to reject."""
+
+    value: object
+
+
+@dataclass(slots=True, init=False)
 class BidSchedule:
     """One bidder's price for each offerable seat-combination size.
 
     ``prices`` maps sizes 1..min(available_seats, capacity) to Money; sizes a
     bidder cannot offer are absent rather than priced with sentinels.  The
     same shape doubles as a valuation schedule when it holds true valuations.
-    ``prices`` is a read-only copy of the mapping given, so a schedule never
-    changes once built; ``price_series`` relies on that to check each
+    A schedule keeps its prices as int micros, ``_micros``, which the
+    package's readers read directly, and ``prices`` is a read-only Money
+    view derived from them.  Built from a mapping, it keeps a copy (a price
+    that is not Money is kept for ``price_series`` to reject); the parser,
+    the generator and ``perturb_bids`` hand over an int mapping of their own
+    instead (``_of_micros``), which nothing writes again.  So a schedule
+    never changes once built; ``price_series`` relies on that to check each
     schedule once and keep the series it checked.
     """
 
     bidder_id: str
     available_seats: int
-    prices: Mapping[int, Money]
+    _micros: Mapping[int, int]
     concave: bool = False
     # The series ``price_series`` returned once every check passed.
-    _series: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _series: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prices", MappingProxyType(dict(self.prices)))
+    def __init__(self, bidder_id: str, available_seats: int, prices: Mapping[int, Money],
+                 concave: bool = False) -> None:
+        micros = {
+            size: price.micros if isinstance(price, Money) else _NotMoney(price)
+            for size, price in dict(prices).items()
+        }
+        self._fill(bidder_id, available_seats, micros, concave)
+
+    @classmethod
+    def _of_micros(cls, bidder_id: str, available_seats: int, micros: dict[int, int],
+                   concave: bool) -> "BidSchedule":
+        """A schedule that keeps ``micros``, sizes to int micros, without a
+        copy: the caller hands it over and never writes it again."""
+        schedule = object.__new__(cls)
+        schedule._fill(bidder_id, available_seats, micros, concave)
+        return schedule
+
+    def _fill(self, bidder_id, available_seats, micros, concave) -> None:
+        put = object.__setattr__
+        put(self, "bidder_id", bidder_id)
+        put(self, "available_seats", available_seats)
+        put(self, "_micros", micros)
+        put(self, "concave", concave)
+        put(self, "_series", None)
+
+    # Frozen by hand: a frozen dataclass with slots raises TypeError, not
+    # FrozenInstanceError, on assigning a name that is not a field, such as
+    # the ``prices`` property (CPython 3.10 to 3.13).
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def prices(self) -> Mapping[int, Money]:
+        """Each size's price as Money, a read-only view built on each read."""
+        return MappingProxyType({
+            size: Money(micros) if type(micros) is int else micros.value
+            for size, micros in self._micros.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -233,8 +309,9 @@ def price_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     generator.  One pass raises the first violation of, in order: an id
     that is one token of the text format (so every valid instance survives
     serialisation and parsing), an int availability and a bool concave
-    flag, availability within [0, capacity], a Money price for every size
-    1..top, strictly increasing prices, every size key an int in 1..top,
+    flag, availability within [0, capacity], a price for every size 1..top
+    (given as Money, or as int micros by the package's own builders), read
+    as ints, strictly increasing prices, every size key an int in 1..top,
     and non-increasing marginals when the schedule is flagged concave.
 
     A schedule is checked once: the series of a check that passed is kept
@@ -262,21 +339,21 @@ def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
         raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
     if not (0 <= top <= capacity):
         raise SeatBoundViolation(f"bidder {who}: available_seats {top} outside [0, {capacity}]")
-    prices = schedule.prices
+    prices = schedule._micros
     series: list[int] = []
     increasing = concave = True
     prev = step = None
     for m in range(1, top + 1):
         try:
-            micros = prices[m].micros
+            micros = prices[m]
         except KeyError:
             raise MissingPrice(
                 f"bidder {who}: no price for size {m} (must cover 1..{top})"
             ) from None
-        except AttributeError:
+        if type(micros) is not int:
             raise ValidationError(
-                f"bidder {who}: price for size {m} must be Money, got {type(prices[m]).__name__}"
-            ) from None
+                f"bidder {who}: price for size {m} must be Money, got {type(micros.value).__name__}"
+            )
         if prev is not None:
             if step is not None and micros - prev > step:
                 concave = False

@@ -24,10 +24,10 @@ from .core import (
     AuctionError,
     AuctionInstance,
     BidSchedule,
-    Money,
     ServiceType,
     ValidationError,
-    money_from_decimal,
+    micros_from_decimal,
+    micros_to_decimal,
 )
 
 FORMAT_NAME = "avauction-instance"
@@ -102,20 +102,18 @@ def _parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
             rest = rest[1:]
         if not rest or rest[0] != "prices":
             raise ParseError(f"line {n}: expected 'prices' section")
-        prices: dict[int, Money] = {}
+        prices: dict[int, int] = {}
         for item in rest[1:]:
             size_text, _, price_text = item.partition(":")
             size = int(size_text)
             if size in prices:
                 raise ParseError(f"line {n}: duplicate price for size {size}")
-            prices[size] = money_from_decimal(price_text)
+            prices[size] = micros_from_decimal(price_text)
     except ParseError:
         raise
     except (IndexError, ValueError, ValidationError) as exc:
         raise ParseError(f"line {n}: malformed bidder record ({exc})") from None
-    return BidSchedule(
-        bidder_id=bidder_id, available_seats=available, prices=prices, concave=concave
-    )
+    return BidSchedule._of_micros(bidder_id, available, prices, concave)
 
 
 def serialize_instance(instance: AuctionInstance, comments: Iterable[str] = ()) -> str:
@@ -129,7 +127,8 @@ def serialize_instance(instance: AuctionInstance, comments: Iterable[str] = ()) 
         if sched.concave:
             parts.append("concave")
         parts.append("prices")
-        parts.extend(f"{m}:{sched.prices[m].to_decimal()}" for m in sorted(sched.prices))
+        prices = sched._micros
+        parts.extend(f"{m}:{micros_to_decimal(prices[m])}" for m in sorted(prices))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

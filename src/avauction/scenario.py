@@ -30,7 +30,6 @@ from .core import (
     AuctionError,
     AuctionInstance,
     BidSchedule,
-    Money,
     NonConcavePrices,
     NonMonotonePrices,
     OversizedRatio,
@@ -124,15 +123,10 @@ def _draw_schedule(
     available = stream.randint(1, capacity)
     for _ in range(MAX_DRAW_ATTEMPTS):
         cost = draw_cost_micros(stream, law.cost_law)
-        schedule = BidSchedule(
-            bidder_id=bidder_id,
-            available_seats=available,
-            prices={
-                m: Money(round_half_up(cost * num, den))
-                for m, (num, den) in enumerate(sums[:available], 1)
-            },
-            concave=True,
-        )
+        prices = {
+            m: round_half_up(cost * num, den) for m, (num, den) in enumerate(sums[:available], 1)
+        }
+        schedule = BidSchedule._of_micros(bidder_id, available, prices, True)
         # Micro-rounding can collapse sub-micro marginals for tiny costs;
         # such draws are rejected so every emitted schedule validates.
         try:
@@ -205,7 +199,7 @@ class ScenarioBatch:
         h = hashlib.sha256()
         for schedules in self.cases:
             for s in schedules:
-                prices = ",".join(f"{m}:{s.prices[m].micros}" for m in sorted(s.prices))
+                prices = ",".join(f"{m}:{s._micros[m]}" for m in sorted(s._micros))
                 h.update(f"{s.bidder_id}|{s.available_seats}|{prices}\n".encode())
         return h.hexdigest()
 

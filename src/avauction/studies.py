@@ -36,7 +36,9 @@ from itertools import product
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import MICROS_PER_UNIT, AuctionError, Money, ServiceType, _is_int, round_half_up
+from .core import (
+    MICROS_PER_UNIT, AuctionError, Money, ServiceType, _is_int, micros_to_decimal, round_half_up,
+)
 from .scenario import CostLaw, GenerationLaw, InvalidLaw, ScenarioBatch, generate_batch, rng_stream
 from .vcg import (
     ChargeReport,
@@ -75,11 +77,11 @@ class StudyInvariantViolation(AuctionError):
 def ratio_to_decimal(value: Fraction) -> str:
     """Render an exact rational with six decimals, ties rounded away from 0."""
     micros = round_half_up(abs(value.numerator) * MICROS_PER_UNIT, value.denominator)
-    return ("-" if value < 0 else "") + Money(micros).to_decimal()
+    return ("-" if value < 0 else "") + micros_to_decimal(micros)
 
 
 def _mean_money(total_micros: int, count: int) -> str:
-    return Money(round_half_up(total_micros, count)).to_decimal()
+    return micros_to_decimal(round_half_up(total_micros, count))
 
 
 @dataclass

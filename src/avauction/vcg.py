@@ -207,7 +207,7 @@ def bidder_utility(
         val = valuations.get(sched.bidder_id)
         if val is None:
             raise MissingValuation(f"no valuation schedule for bidder {sched.bidder_id}")
-        missing = set(sched.prices) - set(val.prices)
+        missing = set(sched._micros) - set(val._micros)
         if missing:
             raise MissingValuation(
                 f"bidder {sched.bidder_id}: valuation lacks sizes {sorted(missing)}"
@@ -220,7 +220,7 @@ def bidder_utility(
         if size is None:
             utilities[bidder_id] = 0
         else:
-            served_value = valuations[bidder_id].prices[size].micros
+            served_value = valuations[bidder_id]._micros[size]
             utilities[bidder_id] = report.charge_of(bidder_id).micros - served_value
     return utilities
 
@@ -253,14 +253,13 @@ def perturb_bids(
         if sched.bidder_id not in target_set:
             new_bids.append(sched)
             continue
-        prices = {
-            size: Money(round_half_up(price.micros * p, q)) for size, price in sched.prices.items()
-        }
-        raised = BidSchedule(sched.bidder_id, sched.available_seats, prices, sched.concave)
+        prices = {size: round_half_up(micros * p, q) for size, micros in sched._micros.items()}
+        who, available = sched.bidder_id, sched.available_seats
+        raised = BidSchedule._of_micros(who, available, prices, sched.concave)
         try:
             price_series(raised, instance.capacity)
         except NonConcavePrices:
-            raised = BidSchedule(sched.bidder_id, sched.available_seats, prices, concave=False)
+            raised = BidSchedule._of_micros(who, available, prices, False)
         new_bids.append(raised)
     return AuctionInstance(
         capacity=instance.capacity,

@@ -114,6 +114,48 @@ def test_a_zero_priced_sole_winner_charges_as_a_fallback(tmp_path, capsys):
     )
 
 
+# The longest whole part ``int`` reads from text by default.
+NINES = "9" * 4300
+LONG_DOC = (
+    "avauction-instance v1\ncapacity 5\nrequested_seats 2\nservice splittable\n"
+    f"bidder A available 1 prices 1:{NINES}\nbidder B available 1 prices 1:{NINES}\n"
+)
+
+
+@pytest.mark.parametrize("command", ["solve", "charge"])
+def test_a_total_of_more_than_4300_digits_prints_exactly(tmp_path, capsys, command):
+    """Such a document once raised ValueError from ``str`` of the 4301-digit
+    whole part of its optimum, and exited 1 with a traceback."""
+    path = tmp_path / "long.txt"
+    path.write_text(LONG_DOC)
+    assert main([command, str(path)]) == EXIT_OK
+    price, optimum = f"{NINES}.000000", f"1{NINES[1:]}8.000000"  # 2 * (10**4300 - 1)
+    expected = {
+        "solve": f"winner A size 1 winner B size 1 total {optimum}\n",
+        "charge": (
+            f"service splittable\noptimum {optimum}\n"
+            f"bidder A pivotal unservable charge {price}\n"
+            f"bidder B pivotal unservable charge {price}\n"
+            f"total {optimum}\nfallback true\n"
+        ),
+    }
+    assert capsys.readouterr() == (expected[command], "")
+
+
+@pytest.mark.parametrize("fraction", ["", ".999999"])
+def test_a_price_may_have_as_many_whole_digits_as_int_reads(tmp_path, capsys, fraction):
+    """The whole and fractional digits are read apart, so the limit on a
+    price's whole part is ``int``'s own, 4300 digits, whatever its
+    fraction: one digit more is a malformed record, exit 64."""
+    path = tmp_path / "limit.txt"
+    path.write_text(LONG_DOC.replace(f"{NINES}\n", f"{NINES}{fraction}\n", 1))
+    assert main(["solve", str(path)]) == EXIT_OK
+    path.write_text(LONG_DOC.replace(f"{NINES}\n", f"9{NINES}{fraction}\n", 1))
+    assert main(["solve", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 5: malformed bidder record (") and len(err.splitlines()) == 1
+
+
 def test_charge_unservable_exit_code(tmp_path, capsys):
     inst = make_instance(5, 4, ServiceType.PRIVATE, [sched("A", 2, {1: "0.1", 2: "0.2"})])
     path = tmp_path / "np.txt"

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 import sys
@@ -35,7 +36,9 @@ from avauction import (
     vcg_charges,
 )
 from avauction import core
-from avauction.core import OversizedRatio, as_fraction, price_series, round_half_up
+from avauction.core import (
+    OversizedRatio, as_fraction, micros_from_decimal, micros_to_decimal, price_series, round_half_up,
+)
 
 from conftest import failed, full_case, make_instance, outcome, regex_money_from_decimal, sched
 
@@ -137,7 +140,25 @@ MONEY_ALPHABET = "0123456789.-+_ \t\n\u0661\u0662\uff15e\u00b2"
 @example("9" * LIMIT + ".999999")
 @example("9" * (LIMIT + 1))
 def test_money_from_decimal_matches_the_regex_grammar(text):
-    assert outcome(money_from_decimal, text) == outcome(regex_money_from_decimal, text)
+    """Both entry points of the one money grammar, the int micros the
+    parser reads and the Money that wraps them, match the regex oracle."""
+    expected = outcome(regex_money_from_decimal, text)
+    assert outcome(money_from_decimal, text) == expected
+    micros = outcome(micros_from_decimal, text)
+    assert micros == (expected if failed(expected) else expected.micros)
+    assert failed(micros) or type(micros) is int
+
+
+@given(st.integers(0, 10**9), st.integers(0, 3 * LIMIT))
+@example(0, 0)
+@example(10**6 - 1, LIMIT + 5)
+@example(0, 2 * (LIMIT + 6))
+def test_money_renders_exactly_at_any_size(low, digits):
+    """``str`` refuses ints longer than the interpreter's digit limit; the
+    renderer matches ``decimal``, which has no such limit, far past it."""
+    micros = 10**digits + low
+    exact = decimal.Decimal(micros).scaleb(-6, decimal.Context(prec=decimal.MAX_PREC))
+    assert Money(micros).to_decimal() == micros_to_decimal(micros) == f"{exact:f}"
 
 
 def test_round_half_up():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from avauction import (
     charge_identity_holds,
     generate_batch,
     money_from_decimal,
+    parse_instance,
     perturb_bids,
+    serialize_instance,
     solve_wdp,
     validate_instance,
     vcg_charges,
@@ -395,3 +398,28 @@ def test_engine_and_literal_solves_agree_when_prices_may_be_0(instance):
     pivotal = case.winner_exclusions(instance.service, report.winner_allocation)
     fields, full, _ = _lean_and_full(case, instance, pivotal)
     assert fields == full
+
+
+def test_no_money_is_built_per_price_on_the_hot_paths(monkeypatch):
+    """Parsing and validating a K = 1000 document and drawing a K = 1000
+    batch build no Money at all: prices are int micros from the text or
+    the draw.  Charging builds only the report's own Money."""
+    text = serialize_instance(
+        generate_batch(GenerationLaw(seed=3), 1000, 5, 1).instance(0, ServiceType.SPLITTABLE, 3)
+    )
+    built = []
+    check = Money.__post_init__
+
+    def counting(money):
+        built.append(money)
+        check(money)
+
+    monkeypatch.setattr(Money, "__post_init__", counting)
+    instance = validate_instance(parse_instance(text))
+    generate_batch(GenerationLaw(seed=4), 1000, 5, 1)
+    assert built == []
+    report = vcg_charges(instance)
+    own = [report.winner_allocation.total_bid, report.total_charge]
+    for entry in report.listed:
+        own += [entry.charge] if entry.pivotal is None else [entry.charge, entry.pivotal]
+    assert report.listed and Counter(map(id, built)) == Counter(map(id, own))
