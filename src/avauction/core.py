@@ -128,23 +128,31 @@ class Money:
     def __str__(self) -> str:
         return self.to_decimal()
 
+    def __repr__(self) -> str:
+        return f"Money(micros={_digits(self.micros)})"
+
 
 # ``str`` refuses an int of more than ``sys.get_int_max_str_digits()``
-# digits (4300 unless set, never below 640), so a longer whole part is
-# rendered in blocks of this many digits.
+# digits (4300 unless set, never below 640), so a longer int is rendered in
+# blocks of this many digits.
 _BLOCK_DIGITS = 600
 _BLOCK = 10**_BLOCK_DIGITS
+
+
+def _digits(number: int) -> str:
+    """``str`` of an int, exact at any size when it is non-negative."""
+    blocks = []
+    while number >= _BLOCK:
+        number, block = divmod(number, _BLOCK)
+        blocks.append(f"{block:0{_BLOCK_DIGITS}d}")
+    return f"{number}{''.join(reversed(blocks))}"
 
 
 def micros_to_decimal(micros: int) -> str:
     """The one money renderer: non-negative micros with exactly six
     fractional digits, exact at any size."""
     whole, frac = divmod(micros, MICROS_PER_UNIT)
-    blocks = []
-    while whole >= _BLOCK:
-        whole, block = divmod(whole, _BLOCK)
-        blocks.append(f"{block:0{_BLOCK_DIGITS}d}")
-    return f"{whole}{''.join(reversed(blocks))}.{frac:06d}"
+    return f"{_digits(whole)}.{frac:06d}"
 
 
 def micros_from_decimal(text: str) -> int:
@@ -154,9 +162,14 @@ def micros_from_decimal(text: str) -> int:
     The grammar is digits with an optional fraction (``12``, ``12.``,
     ``12.5``) or a bare fraction (``.5``); a digit is any character
     ``str.isdecimal`` accepts, which is exactly the set the regex ``\\d``
-    accepts.  The whole and fractional digits go through ``int`` apart, so
-    only a whole part too long for ``int`` raises its ValueError.
+    accepts.  The form the serializer writes, digits, ``.`` and six digits,
+    is read first and directly.  The whole and fractional digits go through
+    ``int`` apart, so only a whole part too long for ``int`` raises its
+    ValueError.
     """
+    whole, _, frac = text.partition(".")
+    if len(frac) == 6 and whole.isdecimal() and frac.isdecimal():
+        return int(whole) * MICROS_PER_UNIT + int(frac)
     text = text.strip()
     whole, _, frac = text.partition(".")
     if (whole.isdecimal() or not whole and frac) and (not frac or frac.isdecimal()):
@@ -208,7 +221,8 @@ class BidSchedule:
     view derived from them.  Built from a mapping, it keeps a copy (a price
     that is not Money is kept for ``price_series`` to reject); the parser,
     the generator and ``perturb_bids`` hand over an int mapping of their own
-    instead (``_of_micros``), which nothing writes again.  So a schedule
+    instead (``_of_micros``), which nothing writes again, and the parser
+    hands over the series of a line it found valid with it.  So a schedule
     never changes once built; ``price_series`` relies on that to check each
     schedule once and keep the series it checked.
     """
@@ -226,24 +240,17 @@ class BidSchedule:
             size: price.micros if isinstance(price, Money) else _NotMoney(price)
             for size, price in dict(prices).items()
         }
-        self._fill(bidder_id, available_seats, micros, concave)
+        _fill(self, bidder_id, available_seats, micros, concave, None)
 
     @classmethod
     def _of_micros(cls, bidder_id: str, available_seats: int, micros: dict[int, int],
-                   concave: bool) -> "BidSchedule":
+                   concave: bool, series: Optional[tuple[int, ...]] = None) -> "BidSchedule":
         """A schedule that keeps ``micros``, sizes to int micros, without a
-        copy: the caller hands it over and never writes it again."""
+        copy: the caller hands it over and never writes it again.  A
+        ``series`` is kept as the one ``price_series`` checked (see there)."""
         schedule = object.__new__(cls)
-        schedule._fill(bidder_id, available_seats, micros, concave)
+        _fill(schedule, bidder_id, available_seats, micros, concave, series)
         return schedule
-
-    def _fill(self, bidder_id, available_seats, micros, concave) -> None:
-        put = object.__setattr__
-        put(self, "bidder_id", bidder_id)
-        put(self, "available_seats", available_seats)
-        put(self, "_micros", micros)
-        put(self, "concave", concave)
-        put(self, "_series", None)
 
     # Frozen by hand: a frozen dataclass with slots raises TypeError, not
     # FrozenInstanceError, on assigning a name that is not a field, such as
@@ -254,6 +261,14 @@ class BidSchedule:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __repr__(self) -> str:
+        prices = ", ".join(
+            f"{size!r}: {_digits(micros) if type(micros) is int else repr(micros)}"
+            for size, micros in self._micros.items()
+        )
+        return (f"BidSchedule(bidder_id={self.bidder_id!r}, available_seats={self.available_seats!r}, "
+                f"_micros={{{prices}}}, concave={self.concave!r})")
+
     @property
     def prices(self) -> Mapping[int, Money]:
         """Each size's price as Money, a read-only view built on each read."""
@@ -261,6 +276,21 @@ class BidSchedule:
             size: Money(micros) if type(micros) is int else micros.value
             for size, micros in self._micros.items()
         })
+
+
+# The slots' own setters, which the hand-written ``__setattr__`` bypasses.
+_SET_ID, _SET_AVAILABLE, _SET_MICROS, _SET_CONCAVE, _SET_SERIES = (
+    BidSchedule.__dict__[name].__set__
+    for name in ("bidder_id", "available_seats", "_micros", "concave", "_series")
+)
+
+
+def _fill(schedule, bidder_id, available_seats, micros, concave, series) -> None:
+    _SET_ID(schedule, bidder_id)
+    _SET_AVAILABLE(schedule, available_seats)
+    _SET_MICROS(schedule, micros)
+    _SET_CONCAVE(schedule, concave)
+    _SET_SERIES(schedule, series)
 
 
 @dataclass(frozen=True)
@@ -320,12 +350,20 @@ def price_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     on the schedule's frozen fields, and availability within the capacity
     is the only check that depends on the call.  Any other call runs the
     full check; a check that fails keeps nothing.
+
+    The parser keeps a series the same way, for each bidder line it reads
+    as the plain valid case: an id token, sizes 1, 2, ..., m in order with
+    m the availability, strictly increasing prices and, on a concave line,
+    non-increasing marginals.  That is the series this check returns for
+    the line at any capacity of at least m.  The parser raises no
+    validation error of its own: a line that is not plain keeps nothing,
+    and its first check here raises what it would raise for any schedule.
     """
     series = schedule._series
     if series is not None and schedule.available_seats <= capacity:
         return series
     series = _checked_series(schedule, capacity)
-    object.__setattr__(schedule, "_series", series)
+    _SET_SERIES(schedule, series)
     return series
 
 

@@ -11,7 +11,10 @@ Layout, one field per line, ``#`` comments and blank lines ignored:
 
 Parsing checks the syntax and the bidder-id token, so a bad id is a parse
 error; ``validate_instance`` checks everything else, and solving or charging
-the result makes the same checks.  Unknown versions are rejected.
+the result makes the same checks.  A bidder line that parses as the plain
+valid case keeps its checked series (see ``core.price_series``), so those
+checks read it instead of walking the line again.  Unknown versions are
+rejected.
 """
 
 from __future__ import annotations
@@ -39,23 +42,24 @@ class ParseError(AuctionError):
 
 
 def parse_instance(text: str) -> AuctionInstance:
-    # Each line is split once; a line with no tokens is blank, and one whose
-    # first token starts with '#' is a comment.
-    records = [
+    # Each line is split once, as it is reached; a line with no tokens is
+    # blank, and one whose first token starts with '#' is a comment.
+    records = (
         (n, tokens)
         for n, tokens in enumerate(map(str.split, text.splitlines()), start=1)
         if tokens and not tokens[0].startswith("#")
-    ]
-    if not records:
+    )
+    for n, parts in records:
+        break
+    else:
         raise ParseError("empty document")
-    n, parts = records[0]
     if parts[0] != FORMAT_NAME:
         raise ParseError(f"line {n}: expected '{FORMAT_NAME} {FORMAT_VERSION}' header")
     if len(parts) != 2 or parts[1] != FORMAT_VERSION:
         raise ParseError(f"line {n}: unsupported version {' '.join(parts[1:])!r}")
     fields: dict[str, str] = {}
     bids: list[BidSchedule] = []
-    for n, tokens in records[1:]:
+    for n, tokens in records:
         if tokens[0] == "bidder":
             bids.append(_parse_bidder(n, tokens))
         elif tokens[0] in ("capacity", "requested_seats", "service"):
@@ -103,17 +107,31 @@ def _parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
         if not rest or rest[0] != "prices":
             raise ParseError(f"line {n}: expected 'prices' section")
         prices: dict[int, int] = {}
+        # The line stays plain (see ``price_series``) while its sizes run 1,
+        # 2, ... in order, its prices strictly increase and, on a concave
+        # line, its marginals never increase.
+        plain, prev, gap = True, None, None
         for item in rest[1:]:
             size_text, _, price_text = item.partition(":")
             size = int(size_text)
             if size in prices:
                 raise ParseError(f"line {n}: duplicate price for size {size}")
-            prices[size] = micros_from_decimal(price_text)
+            price = prices[size] = micros_from_decimal(price_text)
+            if plain:
+                if size != len(prices):
+                    plain = False
+                elif prev is not None:
+                    step = price - prev
+                    if step <= 0 or concave and gap is not None and step > gap:
+                        plain = False
+                    gap = step
+                prev = price
     except ParseError:
         raise
     except (IndexError, ValueError, ValidationError) as exc:
         raise ParseError(f"line {n}: malformed bidder record ({exc})") from None
-    return BidSchedule._of_micros(bidder_id, available, prices, concave)
+    series = tuple(prices.values()) if plain and len(prices) == available else None
+    return BidSchedule._of_micros(bidder_id, available, prices, concave, series)
 
 
 def serialize_instance(instance: AuctionInstance, comments: Iterable[str] = ()) -> str:

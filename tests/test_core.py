@@ -30,11 +30,14 @@ from avauction import (
     ValidationError,
     exclusion_totals,
     money_from_decimal,
+    parse_instance,
     perturb_bids,
     solve_wdp,
     validate_instance,
     vcg_charges,
 )
+from dataclasses import FrozenInstanceError
+
 from avauction import core
 from avauction.core import (
     OversizedRatio, as_fraction, micros_from_decimal, micros_to_decimal, price_series, round_half_up,
@@ -562,6 +565,42 @@ def test_prices_are_read_only_and_copied():
         del schedule.prices[2]
     with pytest.raises(AttributeError):
         schedule.prices = prices
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BidSchedule("A", 2, {1: Money(1), 2: Money(2)}),
+    lambda: parse_instance("avauction-instance v1\ncapacity 5\nrequested_seats 1\n"
+                           "service private\nbidder A available 2 prices 1:1 2:2\n").bids[0],
+    lambda: BidSchedule._of_micros("A", 2, {1: 1, 2: 2}, False),
+], ids=["constructor", "parser", "of-micros"])
+def test_a_schedule_is_frozen_however_it_is_built(build):
+    schedule = build()
+    before = repr(schedule)
+    for name in ("bidder_id", "available_seats", "_micros", "concave", "_series", "prices"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(schedule, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(schedule, name)
+    assert repr(schedule) == before
+
+
+def test_reprs_are_exact_past_4300_digits():
+    """A valid document's price of 4300 nines once made ``repr`` of its
+    schedule, its instance and every amount built from it raise ValueError
+    from ``str``'s digit limit."""
+    nines = "9" * 4300
+    instance = parse_instance("avauction-instance v1\ncapacity 5\nrequested_seats 1\n"
+                              f"service splittable\nbidder A available 1 prices 1:{nines}\n")
+    micros = f"{nines}000000"
+    schedule = f"BidSchedule(bidder_id='A', available_seats=1, _micros={{1: {micros}}}, concave=False)"
+    assert repr(instance.bids[0]) == schedule
+    assert repr(instance) == (
+        "AuctionInstance(capacity=5, requested_seats=1, "
+        f"service=<ServiceType.SPLITTABLE: 'splittable'>, bids=({schedule},))"
+    )
+    assert repr(Money(2 * 10**4306)) == f"Money(micros=2{'0' * 4306})"
+    for amounts in (solve_wdp(instance), vcg_charges(instance)):
+        assert f"Money(micros={micros})" in repr(amounts)
 
 
 def test_a_checked_schedule_equals_an_unchecked_one(e1):

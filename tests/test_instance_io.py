@@ -1,23 +1,30 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from avauction import (
     AuctionInstance,
     BidSchedule,
+    CompiledCase,
+    GenerationLaw,
     Money,
     ParseError,
     ServiceType,
     ValidationError,
+    generate_batch,
     parse_instance,
     read_instance,
     serialize_instance,
     validate_instance,
+    vcg_charges,
     write_instance,
 )
-from avauction.core import BIDDER_ID_RE
+from avauction import core
+from avauction.core import BIDDER_ID_RE, price_series
 from avauction.instance_io import FORMAT_NAME, FORMAT_VERSION
 
-from conftest import make_instance, outcome, regex_money_from_decimal, sched
+from conftest import failed, make_instance, outcome, regex_money_from_decimal, sched
 
 E1_DOC = """\
 avauction-instance v1
@@ -248,5 +255,51 @@ def fuzzed_documents(draw):
 @example(E1_DOC.replace("1:0.40", "1:1_0"))
 @example(E1_DOC.replace("1:0.40", "1:.5 "))
 @example(E1_DOC.replace("capacity 5", "capacity\x1f5"))
+@example(E1_DOC.replace("1:0.30 2:0.55", "2:0.55 1:0.30"))              # sizes out of order
+@example(E1_DOC.replace("1:0.30", "01:0.30"))
+@example(E1_DOC.replace("1:0.30", "+1:0.30"))
+@example(E1_DOC.replace("1:0.30", "1_0:0.30"))
+@example(E1_DOC.replace("1:0.30", "0:0.10 1:0.30"))                     # a size of 0
+@example(E1_DOC.replace("available 3", "available 4"))                  # above the prices
+@example(E1_DOC.replace("available 3", "available 2"))                  # below the prices
+@example(E1_DOC.replace("available 3 prices 1:0.30 2:0.55 3:0.78", "available 0 prices"))
+@example(E1_DOC.replace("available 5 prices", "available 6 prices").replace("5:1.15", "5:1.15 6:1.20"))
+@example(E1_DOC.replace("2:0.55", "2:0.30"))                            # two equal prices
+@example(E1_DOC.replace("available 3 prices 1:0.30 2:0.55 3:0.78",
+                        "available 3 concave prices 1:0.30 2:0.55 3:0.90"))  # marginals increase
 def test_parse_instance_matches_the_strip_each_line_parser(text):
-    assert outcome(parse_instance, text) == outcome(strip_each_line_parse_instance, text)
+    """The two parsers agree, and so do the checks of what they build: the
+    oracle's schedules keep no series, and a series the parser keeps is
+    the one the full check of the oracle's schedule returns."""
+    parsed = outcome(parse_instance, text)
+    oracle = outcome(strip_each_line_parse_instance, text)
+    assert parsed == oracle
+    if failed(parsed):
+        return
+    for check in (lambda i: CompiledCase(i).rows, validate_instance):
+        assert outcome(check, parsed) == outcome(check, oracle)
+    for bid, oracle_bid in zip(parsed.bids, oracle.bids):
+        assert bid._series is None or bid._series == price_series(oracle_bid, bid.available_seats)
+
+
+def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
+    """Every line of a generated document is plain, so charging it reads
+    the series the parse kept; one line with its sizes out of order keeps
+    none, and its one full check gives the same charges."""
+    checked = []
+    full_check = core._checked_series
+
+    def counting(schedule, capacity):
+        checked.append(schedule.bidder_id)
+        return full_check(schedule, capacity)
+
+    monkeypatch.setattr(core, "_checked_series", counting)
+    batch = generate_batch(GenerationLaw(seed=23), 1000, 5, 1)
+    text = serialize_instance(batch.instance(0, ServiceType.SPLITTABLE, 3))
+    checked.clear()
+    report = vcg_charges(parse_instance(text))
+    assert checked == []
+    swapped, count = re.subn(r"(bidder \S+ .*prices) (1:\S+) (2:\S+)", r"\1 \3 \2", text, count=1)
+    assert count == 1
+    assert vcg_charges(parse_instance(swapped)) == report
+    assert checked == [re.search(r"bidder (\S+) .*prices 2:", swapped)[1]]
