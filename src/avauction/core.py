@@ -119,7 +119,7 @@ class Money:
         if isinstance(self.micros, bool) or not isinstance(self.micros, int):
             raise ValidationError(f"micros must be int, got {type(self.micros).__name__}")
         if self.micros < 0:
-            raise NegativeAmount(f"negative amount: {self.micros} micros")
+            raise NegativeAmount(f"negative amount: {_digits(self.micros)} micros")
 
     def to_decimal(self) -> str:
         """Render with exactly six fractional digits (lossless round trip)."""
@@ -140,12 +140,19 @@ _BLOCK = 10**_BLOCK_DIGITS
 
 
 def _digits(number: int) -> str:
-    """``str`` of an int, exact at any size when it is non-negative."""
+    """``str`` of an int, exact at any size and sign."""
+    if number < 0:
+        return f"-{_digits(-number)}"
     blocks = []
     while number >= _BLOCK:
         number, block = divmod(number, _BLOCK)
         blocks.append(f"{block:0{_BLOCK_DIGITS}d}")
     return f"{number}{''.join(reversed(blocks))}"
+
+
+def _shown(value: object, form=repr) -> str:
+    """``form(value)``, or an int's ``_digits``, which are exact at any size."""
+    return _digits(value) if type(value) is int else form(value)
 
 
 def micros_to_decimal(micros: int) -> str:
@@ -208,6 +215,9 @@ class _NotMoney:
 
     value: object
 
+    def __repr__(self) -> str:
+        return f"_NotMoney(value={_shown(self.value)})"
+
 
 @dataclass(slots=True, init=False)
 class BidSchedule:
@@ -262,11 +272,9 @@ class BidSchedule:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        prices = ", ".join(
-            f"{size!r}: {_digits(micros) if type(micros) is int else repr(micros)}"
-            for size, micros in self._micros.items()
-        )
-        return (f"BidSchedule(bidder_id={self.bidder_id!r}, available_seats={self.available_seats!r}, "
+        prices = ", ".join(f"{_shown(m)}: {_shown(micros)}" for m, micros in self._micros.items())
+        return (f"BidSchedule(bidder_id={self.bidder_id!r}, "
+                f"available_seats={_shown(self.available_seats)}, "
                 f"_micros={{{prices}}}, concave={self.concave!r})")
 
     @property
@@ -376,7 +384,9 @@ def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     if not _is_int(top) or not isinstance(schedule.concave, bool):
         raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
     if not (0 <= top <= capacity):
-        raise SeatBoundViolation(f"bidder {who}: available_seats {top} outside [0, {capacity}]")
+        raise SeatBoundViolation(
+            f"bidder {who}: available_seats {_digits(top)} outside [0, {_shown(capacity, str)}]"
+        )
     prices = schedule._micros
     series: list[int] = []
     increasing = concave = True
@@ -386,7 +396,7 @@ def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
             micros = prices[m]
         except KeyError:
             raise MissingPrice(
-                f"bidder {who}: no price for size {m} (must cover 1..{top})"
+                f"bidder {who}: no price for size {m} (must cover 1..{_digits(top)})"
             ) from None
         if type(micros) is not int:
             raise ValidationError(
@@ -405,7 +415,8 @@ def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
         # A key that only equals an int (2.0, True) passed the lookups above.
         if type(size) is not int and not _is_int(size) or not 1 <= size <= top:
             raise OversizedCombination(
-                f"bidder {who}: price defined for size {size} outside 1..{top}"
+                f"bidder {who}: price defined for size {_shown(size, str)} "
+                f"outside 1..{_digits(top)}"
             )
     if schedule.concave and not concave:
         raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
@@ -420,9 +431,11 @@ def check_request(capacity: int, service: ServiceType, requested_seats: int) -> 
     if not isinstance(service, ServiceType):
         raise ValidationError(f"service must be a ServiceType, got {service!r}")
     if capacity < 1:
-        raise SeatBoundViolation(f"capacity {capacity} must be at least 1")
+        raise SeatBoundViolation(f"capacity {_digits(capacity)} must be at least 1")
     if not (1 <= requested_seats <= capacity):
-        raise SeatBoundViolation(f"requested_seats {requested_seats} outside [1, {capacity}]")
+        raise SeatBoundViolation(
+            f"requested_seats {_digits(requested_seats)} outside [1, {_digits(capacity)}]"
+        )
 
 
 def check_fields(instance: AuctionInstance) -> None:

@@ -36,6 +36,7 @@ from .core import (
     ServiceType,
     ValidationError,
     _is_int,
+    _shown,
     as_fraction,
     check_request,
     price_series,
@@ -90,7 +91,9 @@ class GenerationLaw:
         if not (0 < self.gamma <= 1):
             raise InvalidLaw(f"gamma must lie in (0, 1], got {self.gamma}")
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise InvalidLaw(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+            raise InvalidLaw(
+                f"seed must be an unsigned 64-bit integer, got {_shown(self.seed, str)}"
+            )
 
 
 def draw_cost_micros(stream: random.Random, cost_law: CostLaw) -> int:
@@ -168,7 +171,9 @@ class ScenarioBatch:
 
     def instance(self, case: int, service: ServiceType, requested_seats: int) -> AuctionInstance:
         if not (_is_int(case) and 0 <= case < self.case_count):
-            raise InvalidLaw(f"case {case} outside a batch of {self.case_count} case(s)")
+            raise InvalidLaw(
+                f"case {_shown(case, str)} outside a batch of {self.case_count} case(s)"
+            )
         check_request(self.capacity, service, requested_seats)
         return AuctionInstance(
             capacity=self.capacity,
@@ -184,8 +189,8 @@ class ScenarioBatch:
         if not (_is_int(bidders) and _is_int(cases)
                 and 1 <= bidders <= self.bidder_count and 1 <= cases <= self.case_count):
             raise InvalidLaw(
-                f"head({bidders}, {cases}) outside a batch of {self.case_count} "
-                f"case(s) of {self.bidder_count} bidder(s)"
+                f"head({_shown(bidders, str)}, {_shown(cases, str)}) outside a batch of "
+                f"{self.case_count} case(s) of {self.bidder_count} bidder(s)"
             )
         return replace(self, cases=tuple(schedules[:bidders] for schedules in self.cases[:cases]))
 
@@ -213,7 +218,7 @@ def generate_batch(
     if not all(_is_int(n) and n >= 1 for n in (bidders, capacity, cases)):
         raise InvalidLaw("bidders, capacity, and cases must all be ints of at least 1")
     if not (_is_int(first_case) and first_case >= 0):
-        raise InvalidLaw(f"first_case must be an int of at least 0, got {first_case!r}")
+        raise InvalidLaw(f"first_case must be an int of at least 0, got {_shown(first_case)}")
     sums = _geometric_sums(law.gamma, capacity)
     out = []
     for case in range(first_case, first_case + cases):

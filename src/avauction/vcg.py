@@ -23,6 +23,7 @@ from .core import (
     ServiceType,
     UnknownBidder,
     ValidationError,
+    _digits,
     as_fraction,
     price_series,
     round_half_up,
@@ -240,7 +241,9 @@ def perturb_bids(
     """
     fraction = as_fraction(raise_fraction)
     if fraction < 0:
-        raise ValidationError(f"raise_fraction must be non-negative, got {fraction}")
+        p, q = fraction.numerator, fraction.denominator
+        shown = _digits(p) if q == 1 else f"{_digits(p)}/{_digits(q)}"
+        raise ValidationError(f"raise_fraction must be non-negative, got {shown}")
     target_set = set(targets)
     known = set(instance.bidder_ids())
     unknown = target_set - known

@@ -8,9 +8,10 @@ for splittable requests the minimal (cost, count) covers of each seat count
 by the bidders after i (suffix) and before j (prefix), each packed into one
 int, cost * (width + 1) + count, whose int order is (cost, count) order; for
 the single-vehicle services the two first offers of each size, since
-strictly increasing prices make exactly the requested size optimal.  One
-ranking of each size's offers by (price, bidder id), ``_first_offers``,
-gives those two and the rows the splittable tables keep.
+strictly increasing prices make exactly the requested size optimal.  Each
+size's offers are ranked once per case by (price, bidder id),
+``_first_offers``, as many as the widest reader takes: the single vehicle
+its first two, the splittable tables the rows below.
 
 The splittable tables hold only the rows that can win.  Rank the offers of
 each size m <= W, the table width, by (price, bidder id).  A cover of at
@@ -21,7 +22,7 @@ winner, and swapping it in is cheaper, or as cheap with a smaller sorted
 first offers of each size.  Excluding a winner frees one place, so the
 W - m + 2 first hold an optimum of every winner's exclusion too.  The tables
 are built over the rows of those offers, in id order: at most W(W + 3)/2
-rows, and every row when K is no larger.
+rows, at any number of bidders.
 
 Exclusion totals then need no further dynamic program: the replacement-paths
 idea of Hershberger & Suri ("Vickrey prices and shortest paths", FOCS 2001),
@@ -59,6 +60,7 @@ from .core import (
     ServiceType,
     UnknownBidder,
     _is_int,
+    _shown,
     bid_series,
     check_fields,
     check_request,
@@ -114,15 +116,6 @@ def _first_offers(rows: Sequence[Sequence[int]], size: int, n: int) -> list[tupl
     return [divmod(offer, scale) for offer in sorted(packed)[:n]]
 
 
-def _contenders(rows: Sequence[Sequence[int]], width: int) -> list[int]:
-    """The indices, ascending, of the rows whose offers can enter a
-    tie-broken optimum of at most ``width`` seats or any winner's exclusion
-    total: at each size m <= width, the width - m + 2 first offers, at most
-    width(width + 3)/2 rows in all."""
-    kept = {i for m in range(1, width + 1) for _, i in _first_offers(rows, m, width - m + 2)}
-    return sorted(kept)
-
-
 class CompiledCase:
     """One instance's bids, compiled once and queried for any service and
     any q_r up to the instance's request, ``width``.
@@ -134,7 +127,8 @@ class CompiledCase:
     for the full capacity.  ``ids`` are the bidder ids in sorted order and
     ``rows[i]`` is bidder ``ids[i]``'s price series in micros for sizes
     1..min(available, capacity), the tuple ``price_series`` keeps on the
-    schedule, shared and never written.
+    schedule, shared and never written.  Each size's offers are ranked at
+    most once (``_offers``), for the single vehicle and the kept rows alike.
     """
 
     def __init__(self, instance: AuctionInstance):
@@ -147,7 +141,7 @@ class CompiledCase:
         # The cover tables' width: no cover holds more seats than are offered.
         self.cover_width = min(self.width, sum(map(len, self.rows)))
         self.longest = max(map(len, self.rows), default=0)
-        self._single: dict[int, list[tuple[int, int]]] = {}
+        self._ranked: dict[int, list[tuple[int, int]]] = {}
 
     def _row(self, bidder_id: str) -> int:
         i = bisect_left(self.ids, bidder_id)
@@ -158,7 +152,9 @@ class CompiledCase:
     def price(self, bidder_id: str, size: int) -> int:
         row = self.rows[self._row(bidder_id)]
         if not (_is_int(size) and 1 <= size <= len(row)):
-            raise OversizedCombination(f"bidder {bidder_id}: no size {size!r} in 1..{len(row)}")
+            raise OversizedCombination(
+                f"bidder {bidder_id}: no size {_shown(size)} in 1..{len(row)}"
+            )
         return row[size - 1]
 
     def servable(self, service: ServiceType, requested_seats: int) -> bool:
@@ -180,7 +176,7 @@ class CompiledCase:
         if service is ServiceType.SPLITTABLE:
             return self._splittable_optimum(requested_seats)
         size = requested_seats if service is ServiceType.NON_SPLITTABLE else self.capacity
-        best, row = self._single_vehicle(size)[0]
+        best, row = self._offers(size)[0]
         return Allocation(assignments=((self.ids[row], size),), total_bid=Money(best))
 
     def winner_exclusions(
@@ -192,8 +188,8 @@ class CompiledCase:
         bidder's exclusion total is ``allocation.total_bid``."""
         if service is not ServiceType.SPLITTABLE:
             ((bidder_id, size),) = allocation.assignments
-            offers = self._single_vehicle(size)
-            return {bidder_id: offers[1][0] if len(offers) == 2 else None}
+            offers = self._offers(size)
+            return {bidder_id: offers[1][0] if len(offers) > 1 else None}
         # The counts of a joined pair add up to at most q_r <= width, so the
         # least packed sum floor-divides to the least cost exactly.
         q_r = allocation.seat_total()
@@ -211,22 +207,22 @@ class CompiledCase:
             totals[bidder_id] = None if best is None else best // scale
         return totals
 
-    def _single_vehicle(self, size: int) -> list[tuple[int, int]]:
-        """The best and second-best (price, row) among offers of exactly
-        ``size`` seats (``_first_offers``), fewer when fewer rows offer it."""
-        offers = self._single.get(size)
+    def _offers(self, size: int) -> list[tuple[int, int]]:
+        """The first (price, row) offers of exactly ``size`` seats, ranked
+        once (``_first_offers``): the W - size + 2 the kept rows read, W the
+        table width, and at least the two the single vehicle reads."""
+        offers = self._ranked.get(size)
         if offers is None:
-            offers = self._single[size] = _first_offers(self.rows, size, 2)
+            n = max(2, self.cover_width - size + 2)
+            offers = self._ranked[size] = _first_offers(self.rows, size, n)
         return offers
 
     @cached_property
     def _kept(self) -> tuple[Sequence[str], Sequence[tuple[int, ...]]]:
         """The ids and rows, in id order, the cover tables are built over:
-        every row when no more rows than ``_contenders`` can keep."""
-        width = self.cover_width
-        if len(self.rows) <= width * (width + 3) // 2:
-            return self.ids, self.rows
-        kept = _contenders(self.rows, width)
+        those of the W - m + 2 first offers of each size m <= W, at most
+        W(W + 3)/2 rows (see the module docstring)."""
+        kept = sorted({i for m in range(1, self.cover_width + 1) for _, i in self._offers(m)})
         return [self.ids[i] for i in kept], [self.rows[i] for i in kept]
 
     @cached_property

@@ -29,6 +29,7 @@ from avauction import (
     UnknownBidder,
     ValidationError,
     exclusion_totals,
+    generate_batch,
     money_from_decimal,
     parse_instance,
     perturb_bids,
@@ -601,6 +602,53 @@ def test_reprs_are_exact_past_4300_digits():
     assert repr(Money(2 * 10**4306)) == f"Money(micros=2{'0' * 4306})"
     for amounts in (solve_wdp(instance), vcg_charges(instance)):
         assert f"Money(micros={micros})" in repr(amounts)
+
+
+BIG = 10**5000
+SPLIT = ServiceType.SPLITTABLE
+
+
+def _message(error, call):
+    """The text of the ``error`` that ``call()`` raises."""
+    def text():
+        with pytest.raises(error) as raised:
+            call()
+        return str(raised.value)
+    return text
+
+
+def _checked(capacity, requested, bid):
+    return lambda: validate_instance(make_instance(capacity, requested, SPLIT, [bid]))
+
+
+@pytest.mark.parametrize("text", [
+    lambda: repr(BidSchedule("A", 1, {1: BIG})),
+    lambda: repr(BidSchedule("A", BIG, {BIG: Money(1)})),
+    _message(SeatBoundViolation, _checked(5, 1, BidSchedule("A", BIG, {}))),
+    _message(SeatBoundViolation, _checked(-BIG, 1, sched("A", 1, {1: "1"}))),
+    _message(SeatBoundViolation, _checked(5, BIG, sched("A", 1, {1: "1"}))),
+    _message(OversizedCombination,
+             _checked(5, 1, BidSchedule("A", 1, {1: Money(1), BIG: Money(2)}))),
+    _message(MissingPrice, _checked(BIG, 1, BidSchedule("A", BIG, {1: Money(1)}))),
+    _message(OversizedCombination, lambda: CompiledCase(make_instance(
+        5, 1, SPLIT, [sched("A", 1, {1: "1"})])).price("A", BIG)),
+    _message(NegativeAmount, lambda: Money(-BIG)),
+    _message(InvalidLaw, lambda: GenerationLaw(seed=BIG)),
+    _message(InvalidLaw, lambda: generate_batch(GenerationLaw(seed=1), 1, 5, 1, first_case=-BIG)),
+    _message(InvalidLaw, lambda: generate_batch(GenerationLaw(seed=1), 1, 5, 1).instance(
+        BIG, SPLIT, 1)),
+    _message(InvalidLaw, lambda: generate_batch(GenerationLaw(seed=1), 1, 5, 1).head(BIG, 1)),
+    _message(ValidationError, lambda: perturb_bids(
+        make_instance(5, 1, SPLIT, [sched("A", 1, {1: "1"})]), [], -BIG)),
+    _message(ValidationError, lambda: perturb_bids(
+        make_instance(5, 1, SPLIT, [sched("A", 1, {1: "1"})]), [], Fraction(-BIG, 3))),
+], ids=["not-money-price", "availability-and-size", "availability-past-capacity",
+        "capacity", "request", "size-key", "missing-price", "compiled-price", "negative-money",
+        "seed", "first-case", "batch-case", "batch-head", "negative-raise", "negative-ratio"])
+def test_an_int_of_more_than_4300_digits_is_shown_exactly(text):
+    """Each repr and error message that shows an int shows it in full
+    past ``str``'s 4300-digit limit, where ``str`` raises ValueError."""
+    assert f"1{'0' * 5000}" in text()
 
 
 def test_a_checked_schedule_equals_an_unchecked_one(e1):

@@ -20,7 +20,7 @@ from avauction import (
     run_timing_study,
     run_truthfulness_study,
 )
-from avauction import core, scenario, studies
+from avauction import core, scenario, studies, wdp
 from avauction.studies import ratio_to_decimal
 
 from conftest import oracle_off_by_one_micro
@@ -233,6 +233,22 @@ def test_each_drawn_schedule_is_checked_once(monkeypatch):
         assert len(drawn) == 30 * len(cases)
         assert len(checked) == len(drawn)
         assert {id(s) for s in checked} == {id(s) for s in drawn}
+
+
+def test_a_compiled_case_ranks_each_size_once(monkeypatch):
+    """All 15 reports of a K = 100 case, kept splittable rows and
+    single-vehicle best and second-best alike, read one ranking per size."""
+    ranked = []
+    first_offers = wdp._first_offers
+
+    def counting(rows, size, n):
+        ranked.append(size)
+        return first_offers(rows, size, n)
+
+    monkeypatch.setattr(wdp, "_first_offers", counting)
+    batch = scenario.generate_batch(scenario.GenerationLaw(seed=2024), 100, studies.CAPACITY, 1)
+    assert len(studies._case_reports(batch, 0)) == 15
+    assert sorted(ranked) == list(range(1, studies.CAPACITY + 1))
 
 
 RANGED = {

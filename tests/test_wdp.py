@@ -571,11 +571,11 @@ def test_packed_cover_property_catches_a_scale_of_width():
 
 @st.composite
 def crowded_cases(draw):
-    """10-30 bidders on a vehicle of 1-3 seats, so always more than the
-    width(width + 3)/2 rows the cover tables keep, with prices from a tiny
-    range, so that many offers tie across ids and sizes."""
+    """2-30 bidders on a vehicle of 1-3 seats, so from fewer to many more
+    than the width(width + 3)/2 rows the cover tables keep, with prices
+    from a tiny range, so that many offers tie across ids and sizes."""
     capacity = draw(st.integers(min_value=1, max_value=3))
-    k = draw(st.integers(min_value=10, max_value=30))
+    k = draw(st.integers(min_value=2, max_value=30))
     bids = []
     for bidder_id in draw(st.permutations([f"b{j:02}" for j in range(k)])):
         available = draw(st.integers(min_value=0, max_value=capacity))
@@ -591,24 +591,29 @@ def crowded_cases(draw):
 def crowded_property(phases=tuple(Phase)):
     """A case of many tied bidders, built over the kept rows only, answers
     every service and q_r as enumeration does, ties included, and each
-    winner's exclusion total is the enumerated optimum without it."""
+    winner's exclusion total is the enumerated optimum without it; so does
+    the case compiled from the request alone, whose width is q_r (a private
+    vehicle's size may then exceed it)."""
 
     @settings(deadline=None, max_examples=100, database=None, phases=phases)
     @given(crowded_cases())
     def check(drawn):
         bids, capacity = drawn
         case = full_case(bids, capacity)
-        assert len(case._kept[1]) <= case.cover_width * (case.cover_width + 3) // 2
         for service in ServiceType:
             for q in range(1, capacity + 1):
                 instance = make_instance(capacity, q, service, bids)
-                alloc = case.solve(service, q)
-                assert alloc == brute_force_wdp(instance), (service, q)
-                if alloc is None:
-                    continue
-                for bidder_id, total in case.winner_exclusions(service, alloc).items():
-                    without = brute_force_wdp(instance.without_bidder(bidder_id))
-                    assert total == (None if without is None else without.total_bid.micros)
+                optimum = brute_force_wdp(instance)
+                for compiled in (case, CompiledCase(instance)):
+                    width = compiled.cover_width
+                    alloc = compiled.solve(service, q)
+                    assert len(compiled._kept[1]) <= width * (width + 3) // 2
+                    assert alloc == optimum, (service, q)
+                    if alloc is None:
+                        continue
+                    for bidder_id, total in compiled.winner_exclusions(service, alloc).items():
+                        without = brute_force_wdp(instance.without_bidder(bidder_id))
+                        assert total == (None if without is None else without.total_bid.micros)
 
     return check
 
@@ -617,16 +622,22 @@ def test_crowded_ties_match_the_oracle():
     crowded_property()()
 
 
+def plant_in_offers(monkeypatch, old, new):
+    """Replace ``CompiledCase._offers`` with its source edited from ``old``
+    to ``new``."""
+    source = textwrap.dedent(inspect.getsource(wdp.CompiledCase._offers))
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(wdp))
+    exec(mutated, namespace)
+    monkeypatch.setattr(wdp.CompiledCase, "_offers", namespace["_offers"])
+
+
 def test_the_crowded_property_catches_one_kept_offer_fewer_per_size(monkeypatch):
     """Keeping the width - m + 1 first offers at size m still finds every
     optimum, but not every winner's exclusion total.  The failure is not
     shrunk: only that there is one matters here."""
-    source = inspect.getsource(wdp._contenders)
-    mutated = source.replace("width - m + 2", "width - m + 1")
-    assert mutated != source
-    namespace = dict(vars(wdp))
-    exec(mutated, namespace)
-    monkeypatch.setattr(wdp, "_contenders", namespace["_contenders"])
+    plant_in_offers(monkeypatch, "self.cover_width - size + 2", "self.cover_width - size + 1")
     with pytest.raises(AssertionError):
         crowded_property(phases=(Phase.generate,))()
 
@@ -647,15 +658,10 @@ def test_the_crowded_property_catches_ties_ranked_to_the_larger_row(monkeypatch)
 
 
 def test_the_crowded_property_catches_a_single_vehicle_read_of_one_offer(monkeypatch):
-    """Reading only the first offer of the requested size still finds every
-    single-vehicle optimum, but loses the second-best price that is its
-    winner's exclusion total."""
-    source = textwrap.dedent(inspect.getsource(wdp.CompiledCase._single_vehicle))
-    mutated = source.replace("_first_offers(self.rows, size, 2)",
-                             "_first_offers(self.rows, size, 1)")
-    assert mutated != source
-    namespace = dict(vars(wdp))
-    exec(mutated, namespace)
-    monkeypatch.setattr(wdp.CompiledCase, "_single_vehicle", namespace["_single_vehicle"])
+    """Ranking one offer of a size wider than the table, as a private
+    vehicle larger than the request is, still finds every single-vehicle
+    optimum, but loses the second-best price that is its winner's
+    exclusion total."""
+    plant_in_offers(monkeypatch, "max(2,", "max(1,")
     with pytest.raises(AssertionError):
         crowded_property(phases=(Phase.generate,))()
