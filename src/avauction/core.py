@@ -12,7 +12,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 MICROS_PER_UNIT = 10**6
 
@@ -141,6 +141,8 @@ _BLOCK = 10**_BLOCK_DIGITS
 
 def _digits(number: int) -> str:
     """``str`` of an int, exact at any size and sign."""
+    if -_BLOCK < number < _BLOCK:  # below any digit limit, so ``str`` renders it
+        return str(number)
     if number < 0:
         return f"-{_digits(-number)}"
     blocks = []
@@ -231,10 +233,10 @@ class BidSchedule:
     view derived from them.  Built from a mapping, it keeps a copy (a price
     that is not Money is kept for ``price_series`` to reject); the parser,
     the generator and ``perturb_bids`` hand over an int mapping of their own
-    instead (``_of_micros``), which nothing writes again, and the parser
-    hands over the series of a line it found valid with it.  So a schedule
-    never changes once built; ``price_series`` relies on that to check each
-    schedule once and keep the series it checked.
+    instead (``_of_micros``), which nothing writes again, with the series
+    they found valid.  So a schedule never changes once built;
+    ``price_series`` relies on that to check each schedule once and keep
+    the series it checked.
     """
 
     bidder_id: str
@@ -343,8 +345,8 @@ def _bad_id(who) -> ValidationError:
 def price_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     """The schedule's prices for sizes 1..available_seats, in micros.
 
-    The one check of a schedule, shared by validation, the engine and the
-    generator.  One pass raises the first violation of, in order: an id
+    The one check of a schedule, shared by validation, the engine and
+    ``perturb_bids``.  One pass raises the first violation of, in order: an id
     that is one token of the text format (so every valid instance survives
     serialisation and parsing), an int availability and a bool concave
     flag, availability within [0, capacity], a price for every size 1..top
@@ -359,13 +361,18 @@ def price_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     is the only check that depends on the call.  Any other call runs the
     full check; a check that fails keeps nothing.
 
-    The parser keeps a series the same way, for each bidder line it reads
-    as the plain valid case: an id token, sizes 1, 2, ..., m in order with
-    m the availability, strictly increasing prices and, on a concave line,
-    non-increasing marginals.  That is the series this check returns for
-    the line at any capacity of at least m.  The parser raises no
-    validation error of its own: a line that is not plain keeps nothing,
-    and its first check here raises what it would raise for any schedule.
+    The parser, the generator and ``perturb_bids`` hand a series over the
+    same way, and only one that ``_plain_series`` accepts (strictly
+    increasing prices and, on a concave schedule, non-increasing
+    marginals).  The parser keeps one for each bidder line it reads as the
+    plain valid case: an id token and sizes 1, 2, ..., m in order with m
+    the availability.  The generator keeps the series of every schedule it
+    draws (a draw that fails the rule is redrawn), and ``perturb_bids``
+    the raised series of a target this check accepted.  Each is the series
+    this check returns for the schedule at any capacity of at least its
+    availability.  None of them raises a validation error of its own: a
+    parsed line that is not plain keeps nothing, and its first check here
+    raises what it would raise for any schedule.
     """
     series = schedule._series
     if series is not None and schedule.available_seats <= capacity:
@@ -389,8 +396,6 @@ def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
         )
     prices = schedule._micros
     series: list[int] = []
-    increasing = concave = True
-    prev = step = None
     for m in range(1, top + 1):
         try:
             micros = prices[m]
@@ -402,14 +407,8 @@ def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
             raise ValidationError(
                 f"bidder {who}: price for size {m} must be Money, got {type(micros.value).__name__}"
             )
-        if prev is not None:
-            if step is not None and micros - prev > step:
-                concave = False
-            step = micros - prev
-            increasing = increasing and step > 0
         series.append(micros)
-        prev = micros
-    if not increasing:
+    if not _plain_series(series, False):
         raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
     for size in prices:
         # A key that only equals an int (2.0, True) passed the lookups above.
@@ -418,9 +417,25 @@ def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
                 f"bidder {who}: price defined for size {_shown(size, str)} "
                 f"outside 1..{_digits(top)}"
             )
-    if schedule.concave and not concave:
+    if schedule.concave and not _plain_series(series, True):
         raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
     return tuple(series)
+
+
+def _plain_series(series: Sequence[int], concave: bool) -> bool:
+    """The price rule, written once: whether the int prices of ``series``
+    strictly increase and, when ``concave``, their marginals never increase.
+    ``_checked_series`` raises on it, and the parser, the generator and
+    ``perturb_bids`` test the series they hand over with it."""
+    prev = gap = None
+    for price in series:
+        if prev is not None:
+            step = price - prev
+            if step <= 0 or concave and gap is not None and step > gap:
+                return False
+            gap = step
+        prev = price
+    return True
 
 
 def check_request(capacity: int, service: ServiceType, requested_seats: int) -> None:

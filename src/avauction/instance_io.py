@@ -29,6 +29,8 @@ from .core import (
     BidSchedule,
     ServiceType,
     ValidationError,
+    _digits,
+    _plain_series,
     micros_from_decimal,
     micros_to_decimal,
 )
@@ -107,47 +109,39 @@ def _parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
         if not rest or rest[0] != "prices":
             raise ParseError(f"line {n}: expected 'prices' section")
         prices: dict[int, int] = {}
-        # The line stays plain (see ``price_series``) while its sizes run 1,
-        # 2, ... in order, its prices strictly increase and, on a concave
-        # line, its marginals never increase.
-        plain, prev, gap = True, None, None
+        # The line is plain (see ``price_series``) when its sizes run 1, 2,
+        # ..., available in order and its series passes the price rule.
+        in_order = True
         for item in rest[1:]:
             size_text, _, price_text = item.partition(":")
             size = int(size_text)
             if size in prices:
                 raise ParseError(f"line {n}: duplicate price for size {size}")
-            price = prices[size] = micros_from_decimal(price_text)
-            if plain:
-                if size != len(prices):
-                    plain = False
-                elif prev is not None:
-                    step = price - prev
-                    if step <= 0 or concave and gap is not None and step > gap:
-                        plain = False
-                    gap = step
-                prev = price
+            prices[size] = micros_from_decimal(price_text)
+            in_order = in_order and size == len(prices)
     except ParseError:
         raise
     except (IndexError, ValueError, ValidationError) as exc:
         raise ParseError(f"line {n}: malformed bidder record ({exc})") from None
-    series = tuple(prices.values()) if plain and len(prices) == available else None
+    series = tuple(prices.values())
+    if not (in_order and len(series) == available and _plain_series(series, concave)):
+        series = None
     return BidSchedule._of_micros(bidder_id, available, prices, concave, series)
 
 
 def serialize_instance(instance: AuctionInstance, comments: Iterable[str] = ()) -> str:
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     lines.extend(f"# {comment}" for comment in comments)
-    lines.append(f"capacity {instance.capacity}")
-    lines.append(f"requested_seats {instance.requested_seats}")
+    lines.append(f"capacity {_digits(instance.capacity)}")
+    lines.append(f"requested_seats {_digits(instance.requested_seats)}")
     lines.append(f"service {instance.service.value}")
     for sched in instance.bids:
-        parts = [f"bidder {sched.bidder_id} available {sched.available_seats}"]
-        if sched.concave:
-            parts.append("concave")
-        parts.append("prices")
         prices = sched._micros
-        parts.extend(f"{m}:{micros_to_decimal(prices[m])}" for m in sorted(prices))
-        lines.append(" ".join(parts))
+        shown = "".join([f" {m}:{micros_to_decimal(prices[m])}" for m in sorted(prices)])
+        lines.append(
+            f"bidder {sched.bidder_id} available {_digits(sched.available_seats)}"
+            f"{' concave' if sched.concave else ''} prices{shown}"
+        )
     return "\n".join(lines) + "\n"
 
 

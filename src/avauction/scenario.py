@@ -4,17 +4,22 @@ Each case draws, per bidder, an availability uniform on [1, Q] and a unit
 seat cost, then prices size m at cost * sum(gamma^(i-1), i=1..m) rounded
 half-up to micro-units in integer arithmetic, ``round_half_up(cost * n, d)``
 for the sum n/d: strictly increasing with diminishing marginals, so every
-generated schedule carries the concave flag.  A draw that micro-rounding
-flattens is redrawn.
+generated schedule carries the concave flag.  The draw checks its price
+series with the package's one price rule (``core._plain_series``) and
+keeps it on the schedule, so nothing checks a drawn schedule again; a draw
+that micro-rounding flattens is redrawn.
 
 Every draw comes from a stream: a ``random.Random`` seeded with the sha256
 of (seed, label).  Distinct labels give independent sequences, and the same
-(seed, label) pair always replays the same one.  Case streams are labelled
-by (case, bidder) only, never by the bidder count, so scenarios of different
-sizes share their common bidders: the K=5 batch is a prefix of the K=100
-batch for the same seed.  That is what makes the paired-seed comparisons
-across K meaningful, and it lets the studies draw each law once, at their
-largest K, and take every smaller K with ``ScenarioBatch.head``.
+(seed, label) pair always replays the same one.  A batch reseeds one
+``Random`` per stream, which puts it in the state a new ``Random`` seeded
+with that key starts in, so its draws are ``rng_stream``'s.  Case streams
+are labelled by (case, bidder) only, never by the bidder count, so
+scenarios of different sizes share their common bidders: the K=5 batch is
+a prefix of the K=100 batch for the same seed.  That is what makes the
+paired-seed comparisons across K meaningful, and it lets the studies draw
+each law once, at their largest K, and take every smaller K with
+``ScenarioBatch.head``.
 """
 
 from __future__ import annotations
@@ -30,16 +35,15 @@ from .core import (
     AuctionError,
     AuctionInstance,
     BidSchedule,
-    NonConcavePrices,
-    NonMonotonePrices,
     OversizedRatio,
     ServiceType,
     ValidationError,
+    _digits,
     _is_int,
+    _plain_series,
     _shown,
     as_fraction,
     check_request,
-    price_series,
     round_half_up,
 )
 
@@ -63,10 +67,14 @@ class CostLaw(Enum):
     SMALL_VARIATION = "small"
 
 
+def _stream_key(seed: int, label: str) -> int:
+    """The seed of the stream for ``label`` under ``seed``."""
+    return int.from_bytes(hashlib.sha256(f"{seed}\x1f{label}".encode()).digest(), "big")
+
+
 def rng_stream(seed: int, label: str) -> random.Random:
     """The stream for ``label`` under ``seed``."""
-    digest = hashlib.sha256(f"{seed}\x1f{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return random.Random(_stream_key(seed, label))
 
 
 @dataclass(frozen=True)
@@ -124,19 +132,16 @@ def _draw_schedule(
     sums: list[tuple[int, int]],
 ) -> BidSchedule:
     available = stream.randint(1, capacity)
+    sums = sums[:available]
     for _ in range(MAX_DRAW_ATTEMPTS):
         cost = draw_cost_micros(stream, law.cost_law)
-        prices = {
-            m: round_half_up(cost * num, den) for m, (num, den) in enumerate(sums[:available], 1)
-        }
-        schedule = BidSchedule._of_micros(bidder_id, available, prices, True)
+        series = tuple([round_half_up(cost * num, den) for num, den in sums])
         # Micro-rounding can collapse sub-micro marginals for tiny costs;
         # such draws are rejected so every emitted schedule validates.
-        try:
-            price_series(schedule, capacity)
-        except (NonMonotonePrices, NonConcavePrices):
-            continue
-        return schedule
+        if _plain_series(series, True):
+            return BidSchedule._of_micros(
+                bidder_id, available, dict(enumerate(series, 1)), True, series
+            )
     raise InvalidLaw(
         f"gamma {law.gamma} cannot produce valid micro-unit price curves"
     )
@@ -204,8 +209,8 @@ class ScenarioBatch:
         h = hashlib.sha256()
         for schedules in self.cases:
             for s in schedules:
-                prices = ",".join(f"{m}:{s._micros[m]}" for m in sorted(s._micros))
-                h.update(f"{s.bidder_id}|{s.available_seats}|{prices}\n".encode())
+                prices = ",".join(f"{m}:{_digits(s._micros[m])}" for m in sorted(s._micros))
+                h.update(f"{s.bidder_id}|{_digits(s.available_seats)}|{prices}\n".encode())
         return h.hexdigest()
 
 
@@ -220,11 +225,13 @@ def generate_batch(
     if not (_is_int(first_case) and first_case >= 0):
         raise InvalidLaw(f"first_case must be an int of at least 0, got {_shown(first_case)}")
     sums = _geometric_sums(law.gamma, capacity)
+    ids = [f"b{j:04d}" for j in range(bidders)]
+    stream = random.Random(0)  # any seed: every stream below reseeds it
     out = []
     for case in range(first_case, first_case + cases):
         schedules = []
-        for j in range(bidders):
-            stream = rng_stream(law.seed, f"case{case:04d}/bidder{j:04d}")
-            schedules.append(_draw_schedule(stream, f"b{j:04d}", capacity, law, sums))
+        for j, bidder_id in enumerate(ids):
+            stream.seed(_stream_key(law.seed, f"case{case:04d}/bidder{j:04d}"))
+            schedules.append(_draw_schedule(stream, bidder_id, capacity, law, sums))
         out.append(tuple(schedules))
     return ScenarioBatch(law=law, capacity=capacity, cases=tuple(out), first_case=first_case)

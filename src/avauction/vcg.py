@@ -19,11 +19,11 @@ from .core import (
     AuctionInstance,
     BidSchedule,
     Money,
-    NonConcavePrices,
     ServiceType,
     UnknownBidder,
     ValidationError,
     _digits,
+    _plain_series,
     as_fraction,
     price_series,
     round_half_up,
@@ -233,11 +233,13 @@ def perturb_bids(
 ) -> AuctionInstance:
     """Scale every price of the targeted bidders by (1 + raise_fraction).
 
-    Scaled prices are rounded half-up to micro-units; strict monotonicity
-    survives any non-negative raise, but micro-rounding can break an exact
+    Each target's schedule is checked first (``price_series``, which raises
+    what it finds wrong) and its series is raised.  Scaled prices are
+    rounded half-up to micro-units; strict monotonicity survives any
+    non-negative raise, but micro-rounding can break an exact
     diminishing-marginals pattern, so a raised schedule keeps the concave
-    flag only when ``price_series`` accepts it with the flag; it then
-    carries the series that check kept.
+    flag only when the price rule accepts its series with the flag.  It
+    carries the raised series, so it is not checked again.
     """
     fraction = as_fraction(raise_fraction)
     if fraction < 0:
@@ -256,14 +258,14 @@ def perturb_bids(
         if sched.bidder_id not in target_set:
             new_bids.append(sched)
             continue
-        prices = {size: round_half_up(micros * p, q) for size, micros in sched._micros.items()}
-        who, available = sched.bidder_id, sched.available_seats
-        raised = BidSchedule._of_micros(who, available, prices, sched.concave)
-        try:
-            price_series(raised, instance.capacity)
-        except NonConcavePrices:
-            raised = BidSchedule._of_micros(who, available, prices, False)
-        new_bids.append(raised)
+        checked = price_series(sched, instance.capacity)
+        series = tuple([round_half_up(micros * p, q) for micros in checked])
+        # The check passed, so the keys are the sizes 1..available, in any order.
+        prices = {size: series[size - 1] for size in sched._micros}
+        concave = sched.concave and _plain_series(series, True)
+        new_bids.append(
+            BidSchedule._of_micros(sched.bidder_id, sched.available_seats, prices, concave, series)
+        )
     return AuctionInstance(
         capacity=instance.capacity,
         requested_seats=instance.requested_seats,

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -180,6 +181,23 @@ def test_gen_writes_parseable_instances(tmp_path, capsys):
         assert inst.requested_seats == 2
         assert inst.service is ServiceType.NON_SPLITTABLE
         assert len(inst.bids) == 3
+
+
+# sha256 of each document `gen` writes at the default seed and law: a byte
+# change in drawing or writing a case fails here.
+GEN_GOLDEN = {
+    "k005-case0000.txt": "e6595f59f58ec5b727fda2fcda12e7638bdcb003c8b577794d2c1ee86ed23bc3",
+    "k005-case0001.txt": "f6127622221b2186bb2ee89761d63818ee996a1f530a2a4336c33be120c73a8d",
+    "k1000-case0000.txt": "1868c841d2c2a3d8b283e81bb4fdb32752aa95aa7c10a38e6fa09644f6834928",
+    "k1000-case0001.txt": "15205452a927195215090931af67548ba17d200066e045f86f5369ce9a93c82c",
+}
+
+
+def test_gen_writes_the_golden_bytes(tmp_path, capsys):
+    code = main(["gen", "--k", "5,1000", "--cases", "2", "--qr", "3", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == GEN_GOLDEN
 
 
 @pytest.mark.parametrize("argv", [["study", "charges"], ["gen"]])

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -482,6 +483,28 @@ def test_a_stored_series_never_changes_an_outcome(case, capacity2, through_valid
     for check in (lambda s: price_series(s, capacity2),
                   lambda s: list(full_case([s], capacity2).rows[0])):
         assert outcome(check, schedule) == outcome(check, fresh())
+
+
+@settings(max_examples=500)
+@given(
+    st.sampled_from([0, 7, 2**64, 10**5000]),
+    st.lists(st.integers(-2, 4), max_size=6),
+    st.booleans(),
+)
+@example(10**5000, [1, 1, 1], True)  # equal marginals past 4300 digits
+@example(0, [0], False)  # one price of 0
+@example(0, [3, 0, 1], False)  # a tie
+def test_the_price_rule_accepts_what_the_full_check_accepts(base, steps, concave):
+    """``_plain_series(s, c)`` is True exactly when the full check accepts
+    the schedule built from series s with flag c; then it returns s."""
+    series = [base + step for step in accumulate(steps)]
+    schedule = BidSchedule._of_micros("A", len(series), dict(enumerate(series, 1)), concave)
+    full = outcome(lambda s: core._checked_series(s, len(series)), schedule)
+    assert core._plain_series(series, concave) is not failed(full)
+    if failed(full):
+        assert full[0] in (NonMonotonePrices, NonConcavePrices)
+    else:
+        assert full == tuple(series)
 
 
 def fresh(instance: AuctionInstance) -> AuctionInstance:

@@ -63,6 +63,15 @@ def test_round_trip_preserves_concave_flag():
     assert again == inst
 
 
+def test_fields_past_4300_digits_are_written_exactly():
+    """A valid instance whose capacity and request have more digits than
+    ``str`` converts is written digit for digit."""
+    inst = validate_instance(make_instance(10**5000, 5 * 10**4999, ServiceType.SPLITTABLE,
+                                           [sched("A", 1, {1: "1"})]))
+    lines = serialize_instance(inst).splitlines()
+    assert lines[1:3] == ["capacity 1" + "0" * 5000, "requested_seats 5" + "0" * 4999]
+
+
 def test_unknown_version_rejected():
     with pytest.raises(ParseError, match="version"):
         parse_instance(E1_DOC.replace("v1", "v2"))

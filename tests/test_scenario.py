@@ -1,22 +1,27 @@
+import hashlib
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avauction import (
+    BidSchedule,
     CostLaw,
     GenerationLaw,
     InvalidLaw,
+    Money,
     ScenarioBatch,
     ServiceType,
     generate_batch,
     rng_stream,
     validate_instance,
 )
+from avauction import core
 from avauction.core import MICROS_PER_UNIT
 from avauction.scenario import draw_cost_micros
 
-from conftest import fraction_generate_batch, outcome
+from conftest import failed, fraction_generate_batch, outcome
 
 
 class TestRngStream:
@@ -232,22 +237,44 @@ def test_head_rejects_more_than_the_batch_holds(bidders, cases):
         batch.head(bidders, cases)
 
 
-@settings(max_examples=40, deadline=None)
+def test_a_digest_renders_prices_past_4300_digits():
+    schedule = BidSchedule("A", 1, {1: Money(10**5000)})
+    batch = ScenarioBatch(law=GenerationLaw(seed=1), capacity=5, cases=((schedule,),))
+    line = "A|1|1:1" + "0" * 5000 + "\n"
+    assert batch.digest() == hashlib.sha256(line.encode()).hexdigest()
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
     cost_law=st.sampled_from(list(CostLaw)),
-    gamma=st.sampled_from([Fraction(1), Fraction(4, 5), Fraction(1, 2)]),
+    # 1/10 and 1/20 sit near the degenerate edge: 1/20 redraws at capacity
+    # 6 and raises InvalidLaw at 7.
+    gamma=st.sampled_from([Fraction(1), Fraction(4, 5), Fraction(1, 2),
+                           Fraction(1, 10), Fraction(1, 20)]),
     bidders=st.integers(1, 12),
     capacity=st.integers(1, 7),
     cases=st.integers(1, 3),
 )
+@example(seed=0, cost_law=CostLaw.LARGE_VARIATION, gamma=Fraction(1, 20), bidders=12,
+         capacity=6, cases=3)  # 49 redraws
+@example(seed=0, cost_law=CostLaw.LARGE_VARIATION, gamma=Fraction(1, 20), bidders=12,
+         capacity=7, cases=3)
 def test_integer_price_curves_match_fraction_products(seed, cost_law, gamma, bidders,
                                                       capacity, cases):
+    """Each drawn schedule equals the oracle's, and the series it keeps is
+    the one the full check returns for the oracle's schedule."""
     law = GenerationLaw(seed=seed, cost_law=cost_law, gamma=gamma)
-    batch = generate_batch(law, bidders, capacity, cases)
-    oracle = fraction_generate_batch(law, bidders, capacity, cases)
+    batch = outcome(lambda law: generate_batch(law, bidders, capacity, cases), law)
+    oracle = outcome(lambda law: fraction_generate_batch(law, bidders, capacity, cases), law)
+    if failed(batch) or failed(oracle):
+        assert batch == oracle
+        return
     assert batch.cases == oracle.cases
     assert batch.digest() == oracle.digest()
+    for drawn, expected in zip(chain.from_iterable(batch.cases),
+                               chain.from_iterable(oracle.cases)):
+        assert drawn._series == core._checked_series(expected, capacity)
 
 
 def test_degenerate_gamma_raises_as_the_fraction_oracle_does():

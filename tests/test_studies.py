@@ -197,10 +197,12 @@ def test_study_tables_match_golden_digests():
 
 
 def test_each_drawn_schedule_is_checked_once(monkeypatch):
-    """The generator checks each schedule it draws; every compile after that,
-    at every K, reads the series the schedule keeps.  The lists fill in the
-    process that draws, so the whole study runs here at one worker, and
-    then each range of a three-worker split runs here on its own."""
+    """The generator checks each schedule it draws with the price rule and
+    keeps the series, so no compile at any K runs the full check on one,
+    and each kept series is the one the full check returns afterwards.  The
+    lists fill in the process that draws, so the whole study runs here at
+    one worker, and then each range of a three-worker split runs here on
+    its own."""
     checked = []
     full_check = core._checked_series
 
@@ -215,24 +217,26 @@ def test_each_drawn_schedule_is_checked_once(monkeypatch):
         drawn.append(draw(*args))
         return drawn[-1]
 
+    def kept_as_checked():
+        return all(s._series == full_check(s, studies.CAPACITY) for s in drawn)
+
     monkeypatch.setattr(core, "_checked_series", counting)
     monkeypatch.setattr(scenario, "_draw_schedule", recording)
     monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)
     cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)
     run_charge_study(cfg)
     assert len(drawn) == 30 * 20
-    assert len(checked) == len(drawn)
-    assert {id(s) for s in checked} == {id(s) for s in drawn}
+    assert checked == []
+    assert kept_as_checked()
 
     for cases in (range(0, 6), range(6, 13), range(13, 20)):
         drawn.clear()
-        checked.clear()
         made, failure = studies._range_sums(studies._charge_sums, cfg, cfg.scenario_sizes,
                                             (None,), cases)
         assert failure is None and len(made) == 1 + len(cfg.scenario_sizes)
         assert len(drawn) == 30 * len(cases)
-        assert len(checked) == len(drawn)
-        assert {id(s) for s in checked} == {id(s) for s in drawn}
+        assert checked == []
+        assert kept_as_checked()
 
 
 def test_a_compiled_case_ranks_each_size_once(monkeypatch):

@@ -10,6 +10,7 @@ from avauction import (
     FallbackReport,
     MissingValuation,
     Money,
+    NonConcavePrices,
     NotServed,
     ServiceType,
     UnknownBidder,
@@ -30,9 +31,9 @@ from avauction import (
     vcg_charges,
 )
 
-from avauction import vcg
+from avauction import core, vcg
 
-from conftest import full_report, make_instance, sched, small_instances
+from conftest import full_report, make_instance, outcome, sched, small_instances
 
 
 def charges_by_id(report):
@@ -152,6 +153,28 @@ class TestPerturbation:
         raised = perturb_bids(inst, {"A"}, Fraction(1, 2))
         assert not raised.bids[0].concave
         validate_instance(raised)
+
+    def test_a_raised_schedule_keeps_its_key_order_and_the_checked_series(self):
+        inst = make_instance(5, 1, ServiceType.SPLITTABLE,
+                             [sched("A", 3, {2: "0.55", 1: "0.3", 3: "0.78"}, concave=True)])
+        raised = perturb_bids(inst, {"A"}, "0.1").bids[0]
+        assert list(raised._micros) == [2, 1, 3] and raised.concave
+        assert raised._series == core._checked_series(raised, 5) == (330_000, 605_000, 858_000)
+
+    def test_a_target_price_that_is_not_money_raises_as_validation_does(self):
+        inst = make_instance(5, 1, ServiceType.SPLITTABLE,
+                             [BidSchedule("A", 2, {1: Money(1), 2: 5})])
+        raised = outcome(lambda i: perturb_bids(i, {"A"}, "0.1"), inst)
+        assert raised[0] is ValidationError
+        assert raised == outcome(validate_instance, inst)
+
+    def test_a_target_with_a_broken_concave_flag_raises_as_validation_does(self):
+        # marginals 0.25 then 0.35: the flag is wrong before any raise
+        inst = make_instance(5, 1, ServiceType.SPLITTABLE,
+                             [sched("A", 3, {1: "0.3", 2: "0.55", 3: "0.9"}, concave=True)])
+        raised = outcome(lambda i: perturb_bids(i, {"A"}, "0.1"), inst)
+        assert raised[0] is NonConcavePrices
+        assert raised == outcome(validate_instance, inst)
 
     def test_winner_flip_under_large_raise(self, e1):
         base = vcg_charges(e1)
