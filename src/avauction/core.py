@@ -171,14 +171,11 @@ def micros_from_decimal(text: str) -> int:
     The grammar is digits with an optional fraction (``12``, ``12.``,
     ``12.5``) or a bare fraction (``.5``); a digit is any character
     ``str.isdecimal`` accepts, which is exactly the set the regex ``\\d``
-    accepts.  The form the serializer writes, digits, ``.`` and six digits,
-    is read first and directly.  The whole and fractional digits go through
-    ``int`` apart, so only a whole part too long for ``int`` raises its
-    ValueError.
+    accepts.  The whole and fractional digits go through ``int`` apart, so
+    only a whole part too long for ``int`` raises its ValueError.  (The
+    parser reads a line in the serializer's own form without this grammar;
+    see ``instance_io``.)
     """
-    whole, _, frac = text.partition(".")
-    if len(frac) == 6 and whole.isdecimal() and frac.isdecimal():
-        return int(whole) * MICROS_PER_UNIT + int(frac)
     text = text.strip()
     whole, _, frac = text.partition(".")
     if (whole.isdecimal() or not whole and frac) and (not frac or frac.isdecimal()):
@@ -248,11 +245,14 @@ class BidSchedule:
 
     def __init__(self, bidder_id: str, available_seats: int, prices: Mapping[int, Money],
                  concave: bool = False) -> None:
-        micros = {
+        _SET_ID(self, bidder_id)
+        _SET_AVAILABLE(self, available_seats)
+        _SET_MICROS(self, {
             size: price.micros if isinstance(price, Money) else _NotMoney(price)
             for size, price in dict(prices).items()
-        }
-        _fill(self, bidder_id, available_seats, micros, concave, None)
+        })
+        _SET_CONCAVE(self, concave)
+        _SET_SERIES(self, None)
 
     @classmethod
     def _of_micros(cls, bidder_id: str, available_seats: int, micros: dict[int, int],
@@ -261,7 +261,11 @@ class BidSchedule:
         copy: the caller hands it over and never writes it again.  A
         ``series`` is kept as the one ``price_series`` checked (see there)."""
         schedule = object.__new__(cls)
-        _fill(schedule, bidder_id, available_seats, micros, concave, series)
+        _SET_ID(schedule, bidder_id)
+        _SET_AVAILABLE(schedule, available_seats)
+        _SET_MICROS(schedule, micros)
+        _SET_CONCAVE(schedule, concave)
+        _SET_SERIES(schedule, series)
         return schedule
 
     # Frozen by hand: a frozen dataclass with slots raises TypeError, not
@@ -293,14 +297,6 @@ _SET_ID, _SET_AVAILABLE, _SET_MICROS, _SET_CONCAVE, _SET_SERIES = (
     BidSchedule.__dict__[name].__set__
     for name in ("bidder_id", "available_seats", "_micros", "concave", "_series")
 )
-
-
-def _fill(schedule, bidder_id, available_seats, micros, concave, series) -> None:
-    _SET_ID(schedule, bidder_id)
-    _SET_AVAILABLE(schedule, available_seats)
-    _SET_MICROS(schedule, micros)
-    _SET_CONCAVE(schedule, concave)
-    _SET_SERIES(schedule, series)
 
 
 @dataclass(frozen=True)
@@ -364,15 +360,17 @@ def price_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
     The parser, the generator and ``perturb_bids`` hand a series over the
     same way, and only one that ``_plain_series`` accepts (strictly
     increasing prices and, on a concave schedule, non-increasing
-    marginals).  The parser keeps one for each bidder line it reads as the
-    plain valid case: an id token and sizes 1, 2, ..., m in order with m
-    the availability.  The generator keeps the series of every schedule it
-    draws (a draw that fails the rule is redrawn), and ``perturb_bids``
-    the raised series of a target this check accepted.  Each is the series
-    this check returns for the schedule at any capacity of at least its
-    availability.  None of them raises a validation error of its own: a
-    parsed line that is not plain keeps nothing, and its first check here
-    raises what it would raise for any schedule.
+    marginals).  The parser keeps one only for a bidder line written as
+    ``serialize_instance`` writes it (see ``instance_io``): an id token,
+    sizes written 1, 2, ..., m in order with m the availability (at most
+    1000), and prices of at most 600 whole digits.  The generator keeps
+    the series of every schedule it draws (a draw that fails the rule is
+    redrawn), and ``perturb_bids`` the raised series of a target this
+    check accepted.  Each is the series this check returns for the
+    schedule at any capacity of at least its availability.  None of them
+    raises a validation error of its own: any other parsed line,
+    hand-written or rejected by the rule, keeps nothing, and its first
+    check here raises what it would raise for any schedule.
     """
     series = schedule._series
     if series is not None and schedule.available_seats <= capacity:

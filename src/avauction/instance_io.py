@@ -11,16 +11,22 @@ Layout, one field per line, ``#`` comments and blank lines ignored:
 
 Parsing checks the syntax and the bidder-id token, so a bad id is a parse
 error; ``validate_instance`` checks everything else, and solving or charging
-the result makes the same checks.  A bidder line that parses as the plain
-valid case keeps its checked series (see ``core.price_series``), so those
-checks read it instead of walking the line again.  Unknown versions are
-rejected.
+the result makes the same checks.  Unknown versions are rejected.
+
+A bidder line written exactly as ``serialize_instance`` writes it (single
+spaces, ASCII digits, sizes written 1..available in order, six fractional
+digits and no digit run longer than ``_RUN``) is read with one match and
+one ``int`` per price, and keeps its series when the price rule accepts it
+(see ``core.price_series``), so those checks read it instead of walking
+the line again.  Every other line is split into tokens and read by the
+general grammar, which raises every parse error; it keeps no series.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .core import (
     BIDDER_ID_RE,
@@ -38,21 +44,31 @@ from .core import (
 FORMAT_NAME = "avauction-instance"
 FORMAT_VERSION = "v1"
 
+# The longest digit run the written-line reader takes: a price's run and
+# its six fractional digits stay below 640 digits, the lowest int-string
+# limit Python allows, so its one ``int`` never raises.
+_RUN = 600
+_WRITTEN_BIDDER = re.compile(
+    rf"bidder ({BIDDER_ID_RE.pattern}) available ([0-9]{{1,{_RUN}}})( concave)? prices"
+    rf"((?: [0-9]{{1,{_RUN}}}:[0-9]{{1,{_RUN}}}\.[0-9]{{6}})*)"
+)
+# The size texts the serializer writes, "1" to "1000"; a line of more sizes
+# is left to the token path.
+_SIZES = [str(size) for size in range(1, 1001)]
+
 
 class ParseError(AuctionError):
     pass
 
 
 def parse_instance(text: str) -> AuctionInstance:
-    # Each line is split once, as it is reached; a line with no tokens is
-    # blank, and one whose first token starts with '#' is a comment.
-    records = (
-        (n, tokens)
-        for n, tokens in enumerate(map(str.split, text.splitlines()), start=1)
-        if tokens and not tokens[0].startswith("#")
-    )
-    for n, parts in records:
-        break
+    # A line with no tokens is blank, and one whose first token starts with
+    # '#' is a comment; a bidder line in the written form is read whole.
+    lines = enumerate(text.splitlines(), start=1)
+    for n, line in lines:
+        parts = line.split()
+        if parts and not parts[0].startswith("#"):
+            break
     else:
         raise ParseError("empty document")
     if parts[0] != FORMAT_NAME:
@@ -61,7 +77,14 @@ def parse_instance(text: str) -> AuctionInstance:
         raise ParseError(f"line {n}: unsupported version {' '.join(parts[1:])!r}")
     fields: dict[str, str] = {}
     bids: list[BidSchedule] = []
-    for n, tokens in records:
+    for n, line in lines:
+        written = _WRITTEN_BIDDER.fullmatch(line)
+        if written and (schedule := _read_written(*written.groups())):
+            bids.append(schedule)
+            continue
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
         if tokens[0] == "bidder":
             bids.append(_parse_bidder(n, tokens))
         elif tokens[0] in ("capacity", "requested_seats", "service"):
@@ -92,6 +115,22 @@ def parse_instance(text: str) -> AuctionInstance:
     )
 
 
+def _read_written(bidder_id: str, available: str, concave: Optional[str],
+                  items: str) -> Optional[BidSchedule]:
+    """The schedule of a line ``_WRITTEN_BIDDER`` matched, or None when its
+    sizes are not written as 1..available in order.  Each price is read
+    with one ``int`` over its digits with the ``.`` removed, and the series
+    is kept when the price rule accepts it."""
+    runs = items.replace(".", "").replace(":", " ").split()
+    top = int(available)
+    if len(runs) != 2 * top or runs[::2] != _SIZES[:top]:
+        return None
+    series = tuple(map(int, runs[1::2]))
+    flag = concave is not None
+    return BidSchedule._of_micros(bidder_id, top, dict(enumerate(series, 1)), flag,
+                                  series if _plain_series(series, flag) else None)
+
+
 def _parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
     # bidder <id> available <int> [concave] prices <size>:<decimal> ...
     try:
@@ -109,24 +148,17 @@ def _parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
         if not rest or rest[0] != "prices":
             raise ParseError(f"line {n}: expected 'prices' section")
         prices: dict[int, int] = {}
-        # The line is plain (see ``price_series``) when its sizes run 1, 2,
-        # ..., available in order and its series passes the price rule.
-        in_order = True
         for item in rest[1:]:
             size_text, _, price_text = item.partition(":")
             size = int(size_text)
             if size in prices:
                 raise ParseError(f"line {n}: duplicate price for size {size}")
             prices[size] = micros_from_decimal(price_text)
-            in_order = in_order and size == len(prices)
     except ParseError:
         raise
     except (IndexError, ValueError, ValidationError) as exc:
         raise ParseError(f"line {n}: malformed bidder record ({exc})") from None
-    series = tuple(prices.values())
-    if not (in_order and len(series) == available and _plain_series(series, concave)):
-        series = None
-    return BidSchedule._of_micros(bidder_id, available, prices, concave, series)
+    return BidSchedule._of_micros(bidder_id, available, prices, concave)
 
 
 def serialize_instance(instance: AuctionInstance, comments: Iterable[str] = ()) -> str:

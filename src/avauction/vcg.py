@@ -25,6 +25,7 @@ from .core import (
     _digits,
     _plain_series,
     as_fraction,
+    check_fields,
     price_series,
     round_half_up,
 )
@@ -233,14 +234,16 @@ def perturb_bids(
 ) -> AuctionInstance:
     """Scale every price of the targeted bidders by (1 + raise_fraction).
 
-    Each target's schedule is checked first (``price_series``, which raises
-    what it finds wrong) and its series is raised.  Scaled prices are
-    rounded half-up to micro-units; strict monotonicity survives any
+    The instance's own fields are checked first (``check_fields``, as
+    compiling does), then each target's schedule (``price_series``, which
+    raises what it finds wrong), and its series is raised.  Scaled prices
+    are rounded half-up to micro-units; strict monotonicity survives any
     non-negative raise, but micro-rounding can break an exact
     diminishing-marginals pattern, so a raised schedule keeps the concave
     flag only when the price rule accepts its series with the flag.  It
     carries the raised series, so it is not checked again.
     """
+    check_fields(instance)
     fraction = as_fraction(raise_fraction)
     if fraction < 0:
         p, q = fraction.numerator, fraction.denominator

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,7 @@ from avauction import (
     vcg_charges,
     write_instance,
 )
-from avauction import core
+from avauction import core, instance_io
 from avauction.core import BIDDER_ID_RE, price_series
 from avauction.instance_io import FORMAT_NAME, FORMAT_VERSION
 
@@ -114,16 +115,17 @@ def test_file_round_trip(tmp_path, e1):
 
 
 @st.composite
-def valid_instances(draw):
+def valid_instances(draw, levels=(0, 2**62, 10**20)):
     """Instances ``validate_instance`` accepts: ids drawn from the id
     pattern, zero availability, concave curves (flagged) and unflagged ones
-    of any shape, and prices beyond 2**62 micros."""
+    of any shape, and prices beyond 2**62 micros (from just above one of
+    ``levels``)."""
     capacity = draw(st.integers(min_value=1, max_value=6))
     ids = draw(st.lists(st.from_regex(BIDDER_ID_RE, fullmatch=True), max_size=4, unique=True))
     bids = []
     for bidder_id in ids:
         available = draw(st.integers(min_value=0, max_value=capacity))
-        level = draw(st.sampled_from([0, 2**62, 10**20]))
+        level = draw(st.sampled_from(levels))
         increments = draw(st.lists(st.integers(1, 10**7), min_size=available, max_size=available))
         concave = draw(st.booleans())
         if concave:
@@ -147,6 +149,53 @@ def valid_instances(draw):
 @given(valid_instances())
 def test_every_valid_instance_round_trips(instance):
     assert validate_instance(parse_instance(serialize_instance(instance))) == instance
+
+
+# Levels whose prices have whole parts of 599, 600 and 601 digits, and one
+# whose prices cross from 600 to 601 digits within a schedule: the written-
+# line reader takes digit runs of at most 600.
+LONG_LEVELS = (10**604, 10**605, 10**606, 10**606 - 2 * 10**7)
+
+
+@st.composite
+def written_instances(draw):
+    """A valid instance, long prices included, in which some schedules of
+    two sizes or more are rewritten so that the price rule rejects their
+    series: two equal prices, or a concave flag on increasing marginals."""
+    instance = draw(valid_instances(levels=(0, 10**20) + LONG_LEVELS))
+    bids = []
+    for bid in instance.bids:
+        micros = dict(bid._micros)
+        concave = bid.concave
+        broken = len(micros) >= 2 and draw(st.sampled_from(["kept", "equal", "convex"]))
+        if broken == "equal":
+            micros[2] = micros[1]
+        elif broken == "convex":
+            micros = {m: micros[1] + m * m for m in micros}
+            concave = True
+        bids.append(BidSchedule._of_micros(bid.bidder_id, bid.available_seats, micros, concave))
+    return AuctionInstance(instance.capacity, instance.requested_seats, instance.service,
+                           tuple(bids))
+
+
+@settings(deadline=None, max_examples=200)
+@given(written_instances())
+def test_the_written_line_reader_matches_the_token_path(instance):
+    """A written document and the same document with every separator
+    doubled, which only the token path reads, parse to equal instances.
+    The reader keeps the series the full check of the token path's
+    schedule returns, and None exactly where that check raises or a price
+    has a whole part too long for the reader (which leaves the line to the
+    token path)."""
+    text = serialize_instance(instance)
+    read = parse_instance(text)
+    tokens = parse_instance(text.replace(" ", "  "))
+    assert read == tokens == instance
+    for bid, token_bid in zip(read.bids, tokens.bids):
+        assert token_bid._series is None
+        full = outcome(lambda b: price_series(b, b.available_seats), token_bid)
+        readable = all(m < 10**606 for m in bid._micros.values())
+        assert bid._series == (full if readable and not failed(full) else None)
 
 
 @pytest.mark.parametrize("bad_id", ["x y", "", "A\n", "b\u00e9"])
@@ -254,6 +303,18 @@ def fuzzed_documents(draw):
     return text
 
 
+# E1_DOC as the serializer writes it, so its bidder lines take the reader.
+WRITTEN_DOC = serialize_instance(parse_instance(E1_DOC))
+NINES = "9" * 600
+
+
+def wide_line(available, sizes):
+    """WRITTEN_DOC with bidder B's line widened, at a capacity it fits."""
+    items = "".join(f" {m}:{m}.000000" for m in range(1, sizes + 1))
+    return WRITTEN_DOC.replace("capacity 5", "capacity 2000").replace(
+        "available 3 prices 1:0.300000 2:0.550000 3:0.780000", f"available {available} prices{items}")
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(fuzzed_documents(), st.text()))
 @example(E1_DOC)
@@ -276,6 +337,23 @@ def fuzzed_documents(draw):
 @example(E1_DOC.replace("2:0.55", "2:0.30"))                            # two equal prices
 @example(E1_DOC.replace("available 3 prices 1:0.30 2:0.55 3:0.78",
                         "available 3 concave prices 1:0.30 2:0.55 3:0.90"))  # marginals increase
+@example(WRITTEN_DOC)
+@example(WRITTEN_DOC.replace(" 1:0.300000", " 01:0.300000"))
+@example(WRITTEN_DOC.replace("3:0.780000\n", "3:0.780000 \n"))         # a trailing space
+@example(WRITTEN_DOC.replace("3:0.780000\n", "3:0.780000\t\n"))        # a trailing tab
+@example(WRITTEN_DOC.replace("3:0.780000", f"3:{NINES}.780000"))        # 600 whole digits
+@example(WRITTEN_DOC.replace("3:0.780000", f"3:9{NINES}.780000"))       # 601 whole digits
+@example(WRITTEN_DOC.replace("3:0.780000", "3:\u0660.780000"))          # a non-ASCII digit
+@example(WRITTEN_DOC.replace("available 3", "available \u0663"))
+@example(WRITTEN_DOC.replace("available 3 prices 1:0.300000 2:0.550000 3:0.780000",
+                             "available 0 prices"))
+@example(WRITTEN_DOC.replace("available 3", "available 4"))             # sizes 1..n of n+1
+@example(WRITTEN_DOC.replace("available 3", f"available {NINES}"))
+@example(WRITTEN_DOC.replace("1:0.300000 2:0.550000", "2:0.550000 1:0.300000"))
+@example(WRITTEN_DOC.replace("2:0.550000", "1:0.550000"))               # a size twice
+@example(wide_line(1000, 1000))
+@example(wide_line(1001, 1000))
+@example(wide_line(1001, 1001))
 def test_parse_instance_matches_the_strip_each_line_parser(text):
     """The two parsers agree, and so do the checks of what they build: the
     oracle's schedules keep no series, and a series the parser keeps is
@@ -292,23 +370,37 @@ def test_parse_instance_matches_the_strip_each_line_parser(text):
 
 
 def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
-    """Every line of a generated document is plain, so charging it reads
-    the series the parse kept; one line with its sizes out of order keeps
-    none, and its one full check gives the same charges."""
-    checked = []
-    full_check = core._checked_series
+    """Every line of a generated document is read whole, with no call per
+    price, and charging it reads the series the parse kept.  A line with
+    its sizes out of order takes the token path and keeps none, and its
+    one full check gives the same charges; so does every line of the
+    document with each space doubled."""
+    calls = Counter()
 
-    def counting(schedule, capacity):
-        checked.append(schedule.bidder_id)
-        return full_check(schedule, capacity)
+    def counted(module, name):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(core, "_checked_series", counting)
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    counted(core, "_checked_series")
+    counted(instance_io, "_parse_bidder")
+    counted(instance_io, "micros_from_decimal")
     batch = generate_batch(GenerationLaw(seed=23), 1000, 5, 1)
     text = serialize_instance(batch.instance(0, ServiceType.SPLITTABLE, 3))
-    checked.clear()
+    calls.clear()
     report = vcg_charges(parse_instance(text))
-    assert checked == []
+    assert calls == {}
     swapped, count = re.subn(r"(bidder \S+ .*prices) (1:\S+) (2:\S+)", r"\1 \3 \2", text, count=1)
     assert count == 1
+    line = re.search(r"bidder \S+ .*prices 2:.*", swapped)[0]
     assert vcg_charges(parse_instance(swapped)) == report
-    assert checked == [re.search(r"bidder (\S+) .*prices 2:", swapped)[1]]
+    assert calls == {"_parse_bidder": 1, "micros_from_decimal": line.count(":"),
+                     "_checked_series": 1}
+    calls.clear()
+    assert vcg_charges(parse_instance(text.replace(" ", "  "))) == report
+    assert calls == {"_parse_bidder": 1000, "micros_from_decimal": text.count(":"),
+                     "_checked_series": 1000}

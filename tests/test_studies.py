@@ -255,6 +255,36 @@ def test_a_compiled_case_ranks_each_size_once(monkeypatch):
     assert sorted(ranked) == list(range(1, studies.CAPACITY + 1))
 
 
+def test_an_asymptoticity_run_labels_each_compiled_case_once(monkeypatch):
+    """A label is built once per compiled case, for its checks, and not
+    again per report when no change of payment is negative."""
+    labelled, compiled = [], []
+    case_label = scenario.ScenarioBatch.case_label
+
+    def labelling(batch, case):
+        labelled.append(case)
+        return case_label(batch, case)
+
+    def compiling(instance):
+        compiled.append(instance)
+        return wdp.CompiledCase(instance)
+
+    monkeypatch.setattr(scenario.ScenarioBatch, "case_label", labelling)
+    monkeypatch.setattr(studies, "CompiledCase", compiling)
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)
+    run_asymptoticity_study(ExperimentConfig(scenario_sizes=(5, 12), cases=6))
+    assert len(compiled) == 2 * 2 * 6
+    assert 0 < len(labelled) <= len(compiled)
+
+
+def test_a_negative_change_of_payment_names_its_case(monkeypatch):
+    monkeypatch.setattr(studies, "change_of_payment", lambda report: Fraction(-1, 3))
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)
+    with pytest.raises(StudyInvariantViolation,
+                       match=r"negative change of payment -1/3 \[seed=.* K=5 case=0\]"):
+        run_asymptoticity_study(ExperimentConfig(scenario_sizes=(5,), cases=2))
+
+
 RANGED = {
     "servability": run_servability_study,
     "charges": run_charge_study,

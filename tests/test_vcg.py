@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,14 @@ class TestPerturbation:
                              [sched("A", 3, {1: "0.3", 2: "0.55", 3: "0.9"}, concave=True)])
         raised = outcome(lambda i: perturb_bids(i, {"A"}, "0.1"), inst)
         assert raised[0] is NonConcavePrices
+        assert raised == outcome(validate_instance, inst)
+
+    @pytest.mark.parametrize("fields", [dict(capacity=None), dict(requested_seats="1"),
+                                        dict(capacity=0), dict(service="splittable")])
+    def test_an_instance_with_bad_fields_raises_as_validation_does(self, e1, fields):
+        inst = replace(e1, **fields)
+        raised = outcome(lambda i: perturb_bids(i, {"A"}, "0.1"), inst)
+        assert issubclass(raised[0], ValidationError)
         assert raised == outcome(validate_instance, inst)
 
     def test_winner_flip_under_large_raise(self, e1):
