@@ -2,13 +2,15 @@
 
 Prices are kept as integer micro-units (10^-6 currency units) end to end so
 that charge identities and tie-breaks can be checked with exact equality
-instead of float tolerances.
+instead of float tolerances.  A bid schedule is checked when it is built and
+holds its prices as one tuple of micros; validating an instance adds only the
+checks that depend on it (``check_fields``, then ``bid_series``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
@@ -207,63 +209,80 @@ class ServiceType(Enum):
             raise ValidationError(f"unknown service type {token!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class _NotMoney:
-    """A price given to ``BidSchedule`` that is not Money, kept as given
-    for ``price_series`` to reject."""
-
-    value: object
-
-    def __repr__(self) -> str:
-        return f"_NotMoney(value={_shown(self.value)})"
-
-
-@dataclass(slots=True, init=False)
+@dataclass(slots=True, init=False, repr=False)
 class BidSchedule:
     """One bidder's price for each offerable seat-combination size.
 
-    ``prices`` maps sizes 1..min(available_seats, capacity) to Money; sizes a
-    bidder cannot offer are absent rather than priced with sentinels.  The
-    same shape doubles as a valuation schedule when it holds true valuations.
-    A schedule keeps its prices as int micros, ``_micros``, which the
-    package's readers read directly, and ``prices`` is a read-only Money
-    view derived from them.  Built from a mapping, it keeps a copy (a price
-    that is not Money is kept for ``price_series`` to reject); the parser,
-    the generator and ``perturb_bids`` hand over an int mapping of their own
-    instead (``_of_micros``), which nothing writes again, with the series
-    they found valid.  So a schedule never changes once built;
-    ``price_series`` relies on that to check each schedule once and keep
-    the series it checked.
+    A schedule is its bidder id, its availability, its concave flag and its
+    series: the int micros of sizes 1..available_seats, checked when the
+    schedule is built.  Building one from a mapping of sizes to Money raises
+    the first violation of, in order: an id that is one token of the text
+    format (so every valid instance survives serialisation and parsing), an
+    int availability and a bool concave flag, a Money price for every size
+    1..available_seats, strictly increasing prices, every size key an int in
+    1..available_seats, and non-increasing marginals when flagged concave.
+    Availability within the vehicle's capacity is the one check left to
+    each instance (``bid_series``).  ``prices`` is a read-only Money view of
+    the series, and the same shape doubles as a valuation schedule.
+
+    The parser, the generator and ``perturb_bids`` build their schedules
+    with ``_of_series`` from a series the price rule (``_plain_series``)
+    accepted, with no mapping and no second check.  A schedule never changes
+    once built, so a case shares its series as its rows.
     """
 
     bidder_id: str
     available_seats: int
-    _micros: Mapping[int, int]
-    concave: bool = False
-    # The series ``price_series`` returned once every check passed.
-    _series: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
+    concave: bool
+    _series: tuple[int, ...]
 
     def __init__(self, bidder_id: str, available_seats: int, prices: Mapping[int, Money],
                  concave: bool = False) -> None:
-        _SET_ID(self, bidder_id)
-        _SET_AVAILABLE(self, available_seats)
-        _SET_MICROS(self, {
-            size: price.micros if isinstance(price, Money) else _NotMoney(price)
-            for size, price in dict(prices).items()
-        })
+        prices = dict(prices)
+        who, top = bidder_id, available_seats
+        if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
+            raise _bad_id(who)
+        if not _is_int(top) or not isinstance(concave, bool):
+            raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
+        series: list[int] = []
+        for m in range(1, top + 1):
+            try:
+                price = prices[m]
+            except KeyError:
+                raise MissingPrice(
+                    f"bidder {who}: no price for size {m} (must cover 1..{_digits(top)})"
+                ) from None
+            if not isinstance(price, Money):
+                raise ValidationError(
+                    f"bidder {who}: price for size {m} must be Money, got {type(price).__name__}"
+                )
+            series.append(price.micros)
+        if not _plain_series(series, False):
+            raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
+        for size in prices:
+            # A key that only equals an int (2.0, True) passed the lookups above.
+            if type(size) is not int and not _is_int(size) or not 1 <= size <= top:
+                raise OversizedCombination(
+                    f"bidder {who}: price defined for size {_shown(size, str)} "
+                    f"outside 1..{_digits(top)}"
+                )
+        if concave and not _plain_series(series, True):
+            raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
+        _SET_ID(self, who)
+        _SET_AVAILABLE(self, top)
         _SET_CONCAVE(self, concave)
-        _SET_SERIES(self, None)
+        _SET_SERIES(self, tuple(series))
 
     @classmethod
-    def _of_micros(cls, bidder_id: str, available_seats: int, micros: dict[int, int],
-                   concave: bool, series: Optional[tuple[int, ...]] = None) -> "BidSchedule":
-        """A schedule that keeps ``micros``, sizes to int micros, without a
-        copy: the caller hands it over and never writes it again.  A
-        ``series`` is kept as the one ``price_series`` checked (see there)."""
+    def _of_series(cls, bidder_id: str, available_seats: int, series: tuple[int, ...],
+                   concave: bool) -> "BidSchedule":
+        """A schedule built without the constructor's checks, for a caller
+        that made them: a token id, an int availability, a bool flag, and a
+        series of sizes 1..available_seats that ``_plain_series`` accepts
+        with that flag."""
         schedule = object.__new__(cls)
         _SET_ID(schedule, bidder_id)
         _SET_AVAILABLE(schedule, available_seats)
-        _SET_MICROS(schedule, micros)
         _SET_CONCAVE(schedule, concave)
         _SET_SERIES(schedule, series)
         return schedule
@@ -278,24 +297,21 @@ class BidSchedule:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        prices = ", ".join(f"{_shown(m)}: {_shown(micros)}" for m, micros in self._micros.items())
+        prices = ", ".join(f"{m}: {Money(micros)!r}" for m, micros in enumerate(self._series, 1))
         return (f"BidSchedule(bidder_id={self.bidder_id!r}, "
-                f"available_seats={_shown(self.available_seats)}, "
-                f"_micros={{{prices}}}, concave={self.concave!r})")
+                f"available_seats={_digits(self.available_seats)}, "
+                f"prices={{{prices}}}, concave={self.concave!r})")
 
     @property
     def prices(self) -> Mapping[int, Money]:
         """Each size's price as Money, a read-only view built on each read."""
-        return MappingProxyType({
-            size: Money(micros) if type(micros) is int else micros.value
-            for size, micros in self._micros.items()
-        })
+        return MappingProxyType({m: Money(micros) for m, micros in enumerate(self._series, 1)})
 
 
 # The slots' own setters, which the hand-written ``__setattr__`` bypasses.
-_SET_ID, _SET_AVAILABLE, _SET_MICROS, _SET_CONCAVE, _SET_SERIES = (
+_SET_ID, _SET_AVAILABLE, _SET_CONCAVE, _SET_SERIES = (
     BidSchedule.__dict__[name].__set__
-    for name in ("bidder_id", "available_seats", "_micros", "concave", "_series")
+    for name in ("bidder_id", "available_seats", "concave", "_series")
 )
 
 
@@ -338,93 +354,11 @@ def _bad_id(who) -> ValidationError:
     return ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
 
 
-def price_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
-    """The schedule's prices for sizes 1..available_seats, in micros.
-
-    The one check of a schedule, shared by validation, the engine and
-    ``perturb_bids``.  One pass raises the first violation of, in order: an id
-    that is one token of the text format (so every valid instance survives
-    serialisation and parsing), an int availability and a bool concave
-    flag, availability within [0, capacity], a price for every size 1..top
-    (given as Money, or as int micros by the package's own builders), read
-    as ints, strictly increasing prices, every size key an int in 1..top,
-    and non-increasing marginals when the schedule is flagged concave.
-
-    A schedule is checked once: the series of a check that passed is kept
-    on the schedule and returned by every later call whose capacity is at
-    least its availability.  That is exact, because the series depends only
-    on the schedule's frozen fields, and availability within the capacity
-    is the only check that depends on the call.  Any other call runs the
-    full check; a check that fails keeps nothing.
-
-    The parser, the generator and ``perturb_bids`` hand a series over the
-    same way, and only one that ``_plain_series`` accepts (strictly
-    increasing prices and, on a concave schedule, non-increasing
-    marginals).  The parser keeps one only for a bidder line written as
-    ``serialize_instance`` writes it (see ``instance_io``): an id token,
-    sizes written 1, 2, ..., m in order with m the availability (at most
-    1000), and prices of at most 600 whole digits.  The generator keeps
-    the series of every schedule it draws (a draw that fails the rule is
-    redrawn), and ``perturb_bids`` the raised series of a target this
-    check accepted.  Each is the series this check returns for the
-    schedule at any capacity of at least its availability.  None of them
-    raises a validation error of its own: any other parsed line,
-    hand-written or rejected by the rule, keeps nothing, and its first
-    check here raises what it would raise for any schedule.
-    """
-    series = schedule._series
-    if series is not None and schedule.available_seats <= capacity:
-        return series
-    series = _checked_series(schedule, capacity)
-    _SET_SERIES(schedule, series)
-    return series
-
-
-def _checked_series(schedule: BidSchedule, capacity: int) -> tuple[int, ...]:
-    """``price_series``'s full check, which raises the first violation."""
-    who = schedule.bidder_id
-    if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
-        raise _bad_id(who)
-    top = schedule.available_seats
-    if not _is_int(top) or not isinstance(schedule.concave, bool):
-        raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
-    if not (0 <= top <= capacity):
-        raise SeatBoundViolation(
-            f"bidder {who}: available_seats {_digits(top)} outside [0, {_shown(capacity, str)}]"
-        )
-    prices = schedule._micros
-    series: list[int] = []
-    for m in range(1, top + 1):
-        try:
-            micros = prices[m]
-        except KeyError:
-            raise MissingPrice(
-                f"bidder {who}: no price for size {m} (must cover 1..{_digits(top)})"
-            ) from None
-        if type(micros) is not int:
-            raise ValidationError(
-                f"bidder {who}: price for size {m} must be Money, got {type(micros.value).__name__}"
-            )
-        series.append(micros)
-    if not _plain_series(series, False):
-        raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
-    for size in prices:
-        # A key that only equals an int (2.0, True) passed the lookups above.
-        if type(size) is not int and not _is_int(size) or not 1 <= size <= top:
-            raise OversizedCombination(
-                f"bidder {who}: price defined for size {_shown(size, str)} "
-                f"outside 1..{_digits(top)}"
-            )
-    if schedule.concave and not _plain_series(series, True):
-        raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
-    return tuple(series)
-
-
 def _plain_series(series: Sequence[int], concave: bool) -> bool:
     """The price rule, written once: whether the int prices of ``series``
     strictly increase and, when ``concave``, their marginals never increase.
-    ``_checked_series`` raises on it, and the parser, the generator and
-    ``perturb_bids`` test the series they hand over with it."""
+    ``BidSchedule`` raises on it, and the parser, the generator and
+    ``perturb_bids`` test the series they build a schedule of with it."""
     prev = gap = None
     for price in series:
         if prev is not None:
@@ -460,10 +394,11 @@ def check_fields(instance: AuctionInstance) -> None:
 
 
 def bid_series(bids: Iterable[BidSchedule], capacity: int) -> dict[str, tuple[int, ...]]:
-    """Each bidder's checked price series by id, in the given order: the one
-    walk over a case's bids, which raises at the first bid whose id is not a
-    string or repeats an earlier one, or whose schedule ``price_series``
-    rejects."""
+    """Each bidder's price series by id, in the given order: the one walk
+    over a case's bids, which makes the checks that depend on the instance.
+    It raises at the first bid whose id is not a string or repeats an
+    earlier one, or whose availability lies outside [0, capacity]; every
+    other check was made when the schedule was built."""
     series: dict[str, tuple[int, ...]] = {}
     for schedule in bids:
         who = schedule.bidder_id
@@ -471,13 +406,19 @@ def bid_series(bids: Iterable[BidSchedule], capacity: int) -> dict[str, tuple[in
             raise _bad_id(who)
         if who in series:
             raise DuplicateBidder(who)
-        series[who] = price_series(schedule, capacity)
+        top = schedule.available_seats
+        if not 0 <= top <= capacity:
+            raise SeatBoundViolation(
+                f"bidder {who}: available_seats {_digits(top)} outside [0, {_shown(capacity, str)}]"
+            )
+        series[who] = schedule._series
     return series
 
 
 def validate_instance(instance: AuctionInstance) -> AuctionInstance:
     """Return the instance unchanged, or raise the first ValidationError of
-    ``check_fields`` and then ``bid_series``, the checks compiling it makes."""
+    ``check_fields`` and then ``bid_series``, the checks compiling it makes
+    (each schedule was checked when it was built)."""
     check_fields(instance)
     bid_series(instance.bids, instance.capacity)
     return instance

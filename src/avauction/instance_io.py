@@ -10,16 +10,22 @@ Layout, one field per line, ``#`` comments and blank lines ignored:
     bidder B available 3 concave prices 1:0.300000 2:0.550000 3:0.780000
 
 Parsing checks the syntax and the bidder-id token, so a bad id is a parse
-error; ``validate_instance`` checks everything else, and solving or charging
-the result makes the same checks.  Unknown versions are rejected.
+error, and builds each schedule, which checks its prices (see
+``core.BidSchedule``); ``validate_instance`` checks what depends on the
+instance, and solving or charging the result makes the same checks.
+Unknown versions are rejected.  A line whose schedule cannot be built does
+not stop the parse: every syntax error comes first, and the line's
+validation error is raised where validating the instance would reach it,
+after the fields and after the id and availability checks of that bid and
+of every bid before it.
 
 A bidder line written exactly as ``serialize_instance`` writes it (single
 spaces, ASCII digits, sizes written 1..available in order, six fractional
 digits and no digit run longer than ``_RUN``) is read with one match and
-one ``int`` per price, and keeps its series when the price rule accepts it
-(see ``core.price_series``), so those checks read it instead of walking
-the line again.  Every other line is split into tokens and read by the
-general grammar, which raises every parse error; it keeps no series.
+one ``int`` per price into its series, and becomes a schedule with no
+second check when the price rule accepts the series.  Every other line is
+split into tokens and read by the general grammar, which raises every
+parse error, and its schedule is built by the checking constructor.
 """
 
 from __future__ import annotations
@@ -33,12 +39,15 @@ from .core import (
     AuctionError,
     AuctionInstance,
     BidSchedule,
+    Money,
     ServiceType,
     ValidationError,
     _digits,
     _plain_series,
-    micros_from_decimal,
+    bid_series,
+    check_fields,
     micros_to_decimal,
+    money_from_decimal,
 )
 
 FORMAT_NAME = "avauction-instance"
@@ -77,6 +86,9 @@ def parse_instance(text: str) -> AuctionInstance:
         raise ParseError(f"line {n}: unsupported version {' '.join(parts[1:])!r}")
     fields: dict[str, str] = {}
     bids: list[BidSchedule] = []
+    # The first bidder line whose schedule cannot be built: its place among
+    # the bids, a stand-in with its id and availability, and its error.
+    held: Optional[tuple[int, BidSchedule, ValidationError]] = None
     for n, line in lines:
         written = _WRITTEN_BIDDER.fullmatch(line)
         if written and (schedule := _read_written(*written.groups())):
@@ -86,7 +98,12 @@ def parse_instance(text: str) -> AuctionInstance:
         if not tokens or tokens[0].startswith("#"):
             continue
         if tokens[0] == "bidder":
-            bids.append(_parse_bidder(n, tokens))
+            bidder_id, available, prices, concave = _parse_bidder(n, tokens)
+            try:
+                bids.append(BidSchedule(bidder_id, available, prices, concave))
+            except ValidationError as exc:
+                if held is None:
+                    held = len(bids), BidSchedule._of_series(bidder_id, available, (), concave), exc
         elif tokens[0] in ("capacity", "requested_seats", "service"):
             if tokens[0] in fields:
                 raise ParseError(f"line {n}: duplicate field {tokens[0]!r}")
@@ -107,31 +124,44 @@ def parse_instance(text: str) -> AuctionInstance:
         service = ServiceType.from_token(fields["service"])
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
-    return AuctionInstance(
+    instance = AuctionInstance(
         capacity=capacity,
         requested_seats=requested,
         service=service,
         bids=tuple(bids),
     )
+    if held is not None:
+        # Raise the line's error where validating the instance would reach
+        # it: after the fields, and after the checks of the bids before it
+        # and of its own id and availability, which the stand-in carries.
+        index, stand_in, error = held
+        check_fields(instance)
+        bid_series((*bids[:index], stand_in), capacity)
+        raise error
+    return instance
 
 
 def _read_written(bidder_id: str, available: str, concave: Optional[str],
                   items: str) -> Optional[BidSchedule]:
     """The schedule of a line ``_WRITTEN_BIDDER`` matched, or None when its
-    sizes are not written as 1..available in order.  Each price is read
-    with one ``int`` over its digits with the ``.`` removed, and the series
-    is kept when the price rule accepts it."""
+    sizes are not written as 1..available in order or the price rule
+    rejects its series (the token path then reads the line, and raises).
+    Each price is read with one ``int`` over its digits with the ``.``
+    removed."""
     runs = items.replace(".", "").replace(":", " ").split()
     top = int(available)
     if len(runs) != 2 * top or runs[::2] != _SIZES[:top]:
         return None
     series = tuple(map(int, runs[1::2]))
     flag = concave is not None
-    return BidSchedule._of_micros(bidder_id, top, dict(enumerate(series, 1)), flag,
-                                  series if _plain_series(series, flag) else None)
+    if not _plain_series(series, flag):
+        return None
+    return BidSchedule._of_series(bidder_id, top, series, flag)
 
 
-def _parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
+def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money], bool]:
+    """The id, availability, prices and concave flag of a bidder line, or
+    a ParseError; the schedule is built, and checked, by the caller."""
     # bidder <id> available <int> [concave] prices <size>:<decimal> ...
     try:
         bidder_id = tokens[1]
@@ -147,18 +177,18 @@ def _parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
             rest = rest[1:]
         if not rest or rest[0] != "prices":
             raise ParseError(f"line {n}: expected 'prices' section")
-        prices: dict[int, int] = {}
+        prices: dict[int, Money] = {}
         for item in rest[1:]:
             size_text, _, price_text = item.partition(":")
             size = int(size_text)
             if size in prices:
                 raise ParseError(f"line {n}: duplicate price for size {size}")
-            prices[size] = micros_from_decimal(price_text)
+            prices[size] = money_from_decimal(price_text)
     except ParseError:
         raise
     except (IndexError, ValueError, ValidationError) as exc:
         raise ParseError(f"line {n}: malformed bidder record ({exc})") from None
-    return BidSchedule._of_micros(bidder_id, available, prices, concave)
+    return bidder_id, available, prices, concave
 
 
 def serialize_instance(instance: AuctionInstance, comments: Iterable[str] = ()) -> str:
@@ -168,8 +198,7 @@ def serialize_instance(instance: AuctionInstance, comments: Iterable[str] = ()) 
     lines.append(f"requested_seats {_digits(instance.requested_seats)}")
     lines.append(f"service {instance.service.value}")
     for sched in instance.bids:
-        prices = sched._micros
-        shown = "".join([f" {m}:{micros_to_decimal(prices[m])}" for m in sorted(prices)])
+        shown = "".join([f" {m}:{micros_to_decimal(p)}" for m, p in enumerate(sched._series, 1)])
         lines.append(
             f"bidder {sched.bidder_id} available {_digits(sched.available_seats)}"
             f"{' concave' if sched.concave else ''} prices{shown}"

@@ -6,8 +6,8 @@ half-up to micro-units in integer arithmetic, ``round_half_up(cost * n, d)``
 for the sum n/d: strictly increasing with diminishing marginals, so every
 generated schedule carries the concave flag.  The draw checks its price
 series with the package's one price rule (``core._plain_series``) and
-keeps it on the schedule, so nothing checks a drawn schedule again; a draw
-that micro-rounding flattens is redrawn.
+builds the schedule from that tuple, with no mapping and no second check;
+a draw that micro-rounding flattens is redrawn.
 
 Every draw comes from a stream: a ``random.Random`` seeded with the sha256
 of (seed, label).  Distinct labels give independent sequences, and the same
@@ -139,9 +139,7 @@ def _draw_schedule(
         # Micro-rounding can collapse sub-micro marginals for tiny costs;
         # such draws are rejected so every emitted schedule validates.
         if _plain_series(series, True):
-            return BidSchedule._of_micros(
-                bidder_id, available, dict(enumerate(series, 1)), True, series
-            )
+            return BidSchedule._of_series(bidder_id, available, series, True)
     raise InvalidLaw(
         f"gamma {law.gamma} cannot produce valid micro-unit price curves"
     )
@@ -209,7 +207,7 @@ class ScenarioBatch:
         h = hashlib.sha256()
         for schedules in self.cases:
             for s in schedules:
-                prices = ",".join(f"{m}:{_digits(s._micros[m])}" for m in sorted(s._micros))
+                prices = ",".join(f"{m}:{_digits(micros)}" for m, micros in enumerate(s._series, 1))
                 h.update(f"{s.bidder_id}|{_digits(s.available_seats)}|{prices}\n".encode())
         return h.hexdigest()
 

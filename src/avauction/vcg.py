@@ -25,8 +25,8 @@ from .core import (
     _digits,
     _plain_series,
     as_fraction,
+    bid_series,
     check_fields,
-    price_series,
     round_half_up,
 )
 from .wdp import Allocation, CompiledCase, solve_wdp
@@ -209,11 +209,9 @@ def bidder_utility(
         val = valuations.get(sched.bidder_id)
         if val is None:
             raise MissingValuation(f"no valuation schedule for bidder {sched.bidder_id}")
-        missing = set(sched._micros) - set(val._micros)
-        if missing:
-            raise MissingValuation(
-                f"bidder {sched.bidder_id}: valuation lacks sizes {sorted(missing)}"
-            )
+        if len(val._series) < len(sched._series):
+            missing = list(range(len(val._series) + 1, len(sched._series) + 1))
+            raise MissingValuation(f"bidder {sched.bidder_id}: valuation lacks sizes {missing}")
     report = vcg_charges(instance)
     assigned = dict(report.winner_allocation.assignments)
     utilities: dict[str, int] = {}
@@ -222,7 +220,7 @@ def bidder_utility(
         if size is None:
             utilities[bidder_id] = 0
         else:
-            served_value = valuations[bidder_id]._micros[size]
+            served_value = valuations[bidder_id]._series[size - 1]
             utilities[bidder_id] = report.charge_of(bidder_id).micros - served_value
     return utilities
 
@@ -235,13 +233,13 @@ def perturb_bids(
     """Scale every price of the targeted bidders by (1 + raise_fraction).
 
     The instance's own fields are checked first (``check_fields``, as
-    compiling does), then each target's schedule (``price_series``, which
-    raises what it finds wrong), and its series is raised.  Scaled prices
-    are rounded half-up to micro-units; strict monotonicity survives any
-    non-negative raise, but micro-rounding can break an exact
-    diminishing-marginals pattern, so a raised schedule keeps the concave
-    flag only when the price rule accepts its series with the flag.  It
-    carries the raised series, so it is not checked again.
+    compiling does), then each target's availability within the capacity
+    (``bid_series``; the rest of a schedule was checked when it was built),
+    and its series is raised.  Scaled prices are rounded half-up to
+    micro-units; strict monotonicity survives any non-negative raise, but
+    micro-rounding can break an exact diminishing-marginals pattern, so a
+    raised schedule keeps the concave flag only when the price rule accepts
+    its series with the flag.
     """
     check_fields(instance)
     fraction = as_fraction(raise_fraction)
@@ -261,13 +259,11 @@ def perturb_bids(
         if sched.bidder_id not in target_set:
             new_bids.append(sched)
             continue
-        checked = price_series(sched, instance.capacity)
+        checked = bid_series((sched,), instance.capacity)[sched.bidder_id]
         series = tuple([round_half_up(micros * p, q) for micros in checked])
-        # The check passed, so the keys are the sizes 1..available, in any order.
-        prices = {size: series[size - 1] for size in sched._micros}
         concave = sched.concave and _plain_series(series, True)
         new_bids.append(
-            BidSchedule._of_micros(sched.bidder_id, sched.available_seats, prices, concave, series)
+            BidSchedule._of_series(sched.bidder_id, sched.available_seats, series, concave)
         )
     return AuctionInstance(
         capacity=instance.capacity,

@@ -34,11 +34,10 @@ its size.
 ``None`` marks an unservable request; no sentinel price stands in for it.
 
 ``solve_wdp`` and ``exclusion_totals`` are views over a case compiled from
-their instance.  Compiling reads each schedule's series through
-``price_series``, so a schedule checked before (by the generator, by
-validation or by an earlier compile) is not checked again; the rows are
-those shared, immutable series.  The literal enumeration oracle that keeps
-the engine honest lives with the tests.
+their instance.  A schedule is checked when it is built, so compiling
+makes only the checks that depend on the instance and reads each series
+as it is; the rows are those shared, immutable series.  The literal
+enumeration oracle that keeps the engine honest lives with the tests.
 
 All solvers return ``None`` exactly when ``CompiledCase.servable`` is false
 (a split asks more seats than the bids offer, or no one bidder offers the
@@ -126,9 +125,9 @@ class CompiledCase:
     answer every request a vehicle can take, compile an instance that asks
     for the full capacity.  ``ids`` are the bidder ids in sorted order and
     ``rows[i]`` is bidder ``ids[i]``'s price series in micros for sizes
-    1..min(available, capacity), the tuple ``price_series`` keeps on the
-    schedule, shared and never written.  Each size's offers are ranked at
-    most once (``_offers``), for the single vehicle and the kept rows alike.
+    1..available, the schedule's own tuple, shared and never written.  Each
+    size's offers are ranked at most once (``_offers``), for the single
+    vehicle and the kept rows alike.
     """
 
     def __init__(self, instance: AuctionInstance):

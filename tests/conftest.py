@@ -28,7 +28,7 @@ from avauction import (
     validate_instance,
 )
 from avauction import studies
-from avauction.core import MICROS_PER_UNIT, price_series, round_half_up
+from avauction.core import MICROS_PER_UNIT, round_half_up
 from avauction.scenario import MAX_DRAW_ATTEMPTS, draw_cost_micros
 
 
@@ -201,17 +201,15 @@ def _fraction_schedule(stream, bidder_id, capacity, law, sums):
     available = stream.randint(1, capacity)
     for _ in range(MAX_DRAW_ATTEMPTS):
         cost = draw_cost_micros(stream, law.cost_law)
-        schedule = BidSchedule(
-            bidder_id=bidder_id,
-            available_seats=available,
-            prices={m: Money(round_half_up(cost * sums[m - 1])) for m in range(1, available + 1)},
-            concave=True,
-        )
         try:
-            price_series(schedule, capacity)
+            return BidSchedule(
+                bidder_id=bidder_id,
+                available_seats=available,
+                prices={m: Money(round_half_up(cost * sums[m - 1])) for m in range(1, available + 1)},
+                concave=True,
+            )
         except (NonMonotonePrices, NonConcavePrices):
             continue
-        return schedule
     raise InvalidLaw(
         f"gamma {law.gamma} cannot produce valid micro-unit price curves"
     )

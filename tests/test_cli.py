@@ -75,6 +75,78 @@ def test_solve_validation_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(path)]) == EXIT_VALIDATION
 
 
+# Documents with more than one fault, and the one error each reports: a
+# syntax error (exit 64) before any validation error (exit 65), then the
+# request's fields, then the bids in order, each bid's duplicate id and
+# availability within the capacity before its prices.
+HEADER = "avauction-instance v1\n"
+FIELDS = "capacity 5\nrequested_seats 2\nservice splittable\n"
+FLAT_B = "bidder B available 2 prices 1:0.500000 2:0.400000\n"
+INCREASING = "bidder B: prices must strictly increase with size"
+MULTI_FAULT = {
+    "capacity-0": (HEADER + "capacity 0\nrequested_seats 1\nservice splittable\n" + FLAT_B,
+                   EXIT_VALIDATION, "capacity 0 must be at least 1"),
+    "range-before-a-later-fault": (
+        HEADER + FIELDS + "bidder A available 7 prices 1:0.100000\n" + FLAT_B,
+        EXIT_VALIDATION, "bidder A: available_seats 7 outside [0, 5]"),
+    "duplicate-before-its-own-fault": (
+        HEADER + FIELDS + "bidder A available 1 prices 1:0.100000\n"
+        "bidder A available 2 prices 1:0.500000 2:0.400000\n",
+        EXIT_VALIDATION, "A"),
+    "negative-availability": (HEADER + FIELDS + "bidder A available -1 prices 1:0.100000\n",
+                              EXIT_VALIDATION, "bidder A: available_seats -1 outside [0, 5]"),
+    "syntax-after-a-fault": (
+        HEADER + FIELDS + FLAT_B + "bidder C available x prices 1:0.1\n",
+        EXIT_PARSE, "line 6: malformed bidder record (invalid literal for int() with base 10: 'x')"),
+    "fields-after-the-bids": (
+        HEADER + "requested_seats 1\nservice splittable\n"
+        "bidder A available 4 prices 1:0.5 2:0.4\ncapacity 3\n",
+        EXIT_VALIDATION, "bidder A: available_seats 4 outside [0, 3]"),
+    "missing-field-after-a-fault": (HEADER + "capacity 5\nservice splittable\n" + FLAT_B,
+                                    EXIT_PARSE, "missing required field 'requested_seats'"),
+    "bad-capacity-after-a-fault": (
+        HEADER + "capacity five\nrequested_seats 1\nservice splittable\n" + FLAT_B,
+        EXIT_PARSE, "capacity and requested_seats must be integers"),
+    "unknown-service-after-a-fault": (
+        HEADER + "capacity 5\nrequested_seats 1\nservice bus\n" + FLAT_B,
+        EXIT_PARSE, "unknown service type 'bus'"),
+    "request-past-capacity-and-a-fault": (
+        HEADER + "capacity 5\nrequested_seats 6\nservice splittable\n" + FLAT_B,
+        EXIT_VALIDATION, "requested_seats 6 outside [1, 5]"),
+    "bad-id-after-a-fault": (HEADER + FIELDS + FLAT_B + "bidder x/y available 1 prices 1:0.1\n",
+                             EXIT_PARSE, "line 6: bad bidder id 'x/y'"),
+    "first-fault-wins": (
+        HEADER + FIELDS + "bidder A available 3 concave prices 1:0.1 2:0.2 3:0.4\n" + FLAT_B,
+        EXIT_VALIDATION, "bidder A: flagged concave but marginals increase"),
+    "fault-before-a-range": (HEADER + FIELDS + FLAT_B + "bidder C available 9 prices 1:0.100000\n",
+                             EXIT_VALIDATION, INCREASING),
+    "fault-before-a-duplicate": (HEADER + FIELDS + FLAT_B + "bidder B available 1 prices 1:0.1\n",
+                                 EXIT_VALIDATION, INCREASING),
+    "missing-before-oversized": (HEADER + FIELDS + "bidder A available 2 prices 1:0.1 3:0.3\n",
+                                 EXIT_VALIDATION, "bidder A: no price for size 2 (must cover 1..2)"),
+    "written-fault-then-syntax": (
+        HEADER + FIELDS + "bidder A available 2 prices 1:0.200000 2:0.100000\n"
+        "bidder B available 1 prices 1:0.1 1:0.2\n",
+        EXIT_PARSE, "line 6: duplicate price for size 1"),
+    "unservable-and-a-fault": (
+        HEADER + "capacity 5\nrequested_seats 5\nservice splittable\n"
+        "bidder A available 1 prices 1:0.100000\nbidder B available 3 prices 1:0.1 2:0.2 3:0.2\n",
+        EXIT_VALIDATION, INCREASING),
+}
+
+
+@pytest.mark.parametrize("argv", [["charge"], ["solve"], ["charge", "--service", "private"],
+                                  ["solve", "--service", "nonsplittable"]])
+@pytest.mark.parametrize("name", MULTI_FAULT)
+def test_a_document_with_several_faults_reports_the_first(tmp_path, capsys, name, argv):
+    doc, code, message = MULTI_FAULT[name]
+    path = tmp_path / "faults.txt"
+    path.write_text(doc)
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    kind = "parse" if code == EXIT_PARSE else "validation"
+    assert capsys.readouterr() == ("", f"{kind} error: {message}\n")
+
+
 def test_charge_report_output(tmp_path, e2, capsys):
     path = tmp_path / "e2.txt"
     path.write_text(serialize_instance(e2))

@@ -2,6 +2,7 @@ import decimal
 import math
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -34,6 +35,7 @@ from avauction import (
     money_from_decimal,
     parse_instance,
     perturb_bids,
+    serialize_instance,
     solve_wdp,
     validate_instance,
     vcg_charges,
@@ -42,7 +44,7 @@ from dataclasses import FrozenInstanceError
 
 from avauction import core
 from avauction.core import (
-    OversizedRatio, as_fraction, micros_from_decimal, micros_to_decimal, price_series, round_half_up,
+    OversizedRatio, as_fraction, bid_series, micros_from_decimal, micros_to_decimal, round_half_up,
 )
 
 from conftest import failed, full_case, make_instance, outcome, regex_money_from_decimal, sched
@@ -277,10 +279,10 @@ class TestValidation:
         with pytest.raises(SeatBoundViolation):
             validate_instance(inst)
 
+    # A schedule is checked when it is built, so its own faults raise there.
     def test_non_monotone(self):
-        inst = make_instance(5, 1, ServiceType.SPLITTABLE, [sched("A", 2, {1: "0.40", 2: "0.40"})])
         with pytest.raises(NonMonotonePrices):
-            validate_instance(inst)
+            sched("A", 2, {1: "0.40", 2: "0.40"})
 
     def test_duplicate_bidder(self):
         bid = sched("A", 1, {1: "0.40"})
@@ -289,27 +291,25 @@ class TestValidation:
             validate_instance(inst)
 
     def test_oversized_combination(self):
-        inst = make_instance(5, 1, ServiceType.SPLITTABLE, [sched("A", 2, {1: "0.1", 2: "0.2", 3: "0.3"})])
         with pytest.raises(OversizedCombination):
-            validate_instance(inst)
+            sched("A", 2, {1: "0.1", 2: "0.2", 3: "0.3"})
 
     def test_missing_price(self):
-        inst = make_instance(5, 1, ServiceType.SPLITTABLE, [sched("A", 3, {1: "0.1", 3: "0.3"})])
         with pytest.raises(MissingPrice):
-            validate_instance(inst)
+            sched("A", 3, {1: "0.1", 3: "0.3"})
 
     def test_availability_above_capacity(self):
-        inst = make_instance(5, 1, ServiceType.SPLITTABLE, [sched("A", 6, {m: f"0.{m}0" for m in range(1, 6)})])
+        # A schedule that prices every size it offers, checked per instance;
+        # one that also lacks the price of size 6 raises that when built.
+        inst = make_instance(5, 1, ServiceType.SPLITTABLE, [sched("A", 6, {m: f"0.{m}0" for m in range(1, 7)})])
         with pytest.raises(SeatBoundViolation):
             validate_instance(inst)
+        with pytest.raises(MissingPrice):
+            sched("A", 6, {m: f"0.{m}0" for m in range(1, 6)})
 
     def test_concave_flag_rejects_increasing_marginals(self):
-        inst = make_instance(
-            5, 1, ServiceType.SPLITTABLE,
-            [sched("A", 3, {1: "0.10", 2: "0.15", 3: "0.30"}, concave=True)],
-        )
         with pytest.raises(NonConcavePrices):
-            validate_instance(inst)
+            sched("A", 3, {1: "0.10", 2: "0.15", 3: "0.30"}, concave=True)
 
     def test_concave_flag_accepts_equal_marginals(self):
         inst = make_instance(
@@ -372,8 +372,12 @@ def _plain_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_text_format_fields(schedule: BidSchedule) -> None:
-    """price_series's field rules: an id that is one token of the text
+# What a schedule is built from: the constructor's four arguments.
+RawSchedule = namedtuple("RawSchedule", "bidder_id available_seats prices concave")
+
+
+def check_text_format_fields(schedule: RawSchedule) -> None:
+    """The schedule's field rules: an id that is one token of the text
     format, an int availability and a bool concave flag."""
     who = schedule.bidder_id
     if not (isinstance(who, str) and ORACLE_ID_RE.fullmatch(who)):
@@ -382,15 +386,13 @@ def check_text_format_fields(schedule: BidSchedule) -> None:
         raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
 
 
-def two_pass_price_series(schedule: BidSchedule, capacity: int) -> list[int]:
-    """price_series's checks as separate passes: a list comprehension over
-    the sizes, a pairwise comparison, a loop over the keys and a list of
-    marginals.  With check_text_format_fields, the oracle of the one-pass
-    test below."""
+def two_pass_price_series(schedule: RawSchedule, capacity: int) -> list[int]:
+    """The schedule's price checks, then its availability within the
+    capacity, as separate passes: a list comprehension over the sizes, a
+    pairwise comparison, a loop over the keys and a list of marginals.
+    With check_text_format_fields, the oracle of the one-pass test below."""
     who = schedule.bidder_id
     top = schedule.available_seats
-    if not (0 <= top <= capacity):
-        raise SeatBoundViolation(f"bidder {who}: available_seats {top} outside [0, {capacity}]")
     prices = schedule.prices
     try:
         series = [prices[m].micros for m in range(1, top + 1)]
@@ -411,13 +413,16 @@ def two_pass_price_series(schedule: BidSchedule, capacity: int) -> list[int]:
     diffs = [b - a for a, b in zip(series, series[1:])]
     if schedule.concave and not all(a >= b for a, b in zip(diffs, diffs[1:])):
         raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
+    if not (0 <= top <= capacity):
+        raise SeatBoundViolation(f"bidder {who}: available_seats {top} outside [0, {capacity}]")
     return series
 
 
 @st.composite
 def rough_schedules(draw):
-    """A capacity and a schedule near the edge of validity: odd key, price
-    and field types, gaps, extra sizes, flat or rising marginals."""
+    """A capacity and the arguments of a schedule near the edge of
+    validity: odd key, price and field types, gaps, extra sizes, flat or
+    rising marginals."""
     capacity = draw(st.integers(1, 6))
     available = draw(st.integers(0, capacity + 1))
     prices, level, step = {}, 0, 5
@@ -432,11 +437,11 @@ def rough_schedules(draw):
             del prices[draw(st.sampled_from(list(prices)))]
         else:
             prices[draw(odd_sizes)] = draw(odd_prices)
-    schedule = BidSchedule(
+    schedule = RawSchedule(
         draw(st.sampled_from(["A"] * 8 + ["x y"])),
         draw(st.sampled_from([available] * 8 + [True, 2.0])),
         prices,
-        concave=draw(st.sampled_from([True, False] * 4 + ["no"])),
+        draw(st.sampled_from([True, False] * 4 + ["no"])),
     )
     return schedule, capacity
 
@@ -444,26 +449,32 @@ def rough_schedules(draw):
 @settings(max_examples=500)
 @given(rough_schedules())
 def test_one_pass_validation_raises_the_same_first_violation(case):
-    """price_series and the engine's compile give the oracle's outcome:
+    """Building a schedule and checking it in an instance, through the
+    validation walk or the engine's compile, gives the oracle's outcome:
     the same exception class and message, or the oracle's series."""
-    schedule, capacity = case
-    fields = outcome(check_text_format_fields, schedule)
-    series = outcome(lambda s: two_pass_price_series(s, capacity), schedule)
+    raw, capacity = case
+    fields = outcome(check_text_format_fields, raw)
+    series = outcome(lambda s: two_pass_price_series(s, capacity), raw)
     expected = series if fields is None else fields
-    assert outcome(lambda s: list(price_series(s, capacity)), schedule) == expected
-    assert outcome(lambda s: list(full_case([s], capacity).rows[0]), schedule) == expected
+    assert outcome(lambda s: list(bid_series([BidSchedule(*s)], capacity)["A"]), raw) == expected
+    assert outcome(lambda s: list(full_case([BidSchedule(*s)], capacity).rows[0]), raw) == expected
 
 
 @settings(max_examples=500)
 @given(rough_schedules(), st.integers(1, 7), st.booleans())
-@example((BidSchedule("A", 3, {1: Money(1), 2: Money(2), 3: Money(3)}), 5), 2, False)
-@example((BidSchedule("A", 2, {1: Money(1), 2: Money(3), 3: Money(4)}), 5), 2, True)
+@example((RawSchedule("A", 3, {1: Money(1), 2: Money(2), 3: Money(3)}, False), 5), 2, False)
+@example((RawSchedule("A", 2, {1: Money(1), 2: Money(3), 3: Money(4)}, False), 5), 2, True)
 def test_a_stored_series_never_changes_an_outcome(case, capacity2, through_validation):
     """A schedule checked once, at one capacity or through validation, gives
     at any other capacity what a fresh equal schedule gives: the same
-    exception class and message, or the same series.  Only a check that
-    passed leaves its series on the schedule."""
-    schedule, capacity = case
+    exception class and message, or the same series.  A schedule that
+    cannot be built raises the same error however often it is tried."""
+    raw, capacity = case
+    built = outcome(lambda s: BidSchedule(*s), raw)
+    assert built == outcome(lambda s: BidSchedule(*s), raw)
+    if failed(built):
+        return
+    schedule = built
 
     def fresh():
         return BidSchedule(schedule.bidder_id, schedule.available_seats, schedule.prices,
@@ -474,13 +485,11 @@ def test_a_stored_series_never_changes_an_outcome(case, capacity2, through_valid
             return validate_instance(make_instance(capacity, 1, ServiceType.SPLITTABLE, [s]))
     else:
         def first_check(s):
-            return price_series(s, capacity)
+            return bid_series([s], capacity)
 
-    first = outcome(first_check, schedule)
-    assert first == outcome(first_check, fresh())
-    assert schedule._series == (None if failed(first) else price_series(fresh(), capacity))
-    assert schedule == fresh()
-    for check in (lambda s: price_series(s, capacity2),
+    assert outcome(first_check, schedule) == outcome(first_check, fresh())
+    assert schedule == fresh() and schedule._series == fresh()._series
+    for check in (lambda s: bid_series([s], capacity2),
                   lambda s: list(full_case([s], capacity2).rows[0])):
         assert outcome(check, schedule) == outcome(check, fresh())
 
@@ -495,24 +504,19 @@ def test_a_stored_series_never_changes_an_outcome(case, capacity2, through_valid
 @example(0, [0], False)  # one price of 0
 @example(0, [3, 0, 1], False)  # a tie
 def test_the_price_rule_accepts_what_the_full_check_accepts(base, steps, concave):
-    """``_plain_series(s, c)`` is True exactly when the full check accepts
-    the schedule built from series s with flag c; then it returns s."""
+    """``_plain_series(s, c)`` is True exactly when the constructor accepts
+    the schedule built from series s with flag c; then it keeps s.  Money
+    is never negative, so the schedule is built from s shifted by one
+    constant, which changes no step."""
     series = [base + step for step in accumulate(steps)]
-    schedule = BidSchedule._of_micros("A", len(series), dict(enumerate(series, 1)), concave)
-    full = outcome(lambda s: core._checked_series(s, len(series)), schedule)
+    low = min(series, default=0)
+    prices = {m: Money(price - min(low, 0)) for m, price in enumerate(series, 1)}
+    full = outcome(lambda p: BidSchedule("A", len(series), p, concave)._series, prices)
     assert core._plain_series(series, concave) is not failed(full)
     if failed(full):
         assert full[0] in (NonMonotonePrices, NonConcavePrices)
     else:
-        assert full == tuple(series)
-
-
-def fresh(instance: AuctionInstance) -> AuctionInstance:
-    """An equal instance whose schedules keep no checked series, so no
-    check below leans on another's."""
-    return AuctionInstance(instance.capacity, instance.requested_seats, instance.service, [
-        BidSchedule(b.bidder_id, b.available_seats, b.prices, b.concave) for b in instance.bids
-    ])
+        assert full == tuple(price.micros for price in prices.values())
 
 
 ENGINE = (CompiledCase, solve_wdp, vcg_charges, exclusion_totals)
@@ -523,13 +527,15 @@ ROUGH_SEATS = st.one_of(st.integers(-1, 6), st.sampled_from([True, 2.0]))
 def rough_instances(draw):
     """An instance near the edge of validity: seat fields that are out of
     range or not plain ints, a service that is not a ServiceType, and
-    ``rough_schedules``' bids under ids that repeat, are not one token of
-    the text format, or are not strings at all."""
-    ids = st.sampled_from(["A", "B", "x y", ["A"], 5])
-    bids = [
-        BidSchedule(draw(ids), s.available_seats, s.prices, s.concave)
-        for s, _ in draw(st.lists(rough_schedules(), max_size=4))
-    ]
+    ``rough_schedules``' bids that can be built, under ids that repeat.
+    (A schedule whose id is not one token of the text format, or not a
+    string at all, cannot be built.)"""
+    ids = st.sampled_from(["A", "B"])
+    bids = []
+    for raw, _ in draw(st.lists(rough_schedules(), max_size=4)):
+        built = outcome(lambda s: BidSchedule(*s), raw._replace(bidder_id=draw(ids)))
+        if not failed(built):
+            bids.append(built)
     service = draw(st.sampled_from([*ServiceType, "splittable", None]))
     return AuctionInstance(draw(ROUGH_SEATS), draw(ROUGH_SEATS), service, bids)
 
@@ -540,9 +546,9 @@ def test_the_engine_rejects_exactly_what_validation_rejects(instance):
     """Whenever validate_instance raises, every entry point of the engine
     raises the same exception class and message; on an instance it
     accepts, none raises a ValidationError."""
-    expected = outcome(validate_instance, fresh(instance))
+    expected = outcome(validate_instance, instance)
     for fn in ENGINE:
-        got = outcome(fn, fresh(instance))
+        got = outcome(fn, instance)
         if failed(expected):
             assert got == expected, fn.__name__
         else:
@@ -554,28 +560,31 @@ BAD_ID = "use letters, digits, '_', '.' or '-'"
 
 
 @pytest.mark.parametrize(
-    "instance, expected",
+    "build, expected",
     [
-        (AuctionInstance(5, 2, "splittable", GAP_BIDS),
+        (lambda: AuctionInstance(5, 2, "splittable", GAP_BIDS),
          (ValidationError, "service must be a ServiceType, got 'splittable'")),
-        (AuctionInstance(5.0, 2, ServiceType.SPLITTABLE, GAP_BIDS),
+        (lambda: AuctionInstance(5.0, 2, ServiceType.SPLITTABLE, GAP_BIDS),
          (ValidationError, "capacity and requested_seats must be int")),
-        (AuctionInstance(5, True, ServiceType.SPLITTABLE, GAP_BIDS),
+        (lambda: AuctionInstance(5, True, ServiceType.SPLITTABLE, GAP_BIDS),
          (ValidationError, "capacity and requested_seats must be int")),
-        (AuctionInstance(0, 1, ServiceType.SPLITTABLE, GAP_BIDS),
+        (lambda: AuctionInstance(0, 1, ServiceType.SPLITTABLE, GAP_BIDS),
          (SeatBoundViolation, "capacity 0 must be at least 1")),
-        (AuctionInstance(5, 2, ServiceType.SPLITTABLE, [*GAP_BIDS, BidSchedule("x y", 1, {1: Money(1)})]),
+        (lambda: AuctionInstance(5, 2, ServiceType.SPLITTABLE,
+                                 [*GAP_BIDS, BidSchedule("x y", 1, {1: Money(1)})]),
          (ValidationError, f"bad bidder id 'x y': {BAD_ID}")),
-        (AuctionInstance(5, 2, ServiceType.SPLITTABLE, [*GAP_BIDS, BidSchedule(["A"], 1, {1: Money(1)})]),
+        (lambda: AuctionInstance(5, 2, ServiceType.SPLITTABLE,
+                                 [*GAP_BIDS, BidSchedule(["A"], 1, {1: Money(1)})]),
          (ValidationError, f"bad bidder id ['A']: {BAD_ID}")),
     ],
     ids=["str-service", "float-capacity", "bool-request", "capacity-0", "non-token-id", "unhashable-id"],
 )
-def test_the_engine_raises_what_validation_raises(instance, expected):
+def test_the_engine_raises_what_validation_raises(build, expected):
     """Instances the engine once solved, or failed on with a TypeError,
-    although validation rejects them."""
+    although validation rejects them; a bad id now raises when its
+    schedule is built."""
     for fn in (validate_instance, *ENGINE):
-        assert outcome(fn, fresh(instance)) == expected, fn.__name__
+        assert outcome(lambda _: fn(build()), None) == expected, fn.__name__
 
 
 def test_prices_are_read_only_and_copied():
@@ -595,12 +604,12 @@ def test_prices_are_read_only_and_copied():
     lambda: BidSchedule("A", 2, {1: Money(1), 2: Money(2)}),
     lambda: parse_instance("avauction-instance v1\ncapacity 5\nrequested_seats 1\n"
                            "service private\nbidder A available 2 prices 1:1 2:2\n").bids[0],
-    lambda: BidSchedule._of_micros("A", 2, {1: 1, 2: 2}, False),
+    lambda: BidSchedule._of_series("A", 2, (1, 2), False),
 ], ids=["constructor", "parser", "of-micros"])
 def test_a_schedule_is_frozen_however_it_is_built(build):
     schedule = build()
     before = repr(schedule)
-    for name in ("bidder_id", "available_seats", "_micros", "concave", "_series", "prices"):
+    for name in ("bidder_id", "available_seats", "concave", "_series", "prices"):
         with pytest.raises(FrozenInstanceError):
             setattr(schedule, name, None)
         with pytest.raises(FrozenInstanceError):
@@ -616,7 +625,8 @@ def test_reprs_are_exact_past_4300_digits():
     instance = parse_instance("avauction-instance v1\ncapacity 5\nrequested_seats 1\n"
                               f"service splittable\nbidder A available 1 prices 1:{nines}\n")
     micros = f"{nines}000000"
-    schedule = f"BidSchedule(bidder_id='A', available_seats=1, _micros={{1: {micros}}}, concave=False)"
+    schedule = (f"BidSchedule(bidder_id='A', available_seats=1, "
+                f"prices={{1: Money(micros={micros})}}, concave=False)")
     assert repr(instance.bids[0]) == schedule
     assert repr(instance) == (
         "AuctionInstance(capacity=5, requested_seats=1, "
@@ -645,14 +655,13 @@ def _checked(capacity, requested, bid):
 
 
 @pytest.mark.parametrize("text", [
-    lambda: repr(BidSchedule("A", 1, {1: BIG})),
-    lambda: repr(BidSchedule("A", BIG, {BIG: Money(1)})),
-    _message(SeatBoundViolation, _checked(5, 1, BidSchedule("A", BIG, {}))),
+    lambda: repr(BidSchedule("A", 1, {1: Money(BIG)})),
+    _message(MissingPrice, lambda: BidSchedule("A", BIG, {BIG: Money(1)})),
+    _message(SeatBoundViolation, _checked(5, 1, BidSchedule("A", -BIG, {}))),
     _message(SeatBoundViolation, _checked(-BIG, 1, sched("A", 1, {1: "1"}))),
     _message(SeatBoundViolation, _checked(5, BIG, sched("A", 1, {1: "1"}))),
-    _message(OversizedCombination,
-             _checked(5, 1, BidSchedule("A", 1, {1: Money(1), BIG: Money(2)}))),
-    _message(MissingPrice, _checked(BIG, 1, BidSchedule("A", BIG, {1: Money(1)}))),
+    _message(OversizedCombination, lambda: BidSchedule("A", 1, {1: Money(1), BIG: Money(2)})),
+    _message(MissingPrice, lambda: BidSchedule("A", BIG, {1: Money(1)})),
     _message(OversizedCombination, lambda: CompiledCase(make_instance(
         5, 1, SPLIT, [sched("A", 1, {1: "1"})])).price("A", BIG)),
     _message(NegativeAmount, lambda: Money(-BIG)),
@@ -665,7 +674,7 @@ def _checked(capacity, requested, bid):
         make_instance(5, 1, SPLIT, [sched("A", 1, {1: "1"})]), [], -BIG)),
     _message(ValidationError, lambda: perturb_bids(
         make_instance(5, 1, SPLIT, [sched("A", 1, {1: "1"})]), [], Fraction(-BIG, 3))),
-], ids=["not-money-price", "availability-and-size", "availability-past-capacity",
+], ids=["schedule", "availability-and-size", "availability-outside-bounds",
         "capacity", "request", "size-key", "missing-price", "compiled-price", "negative-money",
         "seed", "first-case", "batch-case", "batch-head", "negative-raise", "negative-ratio"])
 def test_an_int_of_more_than_4300_digits_is_shown_exactly(text):
@@ -675,14 +684,13 @@ def test_an_int_of_more_than_4300_digits_is_shown_exactly(text):
 
 
 def test_a_checked_schedule_equals_an_unchecked_one(e1):
+    """A schedule the constructor checked equals the one the parser builds
+    from the same line with no second check, and shows the same repr."""
     checked = validate_instance(e1)
-    assert all(bid._series is not None for bid in checked.bids)
-    unchecked = make_instance(e1.capacity, e1.requested_seats, e1.service, [
-        BidSchedule(b.bidder_id, b.available_seats, b.prices, b.concave) for b in e1.bids
-    ])
-    assert all(bid._series is None for bid in unchecked.bids)
+    unchecked = parse_instance(serialize_instance(e1))
     assert checked == unchecked
-    assert checked.bids[0] == unchecked.bids[0] and repr(checked.bids[0]) == repr(unchecked.bids[0])
+    for bid, parsed in zip(checked.bids, unchecked.bids):
+        assert bid == parsed and repr(bid) == repr(parsed) and bid._series == parsed._series
 
 
 def test_service_type_tokens():

@@ -8,9 +8,11 @@ from avauction import (
     AuctionInstance,
     BidSchedule,
     CompiledCase,
+    DuplicateBidder,
     GenerationLaw,
     Money,
     ParseError,
+    SeatBoundViolation,
     ServiceType,
     ValidationError,
     generate_batch,
@@ -21,8 +23,8 @@ from avauction import (
     vcg_charges,
     write_instance,
 )
-from avauction import core, instance_io
-from avauction.core import BIDDER_ID_RE, price_series
+from avauction import instance_io
+from avauction.core import BIDDER_ID_RE, micros_to_decimal
 from avauction.instance_io import FORMAT_NAME, FORMAT_VERSION
 
 from conftest import failed, make_instance, outcome, regex_money_from_decimal, sched
@@ -101,11 +103,10 @@ def test_malformed_documents(mutation):
 
 
 def test_parse_is_syntactic_validate_is_semantic():
-    # non-monotone prices parse fine and fail validation, not parsing
+    # non-monotone prices are well formed: a validation error, not a parse error
     text = E1_DOC.replace("2:0.55", "2:0.30")
-    inst = parse_instance(text)
-    with pytest.raises(Exception):
-        validate_instance(inst)
+    with pytest.raises(ValidationError):
+        validate_instance(parse_instance(text))
 
 
 def test_file_round_trip(tmp_path, e1):
@@ -158,58 +159,67 @@ LONG_LEVELS = (10**604, 10**605, 10**606, 10**606 - 2 * 10**7)
 
 
 @st.composite
-def written_instances(draw):
-    """A valid instance, long prices included, in which some schedules of
-    two sizes or more are rewritten so that the price rule rejects their
-    series: two equal prices, or a concave flag on increasing marginals."""
+def written_documents(draw):
+    """A valid instance's document, long prices included, in which some
+    bidder lines of two sizes or more are rewritten as the serializer would
+    write a series the price rule rejects: two equal prices, or a concave
+    flag on increasing marginals.  Also the instance, when no line was
+    rewritten, and whether every line is still valid."""
     instance = draw(valid_instances(levels=(0, 10**20) + LONG_LEVELS))
-    bids = []
-    for bid in instance.bids:
-        micros = dict(bid._micros)
-        concave = bid.concave
-        broken = len(micros) >= 2 and draw(st.sampled_from(["kept", "equal", "convex"]))
+    lines = serialize_instance(instance).splitlines()
+    first = len(lines) - len(instance.bids)
+    valid = True
+    for i, bid in enumerate(instance.bids):
+        series, concave = list(bid._series), bid.concave
+        broken = len(series) >= 2 and draw(st.sampled_from(["kept", "equal", "convex"]))
         if broken == "equal":
-            micros[2] = micros[1]
+            series[1] = series[0]
         elif broken == "convex":
-            micros = {m: micros[1] + m * m for m in micros}
+            series = [series[0] + m * m for m in range(1, len(series) + 1)]
             concave = True
-        bids.append(BidSchedule._of_micros(bid.bidder_id, bid.available_seats, micros, concave))
-    return AuctionInstance(instance.capacity, instance.requested_seats, instance.service,
-                           tuple(bids))
+        if broken and broken != "kept":
+            items = "".join(f" {m}:{micros_to_decimal(p)}" for m, p in enumerate(series, 1))
+            lines[first + i] = (f"bidder {bid.bidder_id} available {len(series)}"
+                                f"{' concave' if concave else ''} prices{items}")
+            instance = None
+            # two sizes have one marginal, which no concave flag breaks
+            valid = valid and broken == "convex" and len(series) == 2
+    return "\n".join(lines) + "\n", instance, valid
 
 
 @settings(deadline=None, max_examples=200)
-@given(written_instances())
-def test_the_written_line_reader_matches_the_token_path(instance):
+@given(written_documents())
+def test_the_written_line_reader_matches_the_token_path(document):
     """A written document and the same document with every separator
-    doubled, which only the token path reads, parse to equal instances.
-    The reader keeps the series the full check of the token path's
-    schedule returns, and None exactly where that check raises or a price
-    has a whole part too long for the reader (which leaves the line to the
-    token path)."""
-    text = serialize_instance(instance)
-    read = parse_instance(text)
-    tokens = parse_instance(text.replace(" ", "  "))
-    assert read == tokens == instance
-    for bid, token_bid in zip(read.bids, tokens.bids):
-        assert token_bid._series is None
-        full = outcome(lambda b: price_series(b, b.available_seats), token_bid)
-        readable = all(m < 10**606 for m in bid._micros.values())
-        assert bid._series == (full if readable and not failed(full) else None)
+    doubled, which only the token path reads, parse to equal instances or
+    raise the same error: a line whose series the price rule rejects is
+    left to the token path, which raises what its schedule raises when
+    built.  A document of valid lines parses to its instance."""
+    text, instance, valid = document
+    read = outcome(parse_instance, text)
+    assert read == outcome(parse_instance, text.replace(" ", "  "))
+    assert failed(read) is not valid
+    if instance is not None:
+        assert read == instance
+        assert [bid._series for bid in read.bids] == [bid._series for bid in instance.bids]
 
 
 @pytest.mark.parametrize("bad_id", ["x y", "", "A\n", "b\u00e9"])
 def test_validation_rejects_ids_the_format_cannot_carry(bad_id):
-    inst = make_instance(5, 1, ServiceType.SPLITTABLE, [sched(bad_id, 1, {1: "0.10"})])
+    # A schedule is checked when it is built, so its id raises there; the
+    # line the serializer would write for it is a parse error.
     with pytest.raises(ValidationError, match="bidder id"):
-        validate_instance(inst)
+        sched(bad_id, 1, {1: "0.10"})
+    line = f"bidder {bad_id} available 1 prices 1:0.100000\n"
     with pytest.raises(ParseError, match="bidder"):
-        parse_instance(serialize_instance(inst))
+        parse_instance(serialize_instance(make_instance(5, 1, ServiceType.SPLITTABLE, [])) + line)
 
 
 def strip_each_line_parse_instance(text: str) -> AuctionInstance:
     """parse_instance with a strip() per use of a line, and the money
-    grammar as a regex: the oracle of the differential below."""
+    grammar as a regex: the oracle of the differential below.  A bidder
+    line whose schedule cannot be built raises where validating the
+    instance would reach it, after every syntax error."""
     lines = [
         (n, line.strip())
         for n, line in enumerate(text.splitlines(), start=1)
@@ -223,11 +233,11 @@ def strip_each_line_parse_instance(text: str) -> AuctionInstance:
         raise ParseError(f"line {n}: expected '{FORMAT_NAME} {FORMAT_VERSION}' header")
     if len(parts) != 2 or parts[1] != FORMAT_VERSION:
         raise ParseError(f"line {n}: unsupported version {' '.join(parts[1:])!r}")
-    fields, bids = {}, []
+    fields, lines_read = {}, []
     for n, line in lines[1:]:
         tokens = line.split()
         if tokens[0] == "bidder":
-            bids.append(_regex_parse_bidder(n, tokens))
+            lines_read.append(_regex_parse_bidder(n, tokens))
         elif tokens[0] in ("capacity", "requested_seats", "service"):
             if tokens[0] in fields:
                 raise ParseError(f"line {n}: duplicate field {tokens[0]!r}")
@@ -248,10 +258,24 @@ def strip_each_line_parse_instance(text: str) -> AuctionInstance:
         service = ServiceType.from_token(fields["service"])
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
+    bids = []
+    for bidder_id, available, prices, concave in lines_read:
+        try:
+            bids.append(BidSchedule(bidder_id, available, prices, concave=concave))
+        except ValidationError:
+            # what the walk raises before it reaches this bid's prices
+            validate_instance(AuctionInstance(capacity, requested, service, tuple(bids)))
+            if bidder_id in [bid.bidder_id for bid in bids]:
+                raise DuplicateBidder(bidder_id) from None
+            if not 0 <= available <= capacity:
+                raise SeatBoundViolation(
+                    f"bidder {bidder_id}: available_seats {available} outside [0, {capacity}]"
+                ) from None
+            raise
     return AuctionInstance(capacity, requested, service, tuple(bids))
 
 
-def _regex_parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
+def _regex_parse_bidder(n: int, tokens: list[str]) -> tuple:
     try:
         bidder_id = tokens[1]
         if not BIDDER_ID_RE.fullmatch(bidder_id):
@@ -277,7 +301,7 @@ def _regex_parse_bidder(n: int, tokens: list[str]) -> BidSchedule:
         raise
     except (IndexError, ValueError, ValidationError) as exc:
         raise ParseError(f"line {n}: malformed bidder record ({exc})") from None
-    return BidSchedule(bidder_id, available, prices, concave=concave)
+    return bidder_id, available, prices, concave
 
 
 # Characters and tokens that sit on the parser's edges: separators the two
@@ -355,9 +379,8 @@ def wide_line(available, sizes):
 @example(wide_line(1001, 1000))
 @example(wide_line(1001, 1001))
 def test_parse_instance_matches_the_strip_each_line_parser(text):
-    """The two parsers agree, and so do the checks of what they build: the
-    oracle's schedules keep no series, and a series the parser keeps is
-    the one the full check of the oracle's schedule returns."""
+    """The two parsers agree, errors included, and so do the checks of what
+    they build and the series of every schedule."""
     parsed = outcome(parse_instance, text)
     oracle = outcome(strip_each_line_parse_instance, text)
     assert parsed == oracle
@@ -365,16 +388,16 @@ def test_parse_instance_matches_the_strip_each_line_parser(text):
         return
     for check in (lambda i: CompiledCase(i).rows, validate_instance):
         assert outcome(check, parsed) == outcome(check, oracle)
-    for bid, oracle_bid in zip(parsed.bids, oracle.bids):
-        assert bid._series is None or bid._series == price_series(oracle_bid, bid.available_seats)
+    assert [bid._series for bid in parsed.bids] == [bid._series for bid in oracle.bids]
 
 
 def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
     """Every line of a generated document is read whole, with no call per
-    price, and charging it reads the series the parse kept.  A line with
-    its sizes out of order takes the token path and keeps none, and its
-    one full check gives the same charges; so does every line of the
-    document with each space doubled."""
+    price and no call of the checking constructor, and charging it reads
+    the series the parse built.  A line with its sizes out of order takes
+    the token path and the constructor's one full check, which gives the
+    same charges; so does every line of the document with each space
+    doubled."""
     calls = Counter()
 
     def counted(module, name):
@@ -386,9 +409,9 @@ def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
 
-    counted(core, "_checked_series")
+    counted(BidSchedule, "__init__")
     counted(instance_io, "_parse_bidder")
-    counted(instance_io, "micros_from_decimal")
+    counted(instance_io, "money_from_decimal")
     batch = generate_batch(GenerationLaw(seed=23), 1000, 5, 1)
     text = serialize_instance(batch.instance(0, ServiceType.SPLITTABLE, 3))
     calls.clear()
@@ -398,9 +421,9 @@ def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
     assert count == 1
     line = re.search(r"bidder \S+ .*prices 2:.*", swapped)[0]
     assert vcg_charges(parse_instance(swapped)) == report
-    assert calls == {"_parse_bidder": 1, "micros_from_decimal": line.count(":"),
-                     "_checked_series": 1}
+    assert calls == {"_parse_bidder": 1, "money_from_decimal": line.count(":"),
+                     "__init__": 1}
     calls.clear()
     assert vcg_charges(parse_instance(text.replace(" ", "  "))) == report
-    assert calls == {"_parse_bidder": 1000, "micros_from_decimal": text.count(":"),
-                     "_checked_series": 1000}
+    assert calls == {"_parse_bidder": 1000, "money_from_decimal": text.count(":"),
+                     "__init__": 1000}

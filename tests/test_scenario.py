@@ -17,7 +17,6 @@ from avauction import (
     rng_stream,
     validate_instance,
 )
-from avauction import core
 from avauction.core import MICROS_PER_UNIT
 from avauction.scenario import draw_cost_micros
 
@@ -262,8 +261,8 @@ def test_a_digest_renders_prices_past_4300_digits():
          capacity=7, cases=3)
 def test_integer_price_curves_match_fraction_products(seed, cost_law, gamma, bidders,
                                                       capacity, cases):
-    """Each drawn schedule equals the oracle's, and the series it keeps is
-    the one the full check returns for the oracle's schedule."""
+    """Each drawn schedule equals the oracle's, which the constructor
+    checked, series included."""
     law = GenerationLaw(seed=seed, cost_law=cost_law, gamma=gamma)
     batch = outcome(lambda law: generate_batch(law, bidders, capacity, cases), law)
     oracle = outcome(lambda law: fraction_generate_batch(law, bidders, capacity, cases), law)
@@ -274,7 +273,7 @@ def test_integer_price_curves_match_fraction_products(seed, cost_law, gamma, bid
     assert batch.digest() == oracle.digest()
     for drawn, expected in zip(chain.from_iterable(batch.cases),
                                chain.from_iterable(oracle.cases)):
-        assert drawn._series == core._checked_series(expected, capacity)
+        assert drawn._series == expected._series
 
 
 def test_degenerate_gamma_raises_as_the_fraction_oracle_does():

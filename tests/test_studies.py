@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from avauction import (
+    BidSchedule,
     CostLaw,
     ExperimentConfig,
     InvalidLaw,
@@ -20,7 +21,7 @@ from avauction import (
     run_timing_study,
     run_truthfulness_study,
 )
-from avauction import core, scenario, studies, wdp
+from avauction import scenario, studies, wdp
 from avauction.studies import ratio_to_decimal
 
 from conftest import oracle_off_by_one_micro
@@ -198,17 +199,17 @@ def test_study_tables_match_golden_digests():
 
 def test_each_drawn_schedule_is_checked_once(monkeypatch):
     """The generator checks each schedule it draws with the price rule and
-    keeps the series, so no compile at any K runs the full check on one,
-    and each kept series is the one the full check returns afterwards.  The
-    lists fill in the process that draws, so the whole study runs here at
-    one worker, and then each range of a three-worker split runs here on
-    its own."""
+    builds it from that series, so no draw and no compile at any K runs
+    the checking constructor, and each drawn schedule equals the one the
+    constructor builds from its prices afterwards.  The lists fill in the
+    process that draws, so the whole study runs here at one worker, and
+    then each range of a three-worker split runs here on its own."""
     checked = []
-    full_check = core._checked_series
+    full_check = BidSchedule.__init__
 
-    def counting(schedule, capacity):
-        checked.append(schedule)
-        return full_check(schedule, capacity)
+    def counting(schedule, *args):
+        checked.append(args[0])
+        full_check(schedule, *args)
 
     drawn = []
     draw = scenario._draw_schedule
@@ -218,9 +219,13 @@ def test_each_drawn_schedule_is_checked_once(monkeypatch):
         return drawn[-1]
 
     def kept_as_checked():
-        return all(s._series == full_check(s, studies.CAPACITY) for s in drawn)
+        def rebuilt(s):
+            schedule = object.__new__(BidSchedule)
+            full_check(schedule, s.bidder_id, s.available_seats, s.prices, s.concave)
+            return schedule
+        return all(rebuilt(s) == s and rebuilt(s)._series == s._series for s in drawn)
 
-    monkeypatch.setattr(core, "_checked_series", counting)
+    monkeypatch.setattr(BidSchedule, "__init__", counting)
     monkeypatch.setattr(scenario, "_draw_schedule", recording)
     monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)
     cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)

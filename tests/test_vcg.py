@@ -13,6 +13,7 @@ from avauction import (
     Money,
     NonConcavePrices,
     NotServed,
+    SeatBoundViolation,
     ServiceType,
     UnknownBidder,
     ValidationError,
@@ -32,7 +33,7 @@ from avauction import (
     vcg_charges,
 )
 
-from avauction import core, vcg
+from avauction import vcg
 
 from conftest import full_report, make_instance, outcome, sched, small_instances
 
@@ -114,8 +115,10 @@ class TestUtilities:
     def test_missing_valuation(self, e1):
         with pytest.raises(MissingValuation):
             bidder_utility(e1, {"A": e1.bids[0]})
-        partial = sched("B", 3, {1: "0.30"})
-        with pytest.raises(MissingValuation):
+        # a valuation of fewer sizes than the bid (one of 3 sizes with only
+        # size 1 priced cannot be built)
+        partial = sched("B", 1, {1: "0.30"})
+        with pytest.raises(MissingValuation, match=r"^bidder B: valuation lacks sizes \[2, 3\]$"):
             bidder_utility(e1, {"A": e1.bids[0], "B": partial})
 
 
@@ -155,26 +158,38 @@ class TestPerturbation:
         assert not raised.bids[0].concave
         validate_instance(raised)
 
-    def test_a_raised_schedule_keeps_its_key_order_and_the_checked_series(self):
+    def test_a_raised_schedule_equals_the_checked_one(self):
         inst = make_instance(5, 1, ServiceType.SPLITTABLE,
                              [sched("A", 3, {2: "0.55", 1: "0.3", 3: "0.78"}, concave=True)])
         raised = perturb_bids(inst, {"A"}, "0.1").bids[0]
-        assert list(raised._micros) == [2, 1, 3] and raised.concave
-        assert raised._series == core._checked_series(raised, 5) == (330_000, 605_000, 858_000)
+        checked = BidSchedule("A", 3, raised.prices, concave=True)
+        assert raised == checked and raised.concave
+        assert raised._series == checked._series == (330_000, 605_000, 858_000)
 
+    # A target that validation rejects for its own prices cannot be built,
+    # so it raises there, before ``perturb_bids`` or validation sees it.
     def test_a_target_price_that_is_not_money_raises_as_validation_does(self):
-        inst = make_instance(5, 1, ServiceType.SPLITTABLE,
-                             [BidSchedule("A", 2, {1: Money(1), 2: 5})])
-        raised = outcome(lambda i: perturb_bids(i, {"A"}, "0.1"), inst)
+        def build():
+            return make_instance(5, 1, ServiceType.SPLITTABLE,
+                                 [BidSchedule("A", 2, {1: Money(1), 2: 5})])
+        raised = outcome(lambda b: perturb_bids(b(), {"A"}, "0.1"), build)
         assert raised[0] is ValidationError
-        assert raised == outcome(validate_instance, inst)
+        assert raised == outcome(lambda b: validate_instance(b()), build)
 
     def test_a_target_with_a_broken_concave_flag_raises_as_validation_does(self):
         # marginals 0.25 then 0.35: the flag is wrong before any raise
-        inst = make_instance(5, 1, ServiceType.SPLITTABLE,
-                             [sched("A", 3, {1: "0.3", 2: "0.55", 3: "0.9"}, concave=True)])
-        raised = outcome(lambda i: perturb_bids(i, {"A"}, "0.1"), inst)
+        def build():
+            return make_instance(5, 1, ServiceType.SPLITTABLE,
+                                 [sched("A", 3, {1: "0.3", 2: "0.55", 3: "0.9"}, concave=True)])
+        raised = outcome(lambda b: perturb_bids(b(), {"A"}, "0.1"), build)
         assert raised[0] is NonConcavePrices
+        assert raised == outcome(lambda b: validate_instance(b()), build)
+
+    def test_a_target_past_the_capacity_raises_as_validation_does(self):
+        inst = make_instance(2, 1, ServiceType.SPLITTABLE,
+                             [sched("A", 3, {1: "0.3", 2: "0.55", 3: "0.78"})])
+        raised = outcome(lambda i: perturb_bids(i, {"A"}, "0.1"), inst)
+        assert raised == (SeatBoundViolation, "bidder A: available_seats 3 outside [0, 2]")
         assert raised == outcome(validate_instance, inst)
 
     @pytest.mark.parametrize("fields", [dict(capacity=None), dict(requested_seats="1"),

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from avauction import (
+    Allocation,
     AuctionInstance,
     BidSchedule,
     CompiledCase,
+    CostLaw,
     DuplicateBidder,
+    ExperimentConfig,
     GenerationLaw,
     MissingPrice,
     Money,
@@ -21,6 +24,7 @@ from avauction import (
     exclusion_totals,
     generate_batch,
     money_from_decimal,
+    parse_instance,
     NonConcavePrices,
     NonMonotonePrices,
     OversizedCombination,
@@ -30,7 +34,7 @@ from avauction import (
     vcg_charges,
 )
 
-from avauction import wdp
+from avauction import studies, wdp
 
 from conftest import (
     ENUMERATION_CAP,
@@ -335,26 +339,27 @@ PAIR = sched("B", 2, {1: "0.10", 2: "0.20"})
 
 
 @pytest.mark.parametrize(
-    "instance, expected",
+    "build, expected",
     [
-        (make_instance(5, 2, ServiceType.SPLITTABLE, [NINE_SEATS]),
+        (lambda: make_instance(5, 2, ServiceType.SPLITTABLE, [NINE_SEATS]),
          (SeatBoundViolation, "bidder A: available_seats 9 outside [0, 5]")),
-        (make_instance(5, 2, ServiceType.SPLITTABLE, [PAIR, sched("B", 1, {1: "0.30"})]),
+        (lambda: make_instance(5, 2, ServiceType.SPLITTABLE, [PAIR, sched("B", 1, {1: "0.30"})]),
          (DuplicateBidder, "B")),
-        (make_instance(5, 2, ServiceType.SPLITTABLE, [sched("A", 3, {1: "0.10", 3: "0.30"})]),
+        (lambda: make_instance(5, 2, ServiceType.SPLITTABLE, [sched("A", 3, {1: "0.10", 3: "0.30"})]),
          (MissingPrice, "bidder A: no price for size 2 (must cover 1..3)")),
-        (make_instance(2, 3, ServiceType.SPLITTABLE, [PAIR]),
+        (lambda: make_instance(2, 3, ServiceType.SPLITTABLE, [PAIR]),
          (SeatBoundViolation, "requested_seats 3 outside [1, 2]")),
     ],
     ids=["nine-seats-on-five", "duplicate-id", "missing-price", "request-over-capacity"],
 )
-def test_invalid_instances_get_no_servability_answer(instance, expected):
+def test_invalid_instances_get_no_servability_answer(build, expected):
     """Instances a closed form over the raw bids once called servable
     (nine declared seats for every service, q_r 3 on a capacity-2 vehicle
     for private) or answered at all: compiling each raises what validation
-    raises, so none reaches ``servable``."""
-    assert outcome(validate_instance, instance) == expected
-    assert outcome(CompiledCase, instance) == expected
+    raises, so none reaches ``servable``; a schedule missing a price raises
+    when it is built."""
+    assert outcome(lambda b: validate_instance(b()), build) == expected
+    assert outcome(lambda b: CompiledCase(b()), build) == expected
 
 
 @pytest.mark.parametrize(
@@ -406,22 +411,21 @@ def test_compiled_case_rejects_what_the_engine_cannot_solve():
         full_case([sched("A", 2, {1: "0.2", 2: "0.2"})], 5)
     with pytest.raises(SeatBoundViolation):
         full_case([sched("A", 6, {m: f"0.{m}" for m in range(1, 7)})], 5)
-    # the engine rejects what validate_instance rejects, with the same error
-    oversized = sched("A", 2, {1: "0.10", 2: "0.20", 3: "0.30"})
-    false_concave = sched("B", 3, {1: "0.30", 2: "0.55", 3: "0.90"}, concave=True)
-    float_available = BidSchedule("A", 2.0, {1: Money(1), 2: Money(2)})
-    bool_available = BidSchedule("A", True, {1: Money(1)})
+    # a schedule the engine cannot solve raises when it is built, before
+    # any instance holds it, with the error validation once raised
     for bid, error in (
-        (oversized, OversizedCombination),
-        (false_concave, NonConcavePrices),
-        (float_available, ValidationError),
-        (bool_available, ValidationError),
+        (lambda: sched("A", 2, {1: "0.10", 2: "0.20", 3: "0.30"}), OversizedCombination),
+        (lambda: sched("B", 3, {1: "0.30", 2: "0.55", 3: "0.90"}, concave=True), NonConcavePrices),
+        (lambda: BidSchedule("A", 2.0, {1: Money(1), 2: Money(2)}), ValidationError),
+        (lambda: BidSchedule("A", True, {1: Money(1)}), ValidationError),
     ):
         with pytest.raises(error):
-            full_case([bid], 5)
-        instance = make_instance(5, 3, ServiceType.SPLITTABLE, [bid])
-        assert outcome(solve_wdp, instance) == outcome(validate_instance, instance)
-        assert outcome(vcg_charges, instance) == outcome(validate_instance, instance)
+            full_case([bid()], 5)
+        built = outcome(lambda b: b(), bid)
+        assert built[0] is error
+        for fn in (solve_wdp, vcg_charges, validate_instance):
+            got = outcome(lambda b: fn(make_instance(5, 3, ServiceType.SPLITTABLE, [b()])), bid)
+            assert got == built, fn.__name__
     with pytest.raises(ValidationError, match="bidder A: price for size 1 must be Money"):
         full_case([BidSchedule("A", 1, {1: 5})], 5)
     case = CompiledCase(make_instance(5, 2, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0.1"})]))
@@ -431,28 +435,35 @@ def test_compiled_case_rejects_what_the_engine_cannot_solve():
         solve_wdp(make_instance(5, 6, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0.1"})]))
 
 
-FALLING = sched("A", 2, {1: "0.30", 2: "0.20"})
+# A bidder line whose schedule cannot be built: no instance of the library
+# can hold one, so the bids are a document's lines.
+FALLING = "bidder A available 2 prices 1:0.30 2:0.20\n"
+
+
+def bid_line(bidder_id: str, price: str) -> str:
+    return f"bidder {bidder_id} available 1 prices 1:{price}\n"
 
 
 @pytest.mark.parametrize(
     "bids, expected",
     [
-        ([sched("A", 1, {1: "0.1"}), sched("B", 1, {1: "0.2"}), FALLING],
+        ([bid_line("A", "0.1"), bid_line("B", "0.2"), FALLING],
          (DuplicateBidder, "A")),
         # the falling prices come before the repeated id in the given order
-        ([sched("B", 1, {1: "0.2"}), FALLING, sched("B", 1, {1: "0.3"})],
+        ([bid_line("B", "0.2"), FALLING, bid_line("B", "0.3")],
          (NonMonotonePrices, "bidder A: prices must strictly increase with size")),
-        ([sched("B", 1, {1: "0.2"}), sched("A", 1, {1: "0.1"}), sched("B", 1, {1: "0.3"}), FALLING],
+        ([bid_line("B", "0.2"), bid_line("A", "0.1"), bid_line("B", "0.3"), FALLING],
          (DuplicateBidder, "B")),
     ],
     ids=["repeat-with-falling-prices", "falling-prices-first", "repeat-before-falling-prices"],
 )
 def test_the_engine_raises_the_first_violation_validation_raises(bids, expected):
     """Validation and the engine walk the bids in their given order and
-    check each id against those seen before its prices."""
-    instance = make_instance(5, 1, ServiceType.SPLITTABLE, bids)
+    check each id against those seen before its prices; a document's
+    schedule that cannot be built raises where that walk reaches it."""
+    text = "avauction-instance v1\ncapacity 5\nrequested_seats 1\nservice splittable\n" + "".join(bids)
     for fn in (validate_instance, CompiledCase, solve_wdp, vcg_charges):
-        assert outcome(fn, instance) == expected, fn.__name__
+        assert outcome(lambda t: fn(parse_instance(t)), text) == expected, fn.__name__
 
 
 REQUEST_BATCH = generate_batch(GenerationLaw(seed=13), bidders=4, capacity=5, cases=3)
@@ -665,3 +676,74 @@ def test_the_crowded_property_catches_a_single_vehicle_read_of_one_offer(monkeyp
     plant_in_offers(monkeypatch, "max(2,", "max(1,")
     with pytest.raises(AssertionError):
         crowded_property(phases=(Phase.generate,))()
+
+
+def dynamic_program_answers(bids, capacity):
+    """Every request's (allocation, exclusion totals) by exact dynamic
+    programming, sharing no ranking and no kept rows with the engine: the
+    tuple cover tables over all rows in id order, the suffix walk for the
+    tie-broken split, prefix joined to suffix for each bidder's exclusion
+    total, and a scan of every row for the single vehicle."""
+    ordered = sorted(bids, key=lambda bid: bid.bidder_id)
+    ids = [bid.bidder_id for bid in ordered]
+    rows = [[price.micros for _, price in sorted(bid.prices.items())] for bid in ordered]
+    prefix = tuple_cover_table(rows, capacity)
+    suffix = tuple_cover_table(rows[::-1], capacity)[::-1]
+    answers = {}
+    for q in range(1, capacity + 1):
+        optimum = suffix[0][q]
+        if optimum is None:
+            answers[ServiceType.SPLITTABLE, q] = None, dict.fromkeys(ids)
+            continue
+        assignments, remaining, target = [], q, optimum
+        for i, prices in enumerate(rows):
+            for m in range(1, min(len(prices), remaining) + 1):
+                rest = suffix[i + 1][remaining - m]
+                if rest is not None and (prices[m - 1] + rest[0], rest[1] + 1) == target:
+                    assignments.append((ids[i], m))
+                    remaining, target = remaining - m, rest
+                    break
+        assert remaining == 0
+        totals = {
+            bidder_id: min((prefix[j][s][0] + suffix[j + 1][q - s][0] for s in range(q + 1)
+                            if prefix[j][s] is not None and suffix[j + 1][q - s] is not None),
+                           default=None)
+            for j, bidder_id in enumerate(ids)
+        }
+        answers[ServiceType.SPLITTABLE, q] = Allocation(tuple(assignments), Money(optimum[0])), totals
+    for service, q in [(ServiceType.NON_SPLITTABLE, q) for q in range(1, capacity + 1)] + [
+        (ServiceType.PRIVATE, q) for q in range(1, capacity + 1)
+    ]:
+        size = q if service is ServiceType.NON_SPLITTABLE else capacity
+        offers = sorted((row[size - 1], ids[i]) for i, row in enumerate(rows) if len(row) >= size)
+        if not offers:
+            answers[service, q] = None, dict.fromkeys(ids)
+            continue
+        (best, winner), second = offers[0], offers[1:2]
+        totals = dict.fromkeys(ids, best)
+        totals[winner] = second[0][0] if second else None
+        answers[service, q] = Allocation(((winner, size),), Money(best)), totals
+    return answers
+
+
+@pytest.mark.parametrize("bidders", [100, 1000])
+@pytest.mark.parametrize("cost_law", list(CostLaw))
+def test_generated_batches_at_the_benchmark_k_match_the_dynamic_program(bidders, cost_law):
+    """The studies' default law at K = 100 and the charge benchmark's
+    K = 1000, where enumeration cannot run: every one of the 15 requests
+    of each case gets the dynamic program's optimum, tie-broken allocation
+    and exclusion totals, from the case compiled per request and from the
+    one compiled at full width."""
+    batch = generate_batch(ExperimentConfig().law(cost_law), bidders, studies.CAPACITY, cases=3)
+    for case in range(batch.case_count):
+        bids = batch.cases[case]
+        answers = dynamic_program_answers(bids, batch.capacity)
+        whole = full_case(bids, batch.capacity)
+        for (service, q), (allocation, totals) in answers.items():
+            instance = batch.instance(case, service, q)
+            assert solve_wdp(instance) == allocation, (case, service, q)
+            assert exclusion_totals(instance) == totals, (case, service, q)
+            assert whole.solve(service, q) == allocation
+            if allocation is not None:
+                winners = {bidder_id: totals[bidder_id] for bidder_id in allocation.winner_ids()}
+                assert whole.winner_exclusions(service, allocation) == winners

@@ -1,0 +1,244 @@
+"""Differential of the command line between two source trees.
+
+Usage:
+
+    python3 tools/cli_differential.py PARENT_SRC CHANGE_SRC --seed S --docs N
+
+Writes N instance documents, each a small valid document with one to three
+random mutations (prices that fall or tie, a broken concave flag, sizes out
+of order or missing, availability outside the capacity, repeated ids, bad
+ids, bad or missing fields, lines moved or repeated, odd whitespace, huge or
+malformed numbers, and so on), into a temporary directory.  Each source
+tree (the directory that holds the ``avauction`` package) then runs in its
+own process, which calls ``avauction.cli.main`` in-process for every
+document through ``charge`` and ``solve``, each with and without
+``--service``, and records the exit code, stdout and stderr of each call.
+Every mismatch between the two trees is printed; the last line counts the
+documents, the runs, the exit codes seen and the mismatches.  The exit
+status is 1 when there is a mismatch.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+SERVICES = ("splittable", "nonsplittable", "private")
+
+
+def _price(micros: int) -> str:
+    return f"{micros // 10**6}.{micros % 10**6:06d}"
+
+
+def base_document(rng: random.Random) -> list[str]:
+    """A valid document's lines, bidder lines as the serializer writes them."""
+    capacity = rng.randint(1, 6)
+    lines = [
+        "avauction-instance v1",
+        f"capacity {capacity}",
+        f"requested_seats {rng.randint(1, capacity)}",
+        f"service {rng.choice(SERVICES)}",
+    ]
+    for j in range(rng.randint(1, 6)):
+        available = rng.randint(0, capacity)
+        concave = rng.random() < 0.5
+        level, step, items = rng.randint(0, 3) * 10**5, rng.randint(5, 9) * 10**5, []
+        for m in range(1, available + 1):
+            level += step
+            items.append(f" {m}:{_price(level)}")
+            step = max(1, step - rng.randint(0, 10**5)) if concave else rng.randint(1, 10**6)
+        lines.append(f"bidder b{j} available {available}{' concave' if concave else ''} prices"
+                     + "".join(items))
+    return lines
+
+
+def _bidder_rows(lines: list[str]) -> list[int]:
+    return [i for i, line in enumerate(lines) if line.startswith("bidder ")]
+
+
+def _edit_prices(rng: random.Random, line: str) -> str:
+    head, sep, items = line.partition(" prices")
+    parts = items.split()
+    if not parts:
+        return line + rng.choice([" 1:0.1", " 0:0.1", " 1:-1"])
+    i = rng.randrange(len(parts))
+    size, _, price = parts[i].partition(":")
+    kind = rng.randrange(10)
+    if kind == 0:  # a price that falls or ties
+        j = rng.randrange(len(parts))
+        parts[i] = f"{size}:{parts[j].partition(':')[2]}"
+    elif kind == 1:  # sizes out of order
+        j = rng.randrange(len(parts))
+        parts[i], parts[j] = parts[j], parts[i]
+    elif kind == 2:  # a size missing
+        del parts[i]
+    elif kind == 3:  # a size past the availability, or repeated
+        parts.append(rng.choice([f"{len(parts) + 1}:9.9", f"{size}:9.9", f"{len(parts) + 2}:9.9"]))
+    elif kind == 4:  # malformed money
+        parts[i] = f"{size}:{rng.choice(['1.2345678', '-1', 'abc', '1e3', '.5', '5.', '', '1_0'])}"
+    elif kind == 5:  # malformed size
+        parts[i] = f"{rng.choice(['01', '+1', 'x', '0', '-1', '1.0', ''])}:{price}"
+    elif kind == 6:  # a price with many digits
+        whole = "9" * rng.choice([600, 601, 700, 4300, 4301])
+        parts[i] = f"{size}:{whole}.{rng.choice(['', '000000', '5'])}"
+    elif kind == 7:  # no colon
+        parts[i] = parts[i].replace(":", "")
+    elif kind == 8:  # a huge price in serializer form
+        parts[i] = f"{size}:{rng.randint(1, 9)}{'0' * rng.randint(590, 610)}.000000"
+    else:  # a price of zero
+        parts[i] = f"{size}:0"
+    return head + sep + "".join(f" {p}" for p in parts)
+
+
+def _edit_header(rng: random.Random, line: str) -> str:
+    words = line.split(" ")
+    kind = rng.randrange(6)
+    if kind == 0 and len(words) > 3:  # availability outside the capacity
+        words[3] = str(rng.choice([-1, 0, 7, 9, 10**700]))
+    elif kind == 1:  # the concave flag flipped
+        if "concave" in words:
+            words.remove("concave")
+        else:
+            words.insert(4, "concave")
+    elif kind == 2 and len(words) > 1:  # a repeated or bad id
+        words[1] = rng.choice(["b0", "b1", "x/y", "é", "available", "-"])
+    elif kind == 3 and len(words) > 3:  # malformed availability
+        words[3] = rng.choice(["x", "1.5", "", "٣", "+2"])
+    elif kind == 4:  # a keyword dropped
+        for word in ("available", "prices"):
+            if word in words and rng.random() < 0.5:
+                words.remove(word)
+    else:  # a keyword misspelt
+        words[0] = rng.choice(["bidder", "Bidder", "bid"])
+    return " ".join(words)
+
+
+def mutate(rng: random.Random, lines: list[str]) -> list[str]:
+    lines = list(lines)
+    rows = _bidder_rows(lines)
+    kind = rng.randrange(12)
+    if kind <= 3 and rows:
+        i = rng.choice(rows)
+        lines[i] = _edit_prices(rng, lines[i])
+    elif kind <= 5 and rows:
+        i = rng.choice(rows)
+        lines[i] = _edit_header(rng, lines[i])
+    elif kind == 6 and rows:  # a repeated bidder line
+        i = rng.choice(rows)
+        lines.insert(rng.randint(1, len(lines)), lines[i])
+    elif kind == 7:  # a field changed
+        i = rng.randint(1, 3)
+        name = lines[i].split(" ")[0]
+        values = {"capacity": ["0", "-1", "1", "3", "7", "five", "10" * 400],
+                  "requested_seats": ["0", "-1", "1", "2", "9", "x"],
+                  "service": [*SERVICES, "bus", "PRIVATE", ""]}.get(name, ["1"])
+        lines[i] = f"{name} {rng.choice(values)}"
+    elif kind == 8:  # a field dropped or repeated
+        i = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            del lines[i]
+        else:
+            lines.insert(rng.randint(1, len(lines)), lines[i])
+    elif kind == 9:  # a line moved
+        line = lines.pop(rng.randrange(1, len(lines)))
+        lines.insert(rng.randint(0, len(lines)), line)
+    elif kind == 10:  # whitespace, comments and stray lines
+        i = rng.randrange(len(lines))
+        lines[i] = rng.choice([lines[i].replace(" ", "  "), lines[i] + " ", "\t" + lines[i],
+                               lines[i] + " # note", "# " + lines[i], lines[i].replace(" ", "\t")])
+        if rng.random() < 0.3:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "#", "mystery 1", "  "]))
+    else:  # the header
+        lines[0] = rng.choice(["avauction-instance v1", "avauction-instance v2",
+                               "avauction-instance", "# avauction-instance v1"])
+    return lines
+
+
+def write_documents(seed: int, count: int, directory: Path) -> list[Path]:
+    rng = random.Random(seed)
+    paths = []
+    for index in range(count):
+        lines = base_document(rng)
+        for _ in range(rng.randint(1, 3)):
+            lines = mutate(rng, lines)
+        path = directory / f"doc{index:05d}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        paths.append(path)
+    return paths
+
+
+def argv_lists(paths: list[Path], seed: int) -> list[list[str]]:
+    rng = random.Random(seed + 1)
+    runs = []
+    for path in paths:
+        for command in ("charge", "solve"):
+            runs.append([command, str(path)])
+            runs.append([command, str(path), "--service", rng.choice(SERVICES)])
+    return runs
+
+
+def run_worker() -> None:
+    """Read argv lists on stdin as JSON, run each through ``cli.main`` in
+    this process, and write one JSON result per argv to stdout."""
+    from avauction import cli
+
+    results = []
+    for argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            except Exception as exc:  # a crash is an outcome to compare too
+                code = f"raised {type(exc).__name__}: {exc}"
+        results.append([code, out.getvalue(), err.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def run_tree(src: str, runs: list[list[str]]) -> list[list]:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker"],
+                          input=json.dumps(runs), capture_output=True, text=True, env=env,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+def main() -> int:
+    if sys.argv[1:] == ["--worker"]:
+        run_worker()
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--docs", type=int, default=500)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_documents(args.seed, args.docs, Path(tmp))
+        runs = argv_lists(paths, args.seed)
+        parent = run_tree(args.parent_src, runs)
+        change = run_tree(args.change_src, runs)
+        mismatches = 0
+        for argv, old, new in zip(runs, parent, change):
+            if old != new:
+                mismatches += 1
+                print(f"MISMATCH {' '.join(argv)}\n  document: {Path(argv[1]).read_text()!r}\n"
+                      f"  parent: {old!r}\n  change: {new!r}")
+        codes = Counter(str(code) for code, _, _ in parent)
+    print(json.dumps({"docs": args.docs, "runs": len(runs),
+                      "exit_codes": dict(sorted(codes.items())), "mismatches": mismatches}))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
