@@ -18,6 +18,17 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 MICROS_PER_UNIT = 10**6
 
+# Every int a valid instance holds (capacity, requested seats, availability
+# and each price in micros) lies strictly within INT_BOUND, so every total,
+# pivotal value, charge (at most q_r winners, each charged below 10**400)
+# and study ratio stays below MONEY_BOUND, which Money keeps: fewer than 640
+# digits, the lowest int-string limit Python allows, so plain ``str`` and
+# ``int`` are exact.  A value past a bound raises PastBound, never shown.
+BOUND_DIGITS = 200
+INT_BOUND = 10**BOUND_DIGITS
+MONEY_BOUND = 10**600
+WHOLE_DIGITS = BOUND_DIGITS - 6  # the most whole digits of a price below the bound
+
 
 class AuctionError(Exception):
     """Base class for all errors raised by this package."""
@@ -63,8 +74,23 @@ class OversizedRatio(ValidationError):
     pass
 
 
+class PastBound(ValidationError):
+    """An int or amount lies past its bound (``INT_BOUND``, ``MONEY_BOUND``)."""
+
+
 class UnknownBidder(AuctionError):
     pass
+
+
+def _past(what: str) -> PastBound:
+    return PastBound(f"{what} past the bound 10**{BOUND_DIGITS}")
+
+
+def _shown(value: object, form=repr) -> str:
+    """``form(value)`` for a message, or, for an int past the bound, only that."""
+    if isinstance(value, int) and not -INT_BOUND < value < INT_BOUND:
+        return "an int past the bound"
+    return form(value)
 
 
 def round_half_up(numerator: Union[int, Fraction], denominator: int = 1) -> int:
@@ -120,8 +146,10 @@ class Money:
     def __post_init__(self) -> None:
         if isinstance(self.micros, bool) or not isinstance(self.micros, int):
             raise ValidationError(f"micros must be int, got {type(self.micros).__name__}")
+        if not -MONEY_BOUND < self.micros < MONEY_BOUND:
+            raise PastBound("an amount, in micros, past the bound 10**600")
         if self.micros < 0:
-            raise NegativeAmount(f"negative amount: {_digits(self.micros)} micros")
+            raise NegativeAmount(f"negative amount: {self.micros} micros")
 
     def to_decimal(self) -> str:
         """Render with exactly six fractional digits (lossless round trip)."""
@@ -130,40 +158,12 @@ class Money:
     def __str__(self) -> str:
         return self.to_decimal()
 
-    def __repr__(self) -> str:
-        return f"Money(micros={_digits(self.micros)})"
-
-
-# ``str`` refuses an int of more than ``sys.get_int_max_str_digits()``
-# digits (4300 unless set, never below 640), so a longer int is rendered in
-# blocks of this many digits.
-_BLOCK_DIGITS = 600
-_BLOCK = 10**_BLOCK_DIGITS
-
-
-def _digits(number: int) -> str:
-    """``str`` of an int, exact at any size and sign."""
-    if -_BLOCK < number < _BLOCK:  # below any digit limit, so ``str`` renders it
-        return str(number)
-    if number < 0:
-        return f"-{_digits(-number)}"
-    blocks = []
-    while number >= _BLOCK:
-        number, block = divmod(number, _BLOCK)
-        blocks.append(f"{block:0{_BLOCK_DIGITS}d}")
-    return f"{number}{''.join(reversed(blocks))}"
-
-
-def _shown(value: object, form=repr) -> str:
-    """``form(value)``, or an int's ``_digits``, which are exact at any size."""
-    return _digits(value) if type(value) is int else form(value)
-
 
 def micros_to_decimal(micros: int) -> str:
-    """The one money renderer: non-negative micros with exactly six
-    fractional digits, exact at any size."""
+    """The one money renderer: non-negative micros below ``MONEY_BOUND``
+    with exactly six fractional digits."""
     whole, frac = divmod(micros, MICROS_PER_UNIT)
-    return f"{_digits(whole)}.{frac:06d}"
+    return f"{whole}.{frac:06d}"
 
 
 def micros_from_decimal(text: str) -> int:
@@ -173,14 +173,18 @@ def micros_from_decimal(text: str) -> int:
     The grammar is digits with an optional fraction (``12``, ``12.``,
     ``12.5``) or a bare fraction (``.5``); a digit is any character
     ``str.isdecimal`` accepts, which is exactly the set the regex ``\\d``
-    accepts.  The whole and fractional digits go through ``int`` apart, so
-    only a whole part too long for ``int`` raises its ValueError.  (The
+    accepts.  A literal is a price: one of more than ``WHOLE_DIGITS``
+    significant whole digits is past the bound (PastBound).  The whole and
+    fractional digits go through ``int`` apart, so only a whole part padded
+    with zeros past the digits ``int`` reads raises its ValueError.  (The
     parser reads a line in the serializer's own form without this grammar;
     see ``instance_io``.)
     """
     text = text.strip()
     whole, _, frac = text.partition(".")
     if (whole.isdecimal() or not whole and frac) and (not frac or frac.isdecimal()):
+        if len(whole) > WHOLE_DIGITS and any(map(int, whole[:-WHOLE_DIGITS])):
+            raise _past("price, in micros,")
         if len(frac) > 6:
             raise PrecisionLoss(f"{text!r} has more than 6 fractional digits")
         return int(whole or "0") * MICROS_PER_UNIT + int(frac.ljust(6, "0"))
@@ -217,18 +221,20 @@ class BidSchedule:
     series: the int micros of sizes 1..available_seats, checked when the
     schedule is built.  Building one from a mapping of sizes to Money raises
     the first violation of, in order: an id that is one token of the text
-    format (so every valid instance survives serialisation and parsing), an
-    int availability and a bool concave flag, a Money price for every size
-    1..available_seats, strictly increasing prices, every size key an int in
-    1..available_seats, and non-increasing marginals when flagged concave.
-    Availability within the vehicle's capacity is the one check left to
-    each instance (``bid_series``).  ``prices`` is a read-only Money view of
-    the series, and the same shape doubles as a valuation schedule.
+    format, an int availability and a bool concave flag, an availability
+    within the bound, a Money price for every size 1..available_seats,
+    strictly increasing prices, a last (so largest) price below the bound,
+    every size key an int in 1..available_seats, and non-increasing
+    marginals when flagged concave; so every valid instance survives
+    serialisation and parsing.  Availability within the vehicle's capacity
+    is the one check left to each instance (``bid_series``).  ``prices`` is
+    a read-only Money view of the series; a schedule doubles as a valuation.
 
     The parser, the generator and ``perturb_bids`` build their schedules
     with ``_of_series`` from a series the price rule (``_plain_series``)
-    accepted, with no mapping and no second check.  A schedule never changes
-    once built, so a case shares its series as its rows.
+    accepted, with no mapping and no second check; so do ``pickle`` and
+    ``copy``, through ``__reduce__``.  A schedule never changes once built,
+    so a case shares its series as its rows.
     """
 
     bidder_id: str
@@ -244,13 +250,15 @@ class BidSchedule:
             raise _bad_id(who)
         if not _is_int(top) or not isinstance(concave, bool):
             raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
+        if not -INT_BOUND < top < INT_BOUND:
+            raise _past(f"bidder {who}: available_seats")
         series: list[int] = []
         for m in range(1, top + 1):
             try:
                 price = prices[m]
             except KeyError:
                 raise MissingPrice(
-                    f"bidder {who}: no price for size {m} (must cover 1..{_digits(top)})"
+                    f"bidder {who}: no price for size {m} (must cover 1..{top})"
                 ) from None
             if not isinstance(price, Money):
                 raise ValidationError(
@@ -259,12 +267,13 @@ class BidSchedule:
             series.append(price.micros)
         if not _plain_series(series, False):
             raise NonMonotonePrices(f"bidder {who}: prices must strictly increase with size")
+        if series and series[-1] >= INT_BOUND:  # the last price is the largest
+            raise _past(f"bidder {who}: price of size {top}, in micros,")
         for size in prices:
             # A key that only equals an int (2.0, True) passed the lookups above.
             if type(size) is not int and not _is_int(size) or not 1 <= size <= top:
                 raise OversizedCombination(
-                    f"bidder {who}: price defined for size {_shown(size, str)} "
-                    f"outside 1..{_digits(top)}"
+                    f"bidder {who}: price defined for size {_shown(size, str)} outside 1..{top}"
                 )
         if concave and not _plain_series(series, True):
             raise NonConcavePrices(f"bidder {who}: flagged concave but marginals increase")
@@ -278,8 +287,8 @@ class BidSchedule:
                    concave: bool) -> "BidSchedule":
         """A schedule built without the constructor's checks, for a caller
         that made them: a token id, an int availability, a bool flag, and a
-        series of sizes 1..available_seats that ``_plain_series`` accepts
-        with that flag."""
+        series of sizes 1..available_seats within the bound that
+        ``_plain_series`` accepts with that flag."""
         schedule = object.__new__(cls)
         _SET_ID(schedule, bidder_id)
         _SET_AVAILABLE(schedule, available_seats)
@@ -296,10 +305,15 @@ class BidSchedule:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return BidSchedule._of_series, (
+            self.bidder_id, self.available_seats, self._series, self.concave
+        )
+
     def __repr__(self) -> str:
         prices = ", ".join(f"{m}: {Money(micros)!r}" for m, micros in enumerate(self._series, 1))
         return (f"BidSchedule(bidder_id={self.bidder_id!r}, "
-                f"available_seats={_digits(self.available_seats)}, "
+                f"available_seats={self.available_seats}, "
                 f"prices={{{prices}}}, concave={self.concave!r})")
 
     @property
@@ -372,17 +386,20 @@ def _plain_series(series: Sequence[int], concave: bool) -> bool:
 
 def check_request(capacity: int, service: ServiceType, requested_seats: int) -> None:
     """The one check of a request: int capacity and seats, a ``ServiceType``
-    (never a coerced value), a capacity of at least 1 and 1 <= q_r <= capacity."""
+    (never a coerced value), both ints within the bound, a capacity of at
+    least 1 and 1 <= q_r <= capacity."""
     if not (_is_int(capacity) and _is_int(requested_seats)):
         raise ValidationError("capacity and requested_seats must be int")
     if not isinstance(service, ServiceType):
         raise ValidationError(f"service must be a ServiceType, got {service!r}")
+    if not -INT_BOUND < capacity < INT_BOUND:
+        raise _past("capacity")
+    if not -INT_BOUND < requested_seats < INT_BOUND:
+        raise _past("requested_seats")
     if capacity < 1:
-        raise SeatBoundViolation(f"capacity {_digits(capacity)} must be at least 1")
+        raise SeatBoundViolation(f"capacity {capacity} must be at least 1")
     if not (1 <= requested_seats <= capacity):
-        raise SeatBoundViolation(
-            f"requested_seats {_digits(requested_seats)} outside [1, {_digits(capacity)}]"
-        )
+        raise SeatBoundViolation(f"requested_seats {requested_seats} outside [1, {capacity}]")
 
 
 def check_fields(instance: AuctionInstance) -> None:
@@ -409,7 +426,7 @@ def bid_series(bids: Iterable[BidSchedule], capacity: int) -> dict[str, tuple[in
         top = schedule.available_seats
         if not 0 <= top <= capacity:
             raise SeatBoundViolation(
-                f"bidder {who}: available_seats {_digits(top)} outside [0, {_shown(capacity, str)}]"
+                f"bidder {who}: available_seats {top} outside [0, {capacity}]"
             )
         series[who] = schedule._series
     return series

@@ -13,11 +13,14 @@ Parsing checks the syntax and the bidder-id token, so a bad id is a parse
 error, and builds each schedule, which checks its prices (see
 ``core.BidSchedule``); ``validate_instance`` checks what depends on the
 instance, and solving or charging the result makes the same checks.
-Unknown versions are rejected.  A line whose schedule cannot be built does
-not stop the parse: every syntax error comes first, and the line's
-validation error is raised where validating the instance would reach it,
-after the fields and after the id and availability checks of that bid and
-of every bid before it.
+Unknown versions are rejected.  A number past the bound (``core.INT_BOUND``)
+raises PastBound, a validation error, where it is read (a field's after
+every line), so every instance ``validate_instance`` accepts parses back
+from its text.  A line whose schedule cannot be built does not stop the
+parse: every syntax error comes first, and the line's validation error is
+raised where validating the instance would reach it, after the fields and
+after the id and availability checks of that bid and of every bid before
+it.
 
 A bidder line written exactly as ``serialize_instance`` writes it (single
 spaces, ASCII digits, sizes written 1..available in order, six fractional
@@ -35,28 +38,19 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .core import (
-    BIDDER_ID_RE,
-    AuctionError,
-    AuctionInstance,
-    BidSchedule,
-    Money,
-    ServiceType,
-    ValidationError,
-    _digits,
-    _plain_series,
-    bid_series,
-    check_fields,
-    micros_to_decimal,
-    money_from_decimal,
+    BIDDER_ID_RE, BOUND_DIGITS, WHOLE_DIGITS, AuctionError, AuctionInstance, BidSchedule, Money,
+    PastBound, ServiceType, ValidationError, _past, _plain_series, bid_series, check_fields,
+    micros_to_decimal, money_from_decimal,
 )
 
 FORMAT_NAME = "avauction-instance"
 FORMAT_VERSION = "v1"
 
-# The longest digit run the written-line reader takes: a price's run and
-# its six fractional digits stay below 640 digits, the lowest int-string
-# limit Python allows, so its one ``int`` never raises.
-_RUN = 600
+# The longest digit run the written-line reader takes, the most whole digits
+# of a price below the bound: the regex enforces the price bound (the token
+# path reads a longer run, and raises), and a price's one ``int`` reads at
+# most 200 digits, below any int-string limit, so it never raises.
+_RUN = WHOLE_DIGITS
 _WRITTEN_BIDDER = re.compile(
     rf"bidder ({BIDDER_ID_RE.pattern}) available ([0-9]{{1,{_RUN}}})( concave)? prices"
     rf"((?: [0-9]{{1,{_RUN}}}:[0-9]{{1,{_RUN}}}\.[0-9]{{6}})*)"
@@ -116,8 +110,8 @@ def parse_instance(text: str) -> AuctionInstance:
         if required not in fields:
             raise ParseError(f"missing required field {required!r}")
     try:
-        capacity = int(fields["capacity"])
-        requested = int(fields["requested_seats"])
+        capacity = _integer(fields["capacity"], "capacity")
+        requested = _integer(fields["requested_seats"], "requested_seats")
     except ValueError:
         raise ParseError("capacity and requested_seats must be integers") from None
     try:
@@ -159,6 +153,14 @@ def _read_written(bidder_id: str, available: str, concave: Optional[str],
     return BidSchedule._of_series(bidder_id, top, series, flag)
 
 
+def _integer(text: str, what: str) -> int:
+    """``int(text)``, or PastBound for (signed) digits past the bound, however many."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if len(digits) > BOUND_DIGITS and digits.isdecimal() and any(map(int, digits[:-BOUND_DIGITS])):
+        raise _past(what)
+    return int(text)
+
+
 def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money], bool]:
     """The id, availability, prices and concave flag of a bidder line, or
     a ParseError; the schedule is built, and checked, by the caller."""
@@ -169,7 +171,7 @@ def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money]
             raise ParseError(f"line {n}: bad bidder id {bidder_id!r}")
         if tokens[2] != "available":
             raise ParseError(f"line {n}: expected 'available' after bidder id")
-        available = int(tokens[3])
+        available = _integer(tokens[3], "available_seats")
         rest = tokens[4:]
         concave = False
         if rest and rest[0] == "concave":
@@ -180,12 +182,14 @@ def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money]
         prices: dict[int, Money] = {}
         for item in rest[1:]:
             size_text, _, price_text = item.partition(":")
-            size = int(size_text)
+            size = _integer(size_text, "size")
             if size in prices:
                 raise ParseError(f"line {n}: duplicate price for size {size}")
             prices[size] = money_from_decimal(price_text)
     except ParseError:
         raise
+    except PastBound as exc:
+        raise PastBound(f"line {n}: {exc}") from None
     except (IndexError, ValueError, ValidationError) as exc:
         raise ParseError(f"line {n}: malformed bidder record ({exc})") from None
     return bidder_id, available, prices, concave
@@ -194,13 +198,13 @@ def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money]
 def serialize_instance(instance: AuctionInstance, comments: Iterable[str] = ()) -> str:
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     lines.extend(f"# {comment}" for comment in comments)
-    lines.append(f"capacity {_digits(instance.capacity)}")
-    lines.append(f"requested_seats {_digits(instance.requested_seats)}")
+    lines.append(f"capacity {instance.capacity}")
+    lines.append(f"requested_seats {instance.requested_seats}")
     lines.append(f"service {instance.service.value}")
     for sched in instance.bids:
         shown = "".join([f" {m}:{micros_to_decimal(p)}" for m, p in enumerate(sched._series, 1)])
         lines.append(
-            f"bidder {sched.bidder_id} available {_digits(sched.available_seats)}"
+            f"bidder {sched.bidder_id} available {sched.available_seats}"
             f"{' concave' if sched.concave else ''} prices{shown}"
         )
     return "\n".join(lines) + "\n"

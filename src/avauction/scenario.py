@@ -31,20 +31,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import (
-    MICROS_PER_UNIT,
-    AuctionError,
-    AuctionInstance,
-    BidSchedule,
-    OversizedRatio,
-    ServiceType,
-    ValidationError,
-    _digits,
-    _is_int,
-    _plain_series,
-    _shown,
-    as_fraction,
-    check_request,
-    round_half_up,
+    INT_BOUND, MICROS_PER_UNIT, AuctionError, AuctionInstance, BidSchedule, OversizedRatio,
+    ServiceType, ValidationError, _is_int, _past, _plain_series, _shown, as_fraction,
+    check_request, round_half_up,
 )
 
 # Redraws per bidder before declaring the law degenerate (a gamma so extreme
@@ -207,8 +196,8 @@ class ScenarioBatch:
         h = hashlib.sha256()
         for schedules in self.cases:
             for s in schedules:
-                prices = ",".join(f"{m}:{_digits(micros)}" for m, micros in enumerate(s._series, 1))
-                h.update(f"{s.bidder_id}|{_digits(s.available_seats)}|{prices}\n".encode())
+                prices = ",".join(f"{m}:{micros}" for m, micros in enumerate(s._series, 1))
+                h.update(f"{s.bidder_id}|{s.available_seats}|{prices}\n".encode())
         return h.hexdigest()
 
 
@@ -220,6 +209,8 @@ def generate_batch(
     bidder), that is the same slice of any batch that draws those cases."""
     if not all(_is_int(n) and n >= 1 for n in (bidders, capacity, cases)):
         raise InvalidLaw("bidders, capacity, and cases must all be ints of at least 1")
+    if capacity >= INT_BOUND:
+        raise _past("capacity")
     if not (_is_int(first_case) and first_case >= 0):
         raise InvalidLaw(f"first_case must be an int of at least 0, got {_shown(first_case)}")
     sums = _geometric_sums(law.gamma, capacity)

@@ -15,19 +15,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .core import (
-    AuctionError,
-    AuctionInstance,
-    BidSchedule,
-    Money,
-    ServiceType,
-    UnknownBidder,
-    ValidationError,
-    _digits,
-    _plain_series,
-    as_fraction,
-    bid_series,
-    check_fields,
-    round_half_up,
+    BOUND_DIGITS, INT_BOUND, AuctionError, AuctionInstance, BidSchedule, Money, OversizedRatio,
+    ServiceType, UnknownBidder, ValidationError, _past, _plain_series, as_fraction, bid_series,
+    check_fields, round_half_up,
 )
 from .wdp import Allocation, CompiledCase, solve_wdp
 
@@ -233,20 +223,22 @@ def perturb_bids(
     """Scale every price of the targeted bidders by (1 + raise_fraction).
 
     The instance's own fields are checked first (``check_fields``, as
-    compiling does), then each target's availability within the capacity
-    (``bid_series``; the rest of a schedule was checked when it was built),
-    and its series is raised.  Scaled prices are rounded half-up to
+    compiling does), then the fraction's terms against the bound, then each
+    target's availability within the capacity (``bid_series``; the rest of
+    a schedule was checked when it was built), and its raised prices
+    against the bound (PastBound).  Scaled prices are rounded half-up to
     micro-units; strict monotonicity survives any non-negative raise, but
     micro-rounding can break an exact diminishing-marginals pattern, so a
     raised schedule keeps the concave flag only when the price rule accepts
     its series with the flag.
     """
     check_fields(instance)
-    fraction = as_fraction(raise_fraction)
+    try:
+        fraction = as_fraction(raise_fraction, BOUND_DIGITS)
+    except OversizedRatio:
+        raise _past("raise_fraction") from None
     if fraction < 0:
-        p, q = fraction.numerator, fraction.denominator
-        shown = _digits(p) if q == 1 else f"{_digits(p)}/{_digits(q)}"
-        raise ValidationError(f"raise_fraction must be non-negative, got {shown}")
+        raise ValidationError(f"raise_fraction must be non-negative, got {fraction}")
     target_set = set(targets)
     known = set(instance.bidder_ids())
     unknown = target_set - known
@@ -261,6 +253,8 @@ def perturb_bids(
             continue
         checked = bid_series((sched,), instance.capacity)[sched.bidder_id]
         series = tuple([round_half_up(micros * p, q) for micros in checked])
+        if series and series[-1] >= INT_BOUND:  # the last price is the largest
+            raise _past(f"bidder {sched.bidder_id}: raised price, in micros,")
         concave = sched.concave and _plain_series(series, True)
         new_bids.append(
             BidSchedule._of_series(sched.bidder_id, sched.available_seats, series, concave)

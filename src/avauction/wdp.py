@@ -53,16 +53,8 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    AuctionInstance,
-    Money,
-    OversizedCombination,
-    ServiceType,
-    UnknownBidder,
-    _is_int,
-    _shown,
-    bid_series,
-    check_fields,
-    check_request,
+    AuctionInstance, Money, OversizedCombination, ServiceType, UnknownBidder, _is_int, _shown,
+    bid_series, check_fields, check_request,
 )
 
 

@@ -28,7 +28,7 @@ from avauction import (
     validate_instance,
 )
 from avauction import studies
-from avauction.core import MICROS_PER_UNIT, round_half_up
+from avauction.core import BOUND_DIGITS, MICROS_PER_UNIT, PastBound, round_half_up
 from avauction.scenario import MAX_DRAW_ATTEMPTS, draw_cost_micros
 
 
@@ -53,6 +53,12 @@ def full_case(bids, capacity):
     return CompiledCase(make_instance(capacity, capacity, ServiceType.SPLITTABLE, bids))
 
 
+def significant_digits(digits: str) -> int:
+    """How many digits a run of decimal digits of any script has once its
+    leading zeros are dropped, read one digit at a time, so at any length."""
+    return len("".join(str(int(digit)) for digit in digits).lstrip("0"))
+
+
 # money_from_decimal with its grammar as a regex: the oracle of the money
 # and parsing differential tests.
 _REGEX_DECIMAL = re.compile(r"^(\d+)(?:\.(\d*))?$|^\.(\d+)$")
@@ -67,6 +73,8 @@ def regex_money_from_decimal(text: str) -> Money:
         raise ValidationError(f"not a decimal money literal: {text!r}")
     whole = m.group(1) or "0"
     frac = m.group(2) or m.group(3) or ""
+    if significant_digits(whole) + 6 > BOUND_DIGITS:
+        raise PastBound(f"price, in micros, past the bound 10**{BOUND_DIGITS}")
     if len(frac) > 6:
         raise PrecisionLoss(f"{text!r} has more than 6 fractional digits")
     return Money(int(whole) * MICROS_PER_UNIT + int(frac.ljust(6, "0") or "0"))

@@ -23,6 +23,7 @@ from avauction import (
     studies,
     validate_instance,
 )
+from avauction.core import WHOLE_DIGITS
 from avauction.cli import (
     EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_UNSERVABLE, EXIT_VALIDATION, build_parser, main,
 )
@@ -187,8 +188,8 @@ def test_a_zero_priced_sole_winner_charges_as_a_fallback(tmp_path, capsys):
     )
 
 
-# The longest whole part ``int`` reads from text by default.
-NINES = "9" * 4300
+# The longest whole part of a price below the bound.
+NINES = "9" * WHOLE_DIGITS
 LONG_DOC = (
     "avauction-instance v1\ncapacity 5\nrequested_seats 2\nservice splittable\n"
     f"bidder A available 1 prices 1:{NINES}\nbidder B available 1 prices 1:{NINES}\n"
@@ -196,13 +197,13 @@ LONG_DOC = (
 
 
 @pytest.mark.parametrize("command", ["solve", "charge"])
-def test_a_total_of_more_than_4300_digits_prints_exactly(tmp_path, capsys, command):
-    """Such a document once raised ValueError from ``str`` of the 4301-digit
-    whole part of its optimum, and exited 1 with a traceback."""
+def test_a_total_at_the_bound_prints_exactly(tmp_path, capsys, command):
+    """Two prices of the longest whole part the bound allows sum to an
+    optimum of one digit more, printed digit for digit."""
     path = tmp_path / "long.txt"
     path.write_text(LONG_DOC)
     assert main([command, str(path)]) == EXIT_OK
-    price, optimum = f"{NINES}.000000", f"1{NINES[1:]}8.000000"  # 2 * (10**4300 - 1)
+    price, optimum = f"{NINES}.000000", f"1{NINES[1:]}8.000000"  # 2 * (10**194 - 1)
     expected = {
         "solve": f"winner A size 1 winner B size 1 total {optimum}\n",
         "charge": (
@@ -216,17 +217,23 @@ def test_a_total_of_more_than_4300_digits_prints_exactly(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize("fraction", ["", ".999999"])
-def test_a_price_may_have_as_many_whole_digits_as_int_reads(tmp_path, capsys, fraction):
+def test_a_price_may_have_as_many_whole_digits_as_the_bound_allows(tmp_path, capsys, fraction):
     """The whole and fractional digits are read apart, so the limit on a
-    price's whole part is ``int``'s own, 4300 digits, whatever its
-    fraction: one digit more is a malformed record, exit 64."""
+    price's whole part is the bound's, 194 digits, whatever its fraction.
+    One digit more is past the bound, and so are 4300 digits, which ``int``
+    once read, and 4301, which it refused (a malformed record, exit 64):
+    each is a validation error, exit 65, on one line that shows none of
+    its digits."""
     path = tmp_path / "limit.txt"
     path.write_text(LONG_DOC.replace(f"{NINES}\n", f"{NINES}{fraction}\n", 1))
     assert main(["solve", str(path)]) == EXIT_OK
-    path.write_text(LONG_DOC.replace(f"{NINES}\n", f"9{NINES}{fraction}\n", 1))
-    assert main(["solve", str(path)]) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert err.startswith("parse error: line 5: malformed bidder record (") and len(err.splitlines()) == 1
+    capsys.readouterr()
+    for whole in (WHOLE_DIGITS + 1, 4300, 4301):
+        path.write_text(LONG_DOC.replace(f"{NINES}\n", f"{'9' * whole}{fraction}\n", 1))
+        assert main(["solve", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", "validation error: line 5: price, in micros, past the bound 10**200\n"
+        )
 
 
 def test_charge_unservable_exit_code(tmp_path, capsys):

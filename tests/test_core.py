@@ -1,5 +1,7 @@
+import copy
 import decimal
 import math
+import pickle
 import re
 import sys
 from collections import namedtuple
@@ -44,7 +46,8 @@ from dataclasses import FrozenInstanceError
 
 from avauction import core
 from avauction.core import (
-    OversizedRatio, as_fraction, bid_series, micros_from_decimal, micros_to_decimal, round_half_up,
+    INT_BOUND, MONEY_BOUND, WHOLE_DIGITS, OversizedRatio, PastBound, as_fraction, bid_series,
+    micros_from_decimal, micros_to_decimal, round_half_up,
 )
 
 from conftest import failed, full_case, make_instance, outcome, regex_money_from_decimal, sched
@@ -125,11 +128,17 @@ MONEY_ALPHABET = "0123456789.-+_ \t\n\u0661\u0662\uff15e\u00b2"
 @given(st.one_of(
     st.text(),
     st.text(alphabet=MONEY_ALPHABET, max_size=12),
-    # whole parts near int()'s digit limit: only the whole part counts
-    # towards it, so padding the fraction must not make a literal raise
+    # whole parts near int()'s digit limit, all past the price bound: they
+    # are refused as such before int() reads them, whatever the fraction
     st.builds(
         lambda whole, dot, frac: "7" * whole + dot + "3" * frac,
         st.integers(LIMIT - 8, LIMIT + 2), st.sampled_from(["", "."]), st.integers(0, 7),
+    ),
+    # whole parts on either side of the price bound, some padded with zeros
+    st.builds(
+        lambda pad, whole, frac: pad * "0" + "9" * whole + "." + "9" * frac,
+        st.sampled_from([0, 1, 300]), st.integers(WHOLE_DIGITS - 2, WHOLE_DIGITS + 2),
+        st.integers(0, 7),
     ),
 ))
 @example("")
@@ -146,6 +155,10 @@ MONEY_ALPHABET = "0123456789.-+_ \t\n\u0661\u0662\uff15e\u00b2"
 @example("1.\u0665")
 @example("9" * LIMIT + ".999999")
 @example("9" * (LIMIT + 1))
+@example("9" * WHOLE_DIGITS + ".999999")  # INT_BOUND - 1 micros
+@example("1" + "0" * WHOLE_DIGITS)  # INT_BOUND micros
+@example("\u0660" * 300 + "5")  # leading zeros of another script
+@example("9" * (WHOLE_DIGITS + 1) + ".1234567")  # past the bound before too precise
 def test_money_from_decimal_matches_the_regex_grammar(text):
     """Both entry points of the one money grammar, the int micros the
     parser reads and the Money that wraps them, match the regex oracle."""
@@ -156,14 +169,21 @@ def test_money_from_decimal_matches_the_regex_grammar(text):
     assert failed(micros) or type(micros) is int
 
 
-@given(st.integers(0, 10**9), st.integers(0, 3 * LIMIT))
+@given(st.integers(0, 10**9), st.one_of(st.integers(0, 620), st.integers(0, 3 * LIMIT)))
 @example(0, 0)
+@example(-1, 600)  # MONEY_BOUND - 1
+@example(0, 600)  # MONEY_BOUND
 @example(10**6 - 1, LIMIT + 5)
 @example(0, 2 * (LIMIT + 6))
-def test_money_renders_exactly_at_any_size(low, digits):
-    """``str`` refuses ints longer than the interpreter's digit limit; the
-    renderer matches ``decimal``, which has no such limit, far past it."""
+def test_money_renders_exactly_up_to_its_bound(low, digits):
+    """The renderer matches ``decimal`` on every amount Money holds, below
+    10**600 micros, where plain ``str`` is exact under any digit limit;
+    Money refuses every amount from the bound on, far past ``str``'s limit
+    too, without rendering it."""
     micros = 10**digits + low
+    if micros >= MONEY_BOUND:
+        assert outcome(Money, micros) == (PastBound, "an amount, in micros, past the bound 10**600")
+        return
     exact = decimal.Decimal(micros).scaleb(-6, decimal.Context(prec=decimal.MAX_PREC))
     assert Money(micros).to_decimal() == micros_to_decimal(micros) == f"{exact:f}"
 
@@ -496,11 +516,11 @@ def test_a_stored_series_never_changes_an_outcome(case, capacity2, through_valid
 
 @settings(max_examples=500)
 @given(
-    st.sampled_from([0, 7, 2**64, 10**5000]),
+    st.sampled_from([0, 7, 2**64, INT_BOUND - 30]),
     st.lists(st.integers(-2, 4), max_size=6),
     st.booleans(),
 )
-@example(10**5000, [1, 1, 1], True)  # equal marginals past 4300 digits
+@example(INT_BOUND - 30, [1, 1, 1], True)  # equal marginals at the bound
 @example(0, [0], False)  # one price of 0
 @example(0, [3, 0, 1], False)  # a tie
 def test_the_price_rule_accepts_what_the_full_check_accepts(base, steps, concave):
@@ -617,14 +637,36 @@ def test_a_schedule_is_frozen_however_it_is_built(build):
     assert repr(schedule) == before
 
 
-def test_reprs_are_exact_past_4300_digits():
-    """A valid document's price of 4300 nines once made ``repr`` of its
-    schedule, its instance and every amount built from it raise ValueError
-    from ``str``'s digit limit."""
-    nines = "9" * 4300
+@pytest.mark.parametrize("build", [
+    lambda: BidSchedule("A", 2, {1: Money(1), 2: Money(2)}),
+    lambda: BidSchedule("A", 0, {}, concave=True),
+    lambda: parse_instance("avauction-instance v1\ncapacity 5\nrequested_seats 1\n"
+                           "service private\nbidder A available 2 prices 1:1 2:2\n").bids[0],
+], ids=["constructor", "empty", "parser"])
+@pytest.mark.parametrize("round_trip", [
+    lambda value: pickle.loads(pickle.dumps(value)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_a_schedule_and_its_instance_survive_pickle_and_copy(build, round_trip):
+    """Each once raised FrozenInstanceError from the hand-frozen setter;
+    a schedule is now rebuilt through ``_of_series``, frozen as before."""
+    schedule = build()
+    instance = make_instance(5, 1, ServiceType.SPLITTABLE, [schedule, sched("B", 1, {1: "3"})])
+    for value in (schedule, instance):
+        again = round_trip(value)
+        assert again == value and repr(again) == repr(value)
+    again = round_trip(schedule)
+    assert again._series == schedule._series and type(again._series) is tuple
+    with pytest.raises(FrozenInstanceError):
+        again.available_seats = 3
+
+
+def test_reprs_are_exact_at_the_bound():
+    """A valid document's largest price, INT_BOUND - 1 micros, shows every
+    digit in the reprs of its schedule, its instance and every amount built
+    from it, and so does the largest amount Money holds."""
     instance = parse_instance("avauction-instance v1\ncapacity 5\nrequested_seats 1\n"
-                              f"service splittable\nbidder A available 1 prices 1:{nines}\n")
-    micros = f"{nines}000000"
+                              f"service splittable\nbidder A available 1 prices 1:{TOP_PRICE}\n")
+    micros = "9" * 200
     schedule = (f"BidSchedule(bidder_id='A', available_seats=1, "
                 f"prices={{1: Money(micros={micros})}}, concave=False)")
     assert repr(instance.bids[0]) == schedule
@@ -632,55 +674,62 @@ def test_reprs_are_exact_past_4300_digits():
         "AuctionInstance(capacity=5, requested_seats=1, "
         f"service=<ServiceType.SPLITTABLE: 'splittable'>, bids=({schedule},))"
     )
-    assert repr(Money(2 * 10**4306)) == f"Money(micros=2{'0' * 4306})"
+    assert repr(Money(MONEY_BOUND - 1)) == f"Money(micros={'9' * 600})"
     for amounts in (solve_wdp(instance), vcg_charges(instance)):
         assert f"Money(micros={micros})" in repr(amounts)
 
 
+# The largest price a valid document holds, INT_BOUND - 1 micros.
+TOP_PRICE = "9" * WHOLE_DIGITS + ".999999"
 BIG = 10**5000
 SPLIT = ServiceType.SPLITTABLE
 
 
 def _message(error, call):
-    """The text of the ``error`` that ``call()`` raises."""
-    def text():
+    """The text of the ``error`` that ``call(big)`` raises."""
+    def text(big):
         with pytest.raises(error) as raised:
-            call()
+            call(big)
         return str(raised.value)
     return text
 
 
 def _checked(capacity, requested, bid):
-    return lambda: validate_instance(make_instance(capacity, requested, SPLIT, [bid]))
+    return validate_instance(make_instance(capacity, requested, SPLIT, [bid]))
 
 
+def _one_bid():
+    return make_instance(5, 1, SPLIT, [sched("A", 1, {1: "1"})])
+
+
+@pytest.mark.parametrize("big", [INT_BOUND, BIG], ids=["bound", "5000-digits"])
 @pytest.mark.parametrize("text", [
-    lambda: repr(BidSchedule("A", 1, {1: Money(BIG)})),
-    _message(MissingPrice, lambda: BidSchedule("A", BIG, {BIG: Money(1)})),
-    _message(SeatBoundViolation, _checked(5, 1, BidSchedule("A", -BIG, {}))),
-    _message(SeatBoundViolation, _checked(-BIG, 1, sched("A", 1, {1: "1"}))),
-    _message(SeatBoundViolation, _checked(5, BIG, sched("A", 1, {1: "1"}))),
-    _message(OversizedCombination, lambda: BidSchedule("A", 1, {1: Money(1), BIG: Money(2)})),
-    _message(MissingPrice, lambda: BidSchedule("A", BIG, {1: Money(1)})),
-    _message(OversizedCombination, lambda: CompiledCase(make_instance(
-        5, 1, SPLIT, [sched("A", 1, {1: "1"})])).price("A", BIG)),
-    _message(NegativeAmount, lambda: Money(-BIG)),
-    _message(InvalidLaw, lambda: GenerationLaw(seed=BIG)),
-    _message(InvalidLaw, lambda: generate_batch(GenerationLaw(seed=1), 1, 5, 1, first_case=-BIG)),
-    _message(InvalidLaw, lambda: generate_batch(GenerationLaw(seed=1), 1, 5, 1).instance(
-        BIG, SPLIT, 1)),
-    _message(InvalidLaw, lambda: generate_batch(GenerationLaw(seed=1), 1, 5, 1).head(BIG, 1)),
-    _message(ValidationError, lambda: perturb_bids(
-        make_instance(5, 1, SPLIT, [sched("A", 1, {1: "1"})]), [], -BIG)),
-    _message(ValidationError, lambda: perturb_bids(
-        make_instance(5, 1, SPLIT, [sched("A", 1, {1: "1"})]), [], Fraction(-BIG, 3))),
-], ids=["schedule", "availability-and-size", "availability-outside-bounds",
+    _message(PastBound, lambda big: BidSchedule("A", 1, {1: Money(big)})),
+    _message(PastBound, lambda big: BidSchedule("A", 1, {1: Money(big**3)})),
+    _message(PastBound, lambda big: BidSchedule("A", big, {big: Money(1)})),
+    _message(PastBound, lambda big: BidSchedule("A", -big, {})),
+    _message(PastBound, lambda big: _checked(-big, 1, sched("A", 1, {1: "1"}))),
+    _message(PastBound, lambda big: _checked(5, big, sched("A", 1, {1: "1"}))),
+    _message(OversizedCombination, lambda big: BidSchedule("A", 1, {1: Money(1), big: Money(2)})),
+    _message(PastBound, lambda big: BidSchedule("A", big, {1: Money(1)})),
+    _message(OversizedCombination, lambda big: CompiledCase(_one_bid()).price("A", big)),
+    _message(PastBound, lambda big: Money(-(big**3))),
+    _message(InvalidLaw, lambda big: GenerationLaw(seed=big)),
+    _message(InvalidLaw, lambda big: generate_batch(GenerationLaw(seed=1), 1, 5, 1, first_case=-big)),
+    _message(InvalidLaw, lambda big: generate_batch(GenerationLaw(seed=1), 1, 5, 1).instance(
+        big, SPLIT, 1)),
+    _message(InvalidLaw, lambda big: generate_batch(GenerationLaw(seed=1), 1, 5, 1).head(big, 1)),
+    _message(PastBound, lambda big: perturb_bids(_one_bid(), [], -big)),
+    _message(PastBound, lambda big: perturb_bids(_one_bid(), [], Fraction(-big, 3))),
+], ids=["price", "money", "availability-and-size", "availability-outside-bounds",
         "capacity", "request", "size-key", "missing-price", "compiled-price", "negative-money",
         "seed", "first-case", "batch-case", "batch-head", "negative-raise", "negative-ratio"])
-def test_an_int_of_more_than_4300_digits_is_shown_exactly(text):
-    """Each repr and error message that shows an int shows it in full
-    past ``str``'s 4300-digit limit, where ``str`` raises ValueError."""
-    assert f"1{'0' * 5000}" in text()
+def test_an_int_past_the_bound_is_refused_and_never_shown(text, big):
+    """Each entry that once showed an int of more than 4300 digits in full
+    refuses one past the bound, 10**200 for an instance's ints and 10**600
+    for an amount, with an error that names it only as past the bound."""
+    message = text(big)
+    assert "past the bound" in message and not re.search(r"\d{201}", message)
 
 
 def test_a_checked_schedule_equals_an_unchecked_one(e1):

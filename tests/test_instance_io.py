@@ -24,10 +24,14 @@ from avauction import (
     write_instance,
 )
 from avauction import instance_io
-from avauction.core import BIDDER_ID_RE, micros_to_decimal
+from avauction.core import (
+    BIDDER_ID_RE, BOUND_DIGITS, INT_BOUND, WHOLE_DIGITS, PastBound, micros_to_decimal,
+)
 from avauction.instance_io import FORMAT_NAME, FORMAT_VERSION
 
-from conftest import failed, make_instance, outcome, regex_money_from_decimal, sched
+from conftest import (
+    failed, make_instance, outcome, regex_money_from_decimal, sched, significant_digits,
+)
 
 E1_DOC = """\
 avauction-instance v1
@@ -66,13 +70,26 @@ def test_round_trip_preserves_concave_flag():
     assert again == inst
 
 
-def test_fields_past_4300_digits_are_written_exactly():
-    """A valid instance whose capacity and request have more digits than
-    ``str`` converts is written digit for digit."""
-    inst = validate_instance(make_instance(10**5000, 5 * 10**4999, ServiceType.SPLITTABLE,
+def test_fields_at_the_bound_are_written_exactly_and_past_it_refused():
+    """A valid instance whose capacity and request are just below the bound
+    is written digit for digit and read back; one whose fields are at the
+    bound, or have 5000 digits, which ``str`` cannot convert, is refused by
+    validation, and so is its text by the parser, where ``int`` once raised
+    a parse error on the 5000 digits."""
+    inst = validate_instance(make_instance(INT_BOUND - 1, 5 * 10**199, ServiceType.SPLITTABLE,
                                            [sched("A", 1, {1: "1"})]))
-    lines = serialize_instance(inst).splitlines()
-    assert lines[1:3] == ["capacity 1" + "0" * 5000, "requested_seats 5" + "0" * 4999]
+    text = serialize_instance(inst)
+    assert text.splitlines()[1:3] == ["capacity " + "9" * 200, "requested_seats 5" + "0" * 199]
+    assert parse_instance(text) == inst
+    for field, value, written in [("capacity", INT_BOUND, "1" + "0" * 200),
+                                  ("capacity", -(10**5000), "-1" + "0" * 5000),
+                                  ("requested_seats", 10**5000, "1" + "0" * 5000)]:
+        past = (PastBound, f"{field} past the bound 10**200")
+        fields = {"capacity": inst.capacity, "requested_seats": inst.requested_seats, field: value}
+        assert outcome(validate_instance, make_instance(
+            fields["capacity"], fields["requested_seats"], ServiceType.SPLITTABLE, inst.bids)) == past
+        written_text = re.sub(rf"^{field} .*$", f"{field} {written}", text, flags=re.M)
+        assert outcome(parse_instance, written_text) == past
 
 
 def test_unknown_version_rejected():
@@ -152,10 +169,11 @@ def test_every_valid_instance_round_trips(instance):
     assert validate_instance(parse_instance(serialize_instance(instance))) == instance
 
 
-# Levels whose prices have whole parts of 599, 600 and 601 digits, and one
-# whose prices cross from 600 to 601 digits within a schedule: the written-
-# line reader takes digit runs of at most 600.
-LONG_LEVELS = (10**604, 10**605, 10**606, 10**606 - 2 * 10**7)
+# Levels whose prices have whole parts of 192, 193 and 194 digits, the most
+# a price below the bound has, one whose prices cross from 193 to 194
+# digits within a schedule, and one just below the bound: the written-line
+# reader takes digit runs of at most 194.
+LONG_LEVELS = (10**197, 10**198, 10**199, 10**199 - 2 * 10**7, INT_BOUND - 10**8)
 
 
 @st.composite
@@ -215,11 +233,21 @@ def test_validation_rejects_ids_the_format_cannot_carry(bad_id):
         parse_instance(serialize_instance(make_instance(5, 1, ServiceType.SPLITTABLE, [])) + line)
 
 
+def _bounded_int(text: str, what: str) -> int:
+    """``int(text)``, after a signed run of digits of more significant
+    digits than the bound allows is refused as past it."""
+    digits = re.fullmatch(r"[+-]?(\d+)", text)
+    if digits and significant_digits(digits[1]) > BOUND_DIGITS:
+        raise PastBound(f"{what} past the bound 10**{BOUND_DIGITS}")
+    return int(text)
+
+
 def strip_each_line_parse_instance(text: str) -> AuctionInstance:
     """parse_instance with a strip() per use of a line, and the money
     grammar as a regex: the oracle of the differential below.  A bidder
     line whose schedule cannot be built raises where validating the
-    instance would reach it, after every syntax error."""
+    instance would reach it, after every syntax error; a number past the
+    bound raises where it is read."""
     lines = [
         (n, line.strip())
         for n, line in enumerate(text.splitlines(), start=1)
@@ -250,8 +278,8 @@ def strip_each_line_parse_instance(text: str) -> AuctionInstance:
         if required not in fields:
             raise ParseError(f"missing required field {required!r}")
     try:
-        capacity = int(fields["capacity"])
-        requested = int(fields["requested_seats"])
+        capacity = _bounded_int(fields["capacity"], "capacity")
+        requested = _bounded_int(fields["requested_seats"], "requested_seats")
     except ValueError:
         raise ParseError("capacity and requested_seats must be integers") from None
     try:
@@ -282,7 +310,7 @@ def _regex_parse_bidder(n: int, tokens: list[str]) -> tuple:
             raise ParseError(f"line {n}: bad bidder id {bidder_id!r}")
         if tokens[2] != "available":
             raise ParseError(f"line {n}: expected 'available' after bidder id")
-        available = int(tokens[3])
+        available = _bounded_int(tokens[3], "available_seats")
         rest = tokens[4:]
         concave = False
         if rest and rest[0] == "concave":
@@ -293,12 +321,14 @@ def _regex_parse_bidder(n: int, tokens: list[str]) -> tuple:
         prices = {}
         for item in rest[1:]:
             size_text, _, price_text = item.partition(":")
-            size = int(size_text)
+            size = _bounded_int(size_text, "size")
             if size in prices:
                 raise ParseError(f"line {n}: duplicate price for size {size}")
             prices[size] = regex_money_from_decimal(price_text)
     except ParseError:
         raise
+    except PastBound as exc:
+        raise PastBound(f"line {n}: {exc}") from None
     except (IndexError, ValueError, ValidationError) as exc:
         raise ParseError(f"line {n}: malformed bidder record ({exc})") from None
     return bidder_id, available, prices, concave
@@ -329,7 +359,7 @@ def fuzzed_documents(draw):
 
 # E1_DOC as the serializer writes it, so its bidder lines take the reader.
 WRITTEN_DOC = serialize_instance(parse_instance(E1_DOC))
-NINES = "9" * 600
+NINES = "9" * WHOLE_DIGITS
 
 
 def wide_line(available, sizes):
@@ -365,14 +395,24 @@ def wide_line(available, sizes):
 @example(WRITTEN_DOC.replace(" 1:0.300000", " 01:0.300000"))
 @example(WRITTEN_DOC.replace("3:0.780000\n", "3:0.780000 \n"))         # a trailing space
 @example(WRITTEN_DOC.replace("3:0.780000\n", "3:0.780000\t\n"))        # a trailing tab
-@example(WRITTEN_DOC.replace("3:0.780000", f"3:{NINES}.780000"))        # 600 whole digits
-@example(WRITTEN_DOC.replace("3:0.780000", f"3:9{NINES}.780000"))       # 601 whole digits
+@example(WRITTEN_DOC.replace("3:0.780000", f"3:{NINES}.780000"))        # 194 whole digits
+@example(WRITTEN_DOC.replace("3:0.780000", f"3:9{NINES}.780000"))       # 195 whole digits
+@example(WRITTEN_DOC.replace("3:0.780000", f"3:0{NINES}.780000"))       # 195, padded
+@example(WRITTEN_DOC.replace("3:0.780000", f"3:{'9' * 4301}.780000"))    # 4301, past int's limit
+@example(WRITTEN_DOC.replace("capacity 5", f"capacity 9{NINES}999999"))  # at the bound
+@example(WRITTEN_DOC.replace("capacity 5", f"capacity 1{NINES}000000"))  # past the bound
+@example(WRITTEN_DOC.replace("capacity 5", f"capacity -{'9' * 4301}"))
+@example(WRITTEN_DOC.replace("requested_seats 3", f"requested_seats +{'9' * 4301}"))
+@example(WRITTEN_DOC.replace("capacity 5", f"capacity +-{'9' * 300}"))   # malformed, not past
+@example(WRITTEN_DOC.replace(" 1:0.300000", f" 1{'0' * 300}:0.300000"))  # a size past the bound
+@example(WRITTEN_DOC.replace(" 1:0.300000", f" {'0' * 300}1:0.300000"))  # padded, not past
 @example(WRITTEN_DOC.replace("3:0.780000", "3:\u0660.780000"))          # a non-ASCII digit
 @example(WRITTEN_DOC.replace("available 3", "available \u0663"))
 @example(WRITTEN_DOC.replace("available 3 prices 1:0.300000 2:0.550000 3:0.780000",
                              "available 0 prices"))
 @example(WRITTEN_DOC.replace("available 3", "available 4"))             # sizes 1..n of n+1
 @example(WRITTEN_DOC.replace("available 3", f"available {NINES}"))
+@example(WRITTEN_DOC.replace("available 3", f"available 1{'0' * 200}"))   # past the bound
 @example(WRITTEN_DOC.replace("1:0.300000 2:0.550000", "2:0.550000 1:0.300000"))
 @example(WRITTEN_DOC.replace("2:0.550000", "1:0.550000"))               # a size twice
 @example(wide_line(1000, 1000))

@@ -17,7 +17,7 @@ from avauction import (
     rng_stream,
     validate_instance,
 )
-from avauction.core import MICROS_PER_UNIT
+from avauction.core import INT_BOUND, MICROS_PER_UNIT, PastBound
 from avauction.scenario import draw_cost_micros
 
 from conftest import failed, fraction_generate_batch, outcome
@@ -236,11 +236,25 @@ def test_head_rejects_more_than_the_batch_holds(bidders, cases):
         batch.head(bidders, cases)
 
 
-def test_a_digest_renders_prices_past_4300_digits():
-    schedule = BidSchedule("A", 1, {1: Money(10**5000)})
+def test_a_digest_renders_prices_at_the_bound():
+    """A digest renders the largest price a schedule holds digit for digit;
+    the 5000-digit price it once rendered is past the bound, and no schedule
+    holds it."""
+    schedule = BidSchedule("A", 1, {1: Money(INT_BOUND - 1)})
     batch = ScenarioBatch(law=GenerationLaw(seed=1), capacity=5, cases=((schedule,),))
-    line = "A|1|1:1" + "0" * 5000 + "\n"
+    line = "A|1|1:" + "9" * 200 + "\n"
     assert batch.digest() == hashlib.sha256(line.encode()).hexdigest()
+    for micros in (INT_BOUND, 10**5000):
+        with pytest.raises(PastBound):
+            BidSchedule("A", 1, {1: Money(micros)})
+
+
+@pytest.mark.parametrize("capacity", [INT_BOUND, 10**5000], ids=["bound", "5000-digits"])
+def test_a_capacity_past_the_bound_draws_nothing(capacity):
+    """Drawing a case once walked every size up to the capacity; one past
+    the bound is refused before any draw."""
+    with pytest.raises(PastBound, match="^capacity past the bound 10\\*\\*200$"):
+        generate_batch(GenerationLaw(seed=1), 1, capacity, 1)
 
 
 @settings(max_examples=60, deadline=None)

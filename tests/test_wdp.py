@@ -1,4 +1,5 @@
 import inspect
+import random
 import textwrap
 from itertools import product
 from math import comb
@@ -9,7 +10,9 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from avauction import (
     Allocation,
     AuctionInstance,
+    BidderCharge,
     BidSchedule,
+    ChargeReport,
     CompiledCase,
     CostLaw,
     DuplicateBidder,
@@ -17,6 +20,7 @@ from avauction import (
     GenerationLaw,
     MissingPrice,
     Money,
+    NotServed,
     ServiceType,
     UnknownBidder,
     ValidationError,
@@ -651,6 +655,8 @@ def test_the_crowded_property_catches_one_kept_offer_fewer_per_size(monkeypatch)
     plant_in_offers(monkeypatch, "self.cover_width - size + 2", "self.cover_width - size + 1")
     with pytest.raises(AssertionError):
         crowded_property(phases=(Phase.generate,))()
+    with pytest.raises(AssertionError):
+        crowded_scale_property(phases=(Phase.generate,))()
 
 
 def test_the_crowded_property_catches_ties_ranked_to_the_larger_row(monkeypatch):
@@ -666,6 +672,8 @@ def test_the_crowded_property_catches_ties_ranked_to_the_larger_row(monkeypatch)
     monkeypatch.setattr(wdp, "_first_offers", larger_row_first)
     with pytest.raises(AssertionError):
         crowded_property(phases=(Phase.generate,))()
+    with pytest.raises(AssertionError):
+        crowded_scale_property(phases=(Phase.generate,))()
 
 
 def test_the_crowded_property_catches_a_single_vehicle_read_of_one_offer(monkeypatch):
@@ -676,6 +684,8 @@ def test_the_crowded_property_catches_a_single_vehicle_read_of_one_offer(monkeyp
     plant_in_offers(monkeypatch, "max(2,", "max(1,")
     with pytest.raises(AssertionError):
         crowded_property(phases=(Phase.generate,))()
+    with pytest.raises(AssertionError):
+        crowded_scale_property(phases=(Phase.generate,))()
 
 
 def dynamic_program_answers(bids, capacity):
@@ -747,3 +757,82 @@ def test_generated_batches_at_the_benchmark_k_match_the_dynamic_program(bidders,
             if allocation is not None:
                 winners = {bidder_id: totals[bidder_id] for bidder_id in allocation.winner_ids()}
                 assert whole.winner_exclusions(service, allocation) == winners
+
+
+def crowded_case_at_scale(seed):
+    """Bids of 100-1000 bidders, in a shuffled order, on a vehicle of 1-5
+    seats, zero availability allowed, with prices from a tiny range, so
+    that offers tie across ids and sizes at the benchmark's K: 10-30
+    contenders priced as ``crowded_cases`` prices, and a crowd priced the
+    same way a few micros higher, from which the kept rows must pick the
+    few that can win or replace a winner.  Everything comes from one
+    seeded stream: a thousand bidders are too many draws to shrink, and
+    too long a repr to report."""
+    stream = random.Random(seed)
+    capacity, k = stream.randint(1, 5), stream.randint(100, 1000)
+    contenders, above = stream.randint(10, 30), stream.randint(1, 6)
+    ids = [f"b{j:04}" for j in range(k)]
+    stream.shuffle(ids)
+    bids = []
+    for j, bidder_id in enumerate(ids):
+        available, level, prices = stream.randint(0, capacity), stream.randint(0, 1), {}
+        level += 0 if j < contenders else above
+        for m in range(1, available + 1):
+            level += stream.randint(1, 2)
+            prices[m] = Money(level)
+        bids.append(BidSchedule(bidder_id, available, prices))
+    return bids, capacity
+
+
+def dynamic_program_report(service, allocation, totals, bids):
+    """The charge report the dynamic program's allocation and exclusion
+    totals give, assembled by the charge rule as written: each bidder pays
+    its exclusion total less the others' share of the optimum, or its own
+    winning bid when its exclusion is unservable."""
+    if allocation is None:
+        return NotServed, "instance is unservable; no charges to compute"
+    p_star = allocation.total_bid.micros
+    prices = {bid.bidder_id: bid.prices for bid in bids}
+    own = {bidder_id: prices[bidder_id][size].micros for bidder_id, size in allocation.assignments}
+    entries = []
+    for bidder_id, total in sorted(totals.items()):
+        mine = own.get(bidder_id, 0)
+        charge = mine if total is None else total - (p_star - mine)
+        entries.append(BidderCharge(bidder_id, None if total is None else Money(total), Money(charge)))
+    fallback = None in totals.values()
+    return ChargeReport(
+        service=service,
+        winner_allocation=allocation,
+        listed=tuple(e for e in entries if e.pivotal != allocation.total_bid or e.charge.micros),
+        bidder_ids=tuple(sorted(totals)),
+        total_charge=Money(p_star if fallback else sum(e.charge.micros for e in entries)),
+    )
+
+
+def crowded_scale_property(phases=tuple(Phase)):
+    """At 100-1000 crowded bidders every request's allocation, ties
+    included, every exclusion total and the whole charge report match the
+    dynamic program, from the case compiled per request and from the one
+    compiled at full width."""
+
+    @settings(deadline=None, max_examples=50, database=None, phases=phases)
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    def check(seed):
+        bids, capacity = crowded_case_at_scale(seed)
+        whole = full_case(bids, capacity)
+        for (service, q), (allocation, totals) in dynamic_program_answers(bids, capacity).items():
+            instance = make_instance(capacity, q, service, bids)
+            assert solve_wdp(instance) == allocation, (service, q)
+            assert exclusion_totals(instance) == totals, (service, q)
+            expected = dynamic_program_report(service, allocation, totals, bids)
+            assert outcome(vcg_charges, instance) == expected, (service, q)
+            assert whole.solve(service, q) == allocation
+            if allocation is not None:
+                winners = {bidder_id: totals[bidder_id] for bidder_id in allocation.winner_ids()}
+                assert whole.winner_exclusions(service, allocation) == winners
+
+    return check
+
+
+def test_crowded_ties_at_the_benchmark_k_match_the_dynamic_program():
+    crowded_scale_property()()

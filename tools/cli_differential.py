@@ -13,9 +13,11 @@ tree (the directory that holds the ``avauction`` package) then runs in its
 own process, which calls ``avauction.cli.main`` in-process for every
 document through ``charge`` and ``solve``, each with and without
 ``--service``, and records the exit code, stdout and stderr of each call.
-Every mismatch between the two trees is printed; the last line counts the
-documents, the runs, the exit codes seen and the mismatches.  The exit
-status is 1 when there is a mismatch.  Only the standard library is used.
+Every mismatch between the two trees is printed with the kinds of its
+document's mutations; the last line counts the documents, the runs, the
+exit codes seen, the mismatches, and the mismatches by mutation kind (a
+run whose document had two kinds counts for both).  The exit status is 1
+when there is a mismatch.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from collections import Counter
 from pathlib import Path
 
 SERVICES = ("splittable", "nonsplittable", "private")
+# Whole-part digit counts around the price bound (a price below 10**200
+# micros has at most 194 whole digits), and around the 4300 digits ``int``
+# reads from text by default.
+WHOLE_DIGITS = (193, 194, 195, 4300, 4301)
 
 
 def _price(micros: int) -> str:
@@ -65,11 +71,11 @@ def _bidder_rows(lines: list[str]) -> list[int]:
     return [i for i, line in enumerate(lines) if line.startswith("bidder ")]
 
 
-def _edit_prices(rng: random.Random, line: str) -> str:
+def _edit_prices(rng: random.Random, line: str) -> tuple[str, str]:
     head, sep, items = line.partition(" prices")
     parts = items.split()
     if not parts:
-        return line + rng.choice([" 1:0.1", " 0:0.1", " 1:-1"])
+        return line + rng.choice([" 1:0.1", " 0:0.1", " 1:-1"]), "prices-added"
     i = rng.randrange(len(parts))
     size, _, price = parts[i].partition(":")
     kind = rng.randrange(10)
@@ -88,18 +94,18 @@ def _edit_prices(rng: random.Random, line: str) -> str:
     elif kind == 5:  # malformed size
         parts[i] = f"{rng.choice(['01', '+1', 'x', '0', '-1', '1.0', ''])}:{price}"
     elif kind == 6:  # a price with many digits
-        whole = "9" * rng.choice([600, 601, 700, 4300, 4301])
+        whole = "9" * rng.choice(WHOLE_DIGITS)
         parts[i] = f"{size}:{whole}.{rng.choice(['', '000000', '5'])}"
     elif kind == 7:  # no colon
         parts[i] = parts[i].replace(":", "")
     elif kind == 8:  # a huge price in serializer form
-        parts[i] = f"{size}:{rng.randint(1, 9)}{'0' * rng.randint(590, 610)}.000000"
+        parts[i] = f"{size}:{rng.randint(1, 9)}{'0' * (rng.choice(WHOLE_DIGITS) - 1)}.000000"
     else:  # a price of zero
         parts[i] = f"{size}:0"
-    return head + sep + "".join(f" {p}" for p in parts)
+    return head + sep + "".join(f" {p}" for p in parts), f"prices-{kind}"
 
 
-def _edit_header(rng: random.Random, line: str) -> str:
+def _edit_header(rng: random.Random, line: str) -> tuple[str, str]:
     words = line.split(" ")
     kind = rng.randrange(6)
     if kind == 0 and len(words) > 3:  # availability outside the capacity
@@ -119,19 +125,24 @@ def _edit_header(rng: random.Random, line: str) -> str:
                 words.remove(word)
     else:  # a keyword misspelt
         words[0] = rng.choice(["bidder", "Bidder", "bid"])
-    return " ".join(words)
+    return " ".join(words), f"header-{kind}"
 
 
-def mutate(rng: random.Random, lines: list[str]) -> list[str]:
+def mutate(rng: random.Random, lines: list[str]) -> tuple[list[str], str]:
+    """The lines with one random mutation, and its kind: ``prices-K`` or
+    ``header-K`` for an edit of one bidder line (K as in ``_edit_prices``
+    and ``_edit_header``), ``doc-K`` for the others (K as below)."""
     lines = list(lines)
     rows = _bidder_rows(lines)
     kind = rng.randrange(12)
     if kind <= 3 and rows:
         i = rng.choice(rows)
-        lines[i] = _edit_prices(rng, lines[i])
+        lines[i], label = _edit_prices(rng, lines[i])
+        return lines, label
     elif kind <= 5 and rows:
         i = rng.choice(rows)
-        lines[i] = _edit_header(rng, lines[i])
+        lines[i], label = _edit_header(rng, lines[i])
+        return lines, label
     elif kind == 6 and rows:  # a repeated bidder line
         i = rng.choice(rows)
         lines.insert(rng.randint(1, len(lines)), lines[i])
@@ -160,20 +171,22 @@ def mutate(rng: random.Random, lines: list[str]) -> list[str]:
     else:  # the header
         lines[0] = rng.choice(["avauction-instance v1", "avauction-instance v2",
                                "avauction-instance", "# avauction-instance v1"])
-    return lines
+    return lines, f"doc-{kind}"
 
 
-def write_documents(seed: int, count: int, directory: Path) -> list[Path]:
+def write_documents(seed: int, count: int, directory: Path) -> dict[Path, list[str]]:
+    """Each written document's path and the kinds of its mutations."""
     rng = random.Random(seed)
-    paths = []
+    documents = {}
     for index in range(count):
-        lines = base_document(rng)
+        lines, kinds = base_document(rng), []
         for _ in range(rng.randint(1, 3)):
-            lines = mutate(rng, lines)
+            lines, kind = mutate(rng, lines)
+            kinds.append(kind)
         path = directory / f"doc{index:05d}.txt"
         path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
+        documents[path] = kinds
+    return documents
 
 
 def argv_lists(paths: list[Path], seed: int) -> list[list[str]]:
@@ -224,19 +237,23 @@ def main() -> int:
     parser.add_argument("--docs", type=int, default=500)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_documents(args.seed, args.docs, Path(tmp))
-        runs = argv_lists(paths, args.seed)
+        documents = write_documents(args.seed, args.docs, Path(tmp))
+        runs = argv_lists(list(documents), args.seed)
         parent = run_tree(args.parent_src, runs)
         change = run_tree(args.change_src, runs)
-        mismatches = 0
+        mismatches, by_kind = 0, Counter()
         for argv, old, new in zip(runs, parent, change):
             if old != new:
                 mismatches += 1
-                print(f"MISMATCH {' '.join(argv)}\n  document: {Path(argv[1]).read_text()!r}\n"
+                kinds = documents[Path(argv[1])]
+                by_kind.update(set(kinds))
+                print(f"MISMATCH {' '.join(argv)} ({', '.join(kinds)})\n"
+                      f"  document: {Path(argv[1]).read_text()!r}\n"
                       f"  parent: {old!r}\n  change: {new!r}")
         codes = Counter(str(code) for code, _, _ in parent)
     print(json.dumps({"docs": args.docs, "runs": len(runs),
-                      "exit_codes": dict(sorted(codes.items())), "mismatches": mismatches}))
+                      "exit_codes": dict(sorted(codes.items())), "mismatches": mismatches,
+                      "mismatches_by_kind": dict(sorted(by_kind.items()))}))
     return 1 if mismatches else 0
 
 
