@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
-from .core import Money, OversizedRatio, ServiceType, ValidationError, as_fraction
+from .core import Money, OversizedRatio, ServiceType, ValidationError, _integer, as_fraction
 # Not called here (compiling validates), but bound for bench/tracing.py and
 # bench/test_bench.py, which patch and read ``cli.validate_instance``.
 from .core import validate_instance  # noqa: F401
@@ -33,9 +33,18 @@ EXIT_PARSE = 64
 EXIT_VALIDATION = 65
 
 
+def _int_option(option: str):
+    """The reader of an int option: ``core._integer``, so a value past the
+    bound raises PastBound (exit 65) however long it is, and is not shown."""
+    def read(text: str) -> int:
+        return _integer(text, option)
+    read.__name__ = "int"  # argparse names the type in its bad-value message
+    return read
+
+
 def _parse_k_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(_integer(part, "--k") for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad bidder-count list {text!r}") from None
     if not values:
@@ -75,13 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = ExperimentConfig  # the headline protocol
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=defaults.seed, help="RNG seed (u64)")
+        p.add_argument("--seed", type=_int_option("--seed"), default=defaults.seed,
+                       help="RNG seed (u64)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--law", choices=[law.value for law in CostLaw],
                        default=defaults.cost_law.value, help="unit-cost variation regime")
         p.add_argument("--gamma", type=_parse_gamma, default=defaults.gamma,
                        help="marginal decay ratio in (0, 1], e.g. 0.8 or 4/5")
-        p.add_argument("--cases", type=int, default=defaults.cases,
+        p.add_argument("--cases", type=_int_option("--cases"), default=defaults.cases,
                        help="random cases per scenario")
         p.add_argument("--k", type=_parse_k_list, default=None,
                        help="comma-separated bidder counts, e.g. 1,5,10,30,50,100")
@@ -99,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate random instance files")
     add_common(p_gen)
     p_gen.add_argument("--service", choices=services, default="splittable")
-    p_gen.add_argument("--qr", type=int, default=1, help="requested seats")
-    p_gen.add_argument("--capacity", type=int, default=CAPACITY)
+    p_gen.add_argument("--qr", type=_int_option("--qr"), default=1, help="requested seats")
+    p_gen.add_argument("--capacity", type=_int_option("--capacity"), default=CAPACITY)
 
     p_study = sub.add_parser("study", help="run a study and write its CSV tables")
     p_study.add_argument("name", choices=STUDY_NAMES)
@@ -196,7 +206,6 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "solve": cmd_solve,
         "charge": cmd_charge,
@@ -204,6 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "study": cmd_study,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

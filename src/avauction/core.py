@@ -86,6 +86,16 @@ def _past(what: str) -> PastBound:
     return PastBound(f"{what} past the bound 10**{BOUND_DIGITS}")
 
 
+def _integer(text: str, what: str) -> int:
+    """The one reader of a text int, for the parser and the command line:
+    ``int(text)``, or PastBound for (signed) digits past the bound, however
+    many, before ``int`` reads them."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if len(digits) > BOUND_DIGITS and digits.isdecimal() and any(map(int, digits[:-BOUND_DIGITS])):
+        raise _past(what)
+    return int(text)
+
+
 def _shown(value: object, form=repr) -> str:
     """``form(value)`` for a message, or, for an int past the bound, only that."""
     if isinstance(value, int) and not -INT_BOUND < value < INT_BOUND:
@@ -231,10 +241,10 @@ class BidSchedule:
     a read-only Money view of the series; a schedule doubles as a valuation.
 
     The parser, the generator and ``perturb_bids`` build their schedules
-    with ``_of_series`` from a series the price rule (``_plain_series``)
-    accepted, with no mapping and no second check; so do ``pickle`` and
-    ``copy``, through ``__reduce__``.  A schedule never changes once built,
-    so a case shares its series as its rows.
+    from a series with ``_of_series``, which applies the price rule
+    (``_plain_series``) and no other check; so do ``pickle`` and ``copy``,
+    through ``__reduce__``.  A schedule never changes once built, so a case
+    shares its series as its rows.
     """
 
     bidder_id: str
@@ -284,11 +294,13 @@ class BidSchedule:
 
     @classmethod
     def _of_series(cls, bidder_id: str, available_seats: int, series: tuple[int, ...],
-                   concave: bool) -> "BidSchedule":
-        """A schedule built without the constructor's checks, for a caller
-        that made them: a token id, an int availability, a bool flag, and a
-        series of sizes 1..available_seats within the bound that
-        ``_plain_series`` accepts with that flag."""
+                   concave: bool) -> Optional["BidSchedule"]:
+        """The schedule of a series of sizes 1..available_seats, or None when
+        the price rule rejects the series with the concave flag.  The caller
+        makes the constructor's other checks: a token id, an int
+        availability, a bool flag and prices within the bound."""
+        if not _plain_series(series, concave):
+            return None
         schedule = object.__new__(cls)
         _SET_ID(schedule, bidder_id)
         _SET_AVAILABLE(schedule, available_seats)
@@ -371,8 +383,8 @@ def _bad_id(who) -> ValidationError:
 def _plain_series(series: Sequence[int], concave: bool) -> bool:
     """The price rule, written once: whether the int prices of ``series``
     strictly increase and, when ``concave``, their marginals never increase.
-    ``BidSchedule`` raises on it, and the parser, the generator and
-    ``perturb_bids`` test the series they build a schedule of with it."""
+    ``BidSchedule`` raises on it, and ``BidSchedule._of_series`` returns
+    None on it."""
     prev = gap = None
     for price in series:
         if prev is not None:
@@ -413,14 +425,14 @@ def check_fields(instance: AuctionInstance) -> None:
 def bid_series(bids: Iterable[BidSchedule], capacity: int) -> dict[str, tuple[int, ...]]:
     """Each bidder's price series by id, in the given order: the one walk
     over a case's bids, which makes the checks that depend on the instance.
-    It raises at the first bid whose id is not a string or repeats an
-    earlier one, or whose availability lies outside [0, capacity]; every
-    other check was made when the schedule was built."""
+    It raises at the first bid that is not a ``BidSchedule``, whose id
+    repeats an earlier one, or whose availability lies outside [0,
+    capacity]; every other check was made when the schedule was built."""
     series: dict[str, tuple[int, ...]] = {}
     for schedule in bids:
+        if not isinstance(schedule, BidSchedule):
+            raise ValidationError(f"each bid must be a BidSchedule, got {type(schedule).__name__}")
         who = schedule.bidder_id
-        if not isinstance(who, str):
-            raise _bad_id(who)
         if who in series:
             raise DuplicateBidder(who)
         top = schedule.available_seats

@@ -38,9 +38,9 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .core import (
-    BIDDER_ID_RE, BOUND_DIGITS, WHOLE_DIGITS, AuctionError, AuctionInstance, BidSchedule, Money,
-    PastBound, ServiceType, ValidationError, _past, _plain_series, bid_series, check_fields,
-    micros_to_decimal, money_from_decimal,
+    BIDDER_ID_RE, WHOLE_DIGITS, AuctionError, AuctionInstance, BidSchedule, Money, PastBound,
+    ServiceType, ValidationError, _integer, bid_series, check_fields, micros_to_decimal,
+    money_from_decimal,
 )
 
 FORMAT_NAME = "avauction-instance"
@@ -146,19 +146,7 @@ def _read_written(bidder_id: str, available: str, concave: Optional[str],
     top = int(available)
     if len(runs) != 2 * top or runs[::2] != _SIZES[:top]:
         return None
-    series = tuple(map(int, runs[1::2]))
-    flag = concave is not None
-    if not _plain_series(series, flag):
-        return None
-    return BidSchedule._of_series(bidder_id, top, series, flag)
-
-
-def _integer(text: str, what: str) -> int:
-    """``int(text)``, or PastBound for (signed) digits past the bound, however many."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if len(digits) > BOUND_DIGITS and digits.isdecimal() and any(map(int, digits[:-BOUND_DIGITS])):
-        raise _past(what)
-    return int(text)
+    return BidSchedule._of_series(bidder_id, top, tuple(map(int, runs[1::2])), concave is not None)
 
 
 def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money], bool]:

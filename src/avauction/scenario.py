@@ -4,10 +4,10 @@ Each case draws, per bidder, an availability uniform on [1, Q] and a unit
 seat cost, then prices size m at cost * sum(gamma^(i-1), i=1..m) rounded
 half-up to micro-units in integer arithmetic, ``round_half_up(cost * n, d)``
 for the sum n/d: strictly increasing with diminishing marginals, so every
-generated schedule carries the concave flag.  The draw checks its price
-series with the package's one price rule (``core._plain_series``) and
-builds the schedule from that tuple, with no mapping and no second check;
-a draw that micro-rounding flattens is redrawn.
+generated schedule carries the concave flag.  The draw builds its
+schedule from that tuple with ``BidSchedule._of_series``, which applies the
+package's one price rule, so a draw that micro-rounding flattens is
+redrawn.
 
 Every draw comes from a stream: a ``random.Random`` seeded with the sha256
 of (seed, label).  Distinct labels give independent sequences, and the same
@@ -32,8 +32,8 @@ from fractions import Fraction
 
 from .core import (
     INT_BOUND, MICROS_PER_UNIT, AuctionError, AuctionInstance, BidSchedule, OversizedRatio,
-    ServiceType, ValidationError, _is_int, _past, _plain_series, _shown, as_fraction,
-    check_request, round_half_up,
+    ServiceType, ValidationError, _is_int, _past, _shown, as_fraction, check_request,
+    round_half_up,
 )
 
 # Redraws per bidder before declaring the law degenerate (a gamma so extreme
@@ -124,11 +124,18 @@ def _draw_schedule(
     sums = sums[:available]
     for _ in range(MAX_DRAW_ATTEMPTS):
         cost = draw_cost_micros(stream, law.cost_law)
-        series = tuple([round_half_up(cost * num, den) for num, den in sums])
-        # Micro-rounding can collapse sub-micro marginals for tiny costs;
-        # such draws are rejected so every emitted schedule validates.
-        if _plain_series(series, True):
-            return BidSchedule._of_series(bidder_id, available, series, True)
+        # Micro-rounding can flatten sub-micro marginals for tiny costs, so
+        # sizes are rounded from the largest down and a draw is redrawn at
+        # its first flat step, most often the last, the smallest marginal.
+        series = []
+        for num, den in reversed(sums):
+            price = round_half_up(cost * num, den)
+            if series and price >= series[-1]:
+                break
+            series.append(price)
+        else:
+            if schedule := BidSchedule._of_series(bidder_id, available, tuple(series[::-1]), True):
+                return schedule
     raise InvalidLaw(
         f"gamma {law.gamma} cannot produce valid micro-unit price curves"
     )

@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .core import (
     BOUND_DIGITS, INT_BOUND, AuctionError, AuctionInstance, BidSchedule, Money, OversizedRatio,
-    ServiceType, UnknownBidder, ValidationError, _past, _plain_series, as_fraction, bid_series,
-    check_fields, round_half_up,
+    ServiceType, UnknownBidder, ValidationError, _past, as_fraction, bid_series, check_fields,
+    round_half_up,
 )
 from .wdp import Allocation, CompiledCase, solve_wdp
 
@@ -194,18 +194,21 @@ def charge_identity_holds(report: ChargeReport) -> bool:
 def bidder_utility(
     instance: AuctionInstance, valuations: Mapping[str, BidSchedule]
 ) -> dict[str, int]:
-    """Each bidder's utility in micros, charge minus served valuation (may be negative)."""
-    for sched in instance.bids:
-        val = valuations.get(sched.bidder_id)
+    """Each bidder's utility in micros, charge minus served valuation (may
+    be negative); the instance is checked first, as compiling checks it."""
+    check_fields(instance)
+    series = bid_series(instance.bids, instance.capacity)
+    for bidder_id, prices in series.items():
+        val = valuations.get(bidder_id)
         if val is None:
-            raise MissingValuation(f"no valuation schedule for bidder {sched.bidder_id}")
-        if len(val._series) < len(sched._series):
-            missing = list(range(len(val._series) + 1, len(sched._series) + 1))
-            raise MissingValuation(f"bidder {sched.bidder_id}: valuation lacks sizes {missing}")
+            raise MissingValuation(f"no valuation schedule for bidder {bidder_id}")
+        if len(val._series) < len(prices):
+            missing = list(range(len(val._series) + 1, len(prices) + 1))
+            raise MissingValuation(f"bidder {bidder_id}: valuation lacks sizes {missing}")
     report = vcg_charges(instance)
     assigned = dict(report.winner_allocation.assignments)
     utilities: dict[str, int] = {}
-    for bidder_id in sorted(instance.bidder_ids()):
+    for bidder_id in sorted(series):
         size = assigned.get(bidder_id)
         if size is None:
             utilities[bidder_id] = 0
@@ -222,17 +225,17 @@ def perturb_bids(
 ) -> AuctionInstance:
     """Scale every price of the targeted bidders by (1 + raise_fraction).
 
-    The instance's own fields are checked first (``check_fields``, as
-    compiling does), then the fraction's terms against the bound, then each
-    target's availability within the capacity (``bid_series``; the rest of
-    a schedule was checked when it was built), and its raised prices
-    against the bound (PastBound).  Scaled prices are rounded half-up to
-    micro-units; strict monotonicity survives any non-negative raise, but
-    micro-rounding can break an exact diminishing-marginals pattern, so a
-    raised schedule keeps the concave flag only when the price rule accepts
-    its series with the flag.
+    The instance is checked first, as compiling checks it (``check_fields``,
+    then one ``bid_series`` walk over every bid, which gives each target's
+    series), then the fraction's terms against the bound, the targets, and
+    each raised series against the bound (PastBound).  Scaled prices are
+    rounded half-up to micro-units; strict monotonicity survives any
+    non-negative raise, but micro-rounding can break an exact
+    diminishing-marginals pattern, so a raised schedule keeps the concave
+    flag only when the price rule accepts its series with the flag.
     """
     check_fields(instance)
+    checked = bid_series(instance.bids, instance.capacity)
     try:
         fraction = as_fraction(raise_fraction, BOUND_DIGITS)
     except OversizedRatio:
@@ -240,25 +243,21 @@ def perturb_bids(
     if fraction < 0:
         raise ValidationError(f"raise_fraction must be non-negative, got {fraction}")
     target_set = set(targets)
-    known = set(instance.bidder_ids())
-    unknown = target_set - known
+    unknown = target_set - checked.keys()
     if unknown:
         raise UnknownBidder(", ".join(sorted(unknown)))
     factor = 1 + fraction
     p, q = factor.numerator, factor.denominator
     new_bids = []
     for sched in instance.bids:
-        if sched.bidder_id not in target_set:
-            new_bids.append(sched)
-            continue
-        checked = bid_series((sched,), instance.capacity)[sched.bidder_id]
-        series = tuple([round_half_up(micros * p, q) for micros in checked])
-        if series and series[-1] >= INT_BOUND:  # the last price is the largest
-            raise _past(f"bidder {sched.bidder_id}: raised price, in micros,")
-        concave = sched.concave and _plain_series(series, True)
-        new_bids.append(
-            BidSchedule._of_series(sched.bidder_id, sched.available_seats, series, concave)
-        )
+        who, top = sched.bidder_id, sched.available_seats
+        if who in target_set:
+            series = tuple([round_half_up(micros * p, q) for micros in checked[who]])
+            if series and series[-1] >= INT_BOUND:  # the last price is the largest
+                raise _past(f"bidder {who}: raised price, in micros,")
+            sched = (BidSchedule._of_series(who, top, series, sched.concave)
+                     or BidSchedule._of_series(who, top, series, False))
+        new_bids.append(sched)
     return AuctionInstance(
         capacity=instance.capacity,
         requested_seats=instance.requested_seats,

@@ -4,8 +4,9 @@ Capacity, requested seats, availability and each price in micros lie
 strictly within INT_BOUND = 10**200 in every instance ``validate_instance``
 accepts, and every such instance survives its text.  One past the bound,
 each entry (the library types, validation, the parser, ``perturb_bids``
-and ``gen``) raises PastBound, a ValidationError whose message never shows
-the value, and the command line exits 65 on one line.
+and the int options of ``gen`` and ``study``) raises PastBound, a
+ValidationError whose message never shows the value, and the command line
+exits 65 on one line.
 """
 
 import io
@@ -176,12 +177,21 @@ def test_a_raise_is_bounded_in_its_fraction_and_its_prices():
         perturb_bids(instance, ["A"], Fraction(INT_BOUND - top, top))
 
 
-@pytest.mark.parametrize("option", ["--capacity", "--qr"])
-def test_gen_refuses_a_field_past_the_bound(tmp_path, option):
-    """``gen`` draws at no capacity past the bound, and asks for no request
-    past it, on one line; nothing is written."""
+@pytest.mark.parametrize("digits", [201, 4301, 5000])
+@pytest.mark.parametrize("words", [
+    *(f"gen {option}" for option in ("--capacity", "--qr", "--seed", "--cases", "--k")),
+    *(f"study servability {option}" for option in ("--seed", "--cases", "--k")),
+])
+def test_gen_and_study_refuse_an_int_option_past_the_bound(tmp_path, words, digits):
+    """An int option (each entry of ``--k`` too) past the bound is refused
+    on one line that does not show it, however many digits it has, before
+    anything is drawn or written; ``int`` alone reads no more than 4300."""
+    *command, option = words.split()
     out = tmp_path / "out"
-    run = run_cli(["gen", "--k", "1", "--cases", "1", option, str(INT_BOUND), "--out", str(out)])
+    value = "1" + "0" * (digits - 1)
+    if option == "--k":
+        value = "1," + value
+    run = run_cli([*command, "--k", "1", "--cases", "1", option, value, "--out", str(out)])
     assert refused_on_one_line(run)
     assert not out.exists()
     with pytest.raises(PastBound):

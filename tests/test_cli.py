@@ -116,6 +116,8 @@ MULTI_FAULT = {
         EXIT_VALIDATION, "requested_seats 6 outside [1, 5]"),
     "bad-id-after-a-fault": (HEADER + FIELDS + FLAT_B + "bidder x/y available 1 prices 1:0.1\n",
                              EXIT_PARSE, "line 6: bad bidder id 'x/y'"),
+    "no-prices-after-a-fault": (HEADER + FIELDS + FLAT_B + "bidder C available 1 concave\n",
+                                EXIT_PARSE, "line 6: expected 'prices' section"),
     "first-fault-wins": (
         HEADER + FIELDS + "bidder A available 3 concave prices 1:0.1 2:0.2 3:0.4\n" + FLAT_B,
         EXIT_VALIDATION, "bidder A: flagged concave but marginals increase"),
@@ -402,17 +404,22 @@ def test_truthfulness_writes_negative_changes_vcg_explains(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["charge"], ["study", "charges", "--k", "x"], ["gen", "--law", "medium"], [],
-     ["gen", "--gamma", "abc"]],
-    ids=["missing-file", "bad-k", "bad-choice", "no-command", "bad-gamma"],
+    "argv, says",
+    [(["charge"], "the following arguments are required: instance"),
+     (["study", "charges", "--k", "x"], "argument --k: bad bidder-count list 'x'"),
+     (["study", "charges", "--k", ","], "argument --k: bidder-count list is empty"),
+     (["gen", "--cases", "x"], "argument --cases: invalid int value: 'x'"),
+     (["gen", "--law", "medium"], "argument --law: invalid choice: 'medium'"),
+     ([], "the following arguments are required: command"),
+     (["gen", "--gamma", "abc"], "argument --gamma: bad ratio 'abc'")],
+    ids=["missing-file", "bad-k", "empty-k", "bad-int", "bad-choice", "no-command", "bad-gamma"],
 )
-def test_usage_errors_exit_parse_not_unservable(argv, capsys):
+def test_usage_errors_exit_parse_not_unservable(argv, says, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_PARSE != EXIT_UNSERVABLE
     err = capsys.readouterr().err
-    assert err.startswith("parse error: ") and "usage: avauction" in err
+    assert err.startswith(f"parse error: {says}") and "usage: avauction" in err
     assert len(err.splitlines()) == 1
 
 

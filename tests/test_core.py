@@ -32,6 +32,7 @@ from avauction import (
     ServiceType,
     UnknownBidder,
     ValidationError,
+    bidder_utility,
     exclusion_totals,
     generate_batch,
     money_from_decimal,
@@ -539,23 +540,36 @@ def test_the_price_rule_accepts_what_the_full_check_accepts(base, steps, concave
         assert full == tuple(price.micros for price in prices.values())
 
 
-ENGINE = (CompiledCase, solve_wdp, vcg_charges, exclusion_totals)
+def perturb_nothing(instance):
+    return perturb_bids(instance, [], 0)
+
+
+def utility_without_valuations(instance):
+    return bidder_utility(instance, {})
+
+
+# Every entry that takes an instance: each checks it as compiling does.
+ENGINE = (CompiledCase, solve_wdp, vcg_charges, exclusion_totals, perturb_nothing,
+          utility_without_valuations)
 ROUGH_SEATS = st.one_of(st.integers(-1, 6), st.sampled_from([True, 2.0]))
+NOT_SCHEDULES = st.sampled_from([None, "A", 3])
 
 
 @st.composite
 def rough_instances(draw):
     """An instance near the edge of validity: seat fields that are out of
     range or not plain ints, a service that is not a ServiceType, and
-    ``rough_schedules``' bids that can be built, under ids that repeat.
-    (A schedule whose id is not one token of the text format, or not a
-    string at all, cannot be built.)"""
+    ``rough_schedules``' bids that can be built, under ids that repeat,
+    with now and then a bid that is not a schedule at all.  (A schedule
+    whose id is not one token of the text format cannot be built.)"""
     ids = st.sampled_from(["A", "B"])
     bids = []
     for raw, _ in draw(st.lists(rough_schedules(), max_size=4)):
         built = outcome(lambda s: BidSchedule(*s), raw._replace(bidder_id=draw(ids)))
         if not failed(built):
             bids.append(built)
+    at = draw(st.integers(0, len(bids)))
+    bids[at:at] = draw(st.lists(NOT_SCHEDULES, max_size=1))
     service = draw(st.sampled_from([*ServiceType, "splittable", None]))
     return AuctionInstance(draw(ROUGH_SEATS), draw(ROUGH_SEATS), service, bids)
 
@@ -605,6 +619,16 @@ def test_the_engine_raises_what_validation_raises(build, expected):
     schedule is built."""
     for fn in (validate_instance, *ENGINE):
         assert outcome(lambda _: fn(build()), None) == expected, fn.__name__
+
+
+@pytest.mark.parametrize("bid", [None, "A", 3])
+def test_a_bid_that_is_not_a_schedule_raises_from_every_entry(bid):
+    """The one bid walk refuses it, where each entry once raised
+    AttributeError."""
+    instance = AuctionInstance(5, 2, ServiceType.SPLITTABLE, (*GAP_BIDS, bid))
+    expected = (ValidationError, f"each bid must be a BidSchedule, got {type(bid).__name__}")
+    for fn in (validate_instance, *ENGINE):
+        assert outcome(fn, instance) == expected, fn.__name__
 
 
 def test_prices_are_read_only_and_copied():

@@ -17,8 +17,9 @@ from avauction import (
     rng_stream,
     validate_instance,
 )
-from avauction.core import INT_BOUND, MICROS_PER_UNIT, PastBound
-from avauction.scenario import draw_cost_micros
+from avauction.core import INT_BOUND, MICROS_PER_UNIT, PastBound, round_half_up
+from avauction import scenario
+from avauction.scenario import MAX_DRAW_ATTEMPTS, draw_cost_micros
 
 from conftest import failed, fraction_generate_batch, outcome
 
@@ -295,3 +296,20 @@ def test_degenerate_gamma_raises_as_the_fraction_oracle_does():
     raised = outcome(lambda law: generate_batch(law, 2, 5, 1), law)
     assert raised[0] is InvalidLaw
     assert raised == outcome(lambda law: fraction_generate_batch(law, 2, 5, 1), law)
+
+
+def test_a_capacity_no_draw_can_price_is_refused_after_two_roundings_a_draw(monkeypatch):
+    """At gamma 4/5 the last marginal of a schedule of thousands of seats
+    rounds flat at any cost, and every draw is refused on that step alone,
+    before the other sizes are rounded (it once rounded every size of each
+    of the 1000 draws, for seconds)."""
+    calls = []
+
+    def counted(numerator, denominator=1):
+        calls.append(denominator)
+        return round_half_up(numerator, denominator)
+
+    monkeypatch.setattr(scenario, "round_half_up", counted)
+    with pytest.raises(InvalidLaw, match="cannot produce valid micro-unit price curves"):
+        generate_batch(GenerationLaw(seed=20250810), 1, 2500, 1)
+    assert len(calls) == 2 * MAX_DRAW_ATTEMPTS

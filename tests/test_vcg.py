@@ -185,10 +185,13 @@ class TestPerturbation:
         assert raised[0] is NonConcavePrices
         assert raised == outcome(lambda b: validate_instance(b()), build)
 
-    def test_a_target_past_the_capacity_raises_as_validation_does(self):
+    @pytest.mark.parametrize("targets", [{"A"}, {"B"}, set()], ids=["target", "other", "none"])
+    def test_a_bid_past_the_capacity_raises_as_validation_does(self, targets):
+        """Every bid is walked first, whether it is raised or not."""
         inst = make_instance(2, 1, ServiceType.SPLITTABLE,
-                             [sched("A", 3, {1: "0.3", 2: "0.55", 3: "0.78"})])
-        raised = outcome(lambda i: perturb_bids(i, {"A"}, "0.1"), inst)
+                             [sched("A", 3, {1: "0.3", 2: "0.55", 3: "0.78"}),
+                              sched("B", 1, {1: "0.2"})])
+        raised = outcome(lambda i: perturb_bids(i, targets, "0.1"), inst)
         assert raised == (SeatBoundViolation, "bidder A: available_seats 3 outside [0, 2]")
         assert raised == outcome(validate_instance, inst)
 
