@@ -33,12 +33,21 @@ EXIT_PARSE = 64
 EXIT_VALIDATION = 65
 
 
+def _shown_text(text: str) -> str:
+    """A bad option text in a usage error: its repr, or its length if long."""
+    return repr(text) if len(text) <= 64 else f"<{len(text)} characters>"
+
+
 def _int_option(option: str):
     """The reader of an int option: ``core._integer``, so a value past the
-    bound raises PastBound (exit 65) however long it is, and is not shown."""
+    bound raises PastBound (exit 65) however long it is, and is not shown;
+    a text ``int`` cannot read is a usage error that shows it only when
+    short (argparse's own message)."""
     def read(text: str) -> int:
-        return _integer(text, option)
-    read.__name__ = "int"  # argparse names the type in its bad-value message
+        try:
+            return _integer(text, option)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {_shown_text(text)}") from None
     return read
 
 
@@ -46,7 +55,7 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(_integer(part, "--k") for part in text.split(",") if part.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad bidder-count list {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad bidder-count list {_shown_text(text)}") from None
     if not values:
         raise argparse.ArgumentTypeError("bidder-count list is empty")
     return values
@@ -58,7 +67,7 @@ def _parse_gamma(text: str) -> Fraction | str:
     except OversizedRatio:
         return text  # well formed: GenerationLaw refuses it, exit 65
     except ValidationError:
-        raise argparse.ArgumentTypeError(f"bad ratio {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad ratio {_shown_text(text)}") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -187,8 +187,8 @@ def micros_from_decimal(text: str) -> int:
     significant whole digits is past the bound (PastBound).  The whole and
     fractional digits go through ``int`` apart, so only a whole part padded
     with zeros past the digits ``int`` reads raises its ValueError.  (The
-    parser reads a line in the serializer's own form without this grammar;
-    see ``instance_io``.)
+    parser reads a document in the serializer's own form without this
+    grammar; see ``instance_io``.)
     """
     text = text.strip()
     whole, _, frac = text.partition(".")

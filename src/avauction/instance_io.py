@@ -22,41 +22,54 @@ raised where validating the instance would reach it, after the fields and
 after the id and availability checks of that bid and of every bid before
 it.
 
-A bidder line written exactly as ``serialize_instance`` writes it (single
-spaces, ASCII digits, sizes written 1..available in order, six fractional
-digits and no digit run longer than ``_RUN``) is read with one match and
-one ``int`` per price into its series, and becomes a schedule with no
-second check when the price rule accepts the series.  Every other line is
-split into tokens and read by the general grammar, which raises every
-parse error, and its schedule is built by the checking constructor.
+A document written exactly as ``serialize_instance`` writes it is read in
+one pass (``_read_written``): one match reads its head, the header, the
+``# `` comment lines and the three fields in the serializer's order and
+form; one ``findall`` reads its bidder lines (single spaces, ASCII digits,
+sizes written 1..available in order, six fractional digits and no digit run
+longer than ``WHOLE_DIGITS``); and every price of the document is read
+with one join, ``split`` and ``map(int)``.  Each series becomes a schedule
+with no second check when the price rule accepts it.  On any miss the
+document is split into lines and tokens and read by the general grammar,
+which raises every parse error, and each schedule is built by the checking
+constructor.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .core import (
-    BIDDER_ID_RE, WHOLE_DIGITS, AuctionError, AuctionInstance, BidSchedule, Money, PastBound,
-    ServiceType, ValidationError, _integer, bid_series, check_fields, micros_to_decimal,
-    money_from_decimal,
+    BIDDER_ID_RE, BOUND_DIGITS, WHOLE_DIGITS, AuctionError, AuctionInstance, BidSchedule, Money,
+    PastBound, ServiceType, ValidationError, _integer, bid_series, check_fields,
+    micros_to_decimal, money_from_decimal,
 )
 
 FORMAT_NAME = "avauction-instance"
 FORMAT_VERSION = "v1"
 
-# The longest digit run the written-line reader takes, the most whole digits
-# of a price below the bound: the regex enforces the price bound (the token
-# path reads a longer run, and raises), and a price's one ``int`` reads at
-# most 200 digits, below any int-string limit, so it never raises.
-_RUN = WHOLE_DIGITS
-_WRITTEN_BIDDER = re.compile(
-    rf"bidder ({BIDDER_ID_RE.pattern}) available ([0-9]{{1,{_RUN}}})( concave)? prices"
-    rf"((?: [0-9]{{1,{_RUN}}}:[0-9]{{1,{_RUN}}}\.[0-9]{{6}})*)"
+# A document as the serializer writes it.  Its head: a comment holds no
+# character ``str.splitlines`` breaks on, and a field at most BOUND_DIGITS
+# digits, so its ``int`` is within the bound.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_HEAD = re.compile(
+    rf"{FORMAT_NAME} {FORMAT_VERSION}\n(?:# [^{_LINE_BREAKS}]*\n)*"
+    rf"capacity ([0-9]{{1,{BOUND_DIGITS}}})\nrequested_seats ([0-9]{{1,{BOUND_DIGITS}}})\n"
+    rf"service ({'|'.join(service.value for service in ServiceType)})\n"
 )
-# The size texts the serializer writes, "1" to "1000"; a line of more sizes
-# is left to the token path.
+# Its bidder lines, each read whole: a price has at most WHOLE_DIGITS whole
+# digits, so the regex keeps it below the bound and its one ``int`` reads at
+# most 200 digits, below any int-string limit.
+_BIDDER_LINE = re.compile(
+    rf"^bidder ({BIDDER_ID_RE.pattern}) available ([0-9]{{1,4}})( concave)? prices"
+    rf"((?: [0-9]{{1,4}}:[0-9]{{1,{WHOLE_DIGITS}}}\.[0-9]{{6}})*)$",
+    re.M,
+)
+# The size texts the serializer writes, "1" to "1000"; a document with a
+# line of more sizes is left to the token path.
 _SIZES = [str(size) for size in range(1, 1001)]
 
 
@@ -65,8 +78,11 @@ class ParseError(AuctionError):
 
 
 def parse_instance(text: str) -> AuctionInstance:
+    written = _read_written(text)
+    if written is not None:
+        return written
     # A line with no tokens is blank, and one whose first token starts with
-    # '#' is a comment; a bidder line in the written form is read whole.
+    # '#' is a comment.
     lines = enumerate(text.splitlines(), start=1)
     for n, line in lines:
         parts = line.split()
@@ -84,10 +100,6 @@ def parse_instance(text: str) -> AuctionInstance:
     # the bids, a stand-in with its id and availability, and its error.
     held: Optional[tuple[int, BidSchedule, ValidationError]] = None
     for n, line in lines:
-        written = _WRITTEN_BIDDER.fullmatch(line)
-        if written and (schedule := _read_written(*written.groups())):
-            bids.append(schedule)
-            continue
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -135,18 +147,37 @@ def parse_instance(text: str) -> AuctionInstance:
     return instance
 
 
-def _read_written(bidder_id: str, available: str, concave: Optional[str],
-                  items: str) -> Optional[BidSchedule]:
-    """The schedule of a line ``_WRITTEN_BIDDER`` matched, or None when its
-    sizes are not written as 1..available in order or the price rule
-    rejects its series (the token path then reads the line, and raises).
-    Each price is read with one ``int`` over its digits with the ``.``
-    removed."""
-    runs = items.replace(".", "").replace(":", " ").split()
-    top = int(available)
-    if len(runs) != 2 * top or runs[::2] != _SIZES[:top]:
+def _read_written(text: str) -> Optional[AuctionInstance]:
+    """The instance of a document written as the serializer writes it, or
+    None on any miss: a line not in its form (its last line may lack the
+    newline), sizes not written 1..available in order, or a series the
+    price rule rejects.  The token path then reads the document, and raises
+    what it has."""
+    head = _HEAD.match(text)
+    if head is None:
         return None
-    return BidSchedule._of_series(bidder_id, top, tuple(map(int, runs[1::2])), concave is not None)
+    rest = text[head.end():]
+    if rest[-1:] not in ("", "\n"):
+        rest += "\n"
+    # Anchored and newline-free, each match is one whole line of the rest.
+    rows = _BIDDER_LINE.findall(rest)
+    if len(rows) != rest.count("\n"):
+        return None
+    runs = "".join(map(itemgetter(3), rows)).replace(".", "").replace(":", " ").split()
+    sizes, prices = runs[::2], tuple(map(int, runs[1::2]))
+    bids = []
+    end = 0
+    for bidder_id, available, concave, items in rows:
+        start, top = end, int(available)
+        end += top
+        if items.count(":") != top or sizes[start:end] != _SIZES[:top]:
+            return None
+        schedule = BidSchedule._of_series(bidder_id, top, prices[start:end], concave != "")
+        if schedule is None:
+            return None
+        bids.append(schedule)
+    capacity, requested, service = head.groups()
+    return AuctionInstance(int(capacity), int(requested), ServiceType(service), tuple(bids))
 
 
 def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money], bool]:

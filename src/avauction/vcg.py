@@ -202,6 +202,10 @@ def bidder_utility(
         val = valuations.get(bidder_id)
         if val is None:
             raise MissingValuation(f"no valuation schedule for bidder {bidder_id}")
+        if not isinstance(val, BidSchedule):
+            raise ValidationError(
+                f"bidder {bidder_id}: valuation must be a BidSchedule, got {type(val).__name__}"
+            )
         if len(val._series) < len(prices):
             missing = list(range(len(val._series) + 1, len(prices) + 1))
             raise MissingValuation(f"bidder {bidder_id}: valuation lacks sizes {missing}")

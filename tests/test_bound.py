@@ -34,7 +34,7 @@ from avauction import (
     validate_instance,
     vcg_charges,
 )
-from avauction.cli import EXIT_OK, EXIT_UNSERVABLE, EXIT_VALIDATION, main
+from avauction.cli import EXIT_OK, EXIT_PARSE, EXIT_UNSERVABLE, EXIT_VALIDATION, main
 from avauction.core import INT_BOUND, PastBound, micros_to_decimal
 
 from conftest import failed, make_instance, outcome, sched
@@ -196,3 +196,25 @@ def test_gen_and_study_refuse_an_int_option_past_the_bound(tmp_path, words, digi
     assert not out.exists()
     with pytest.raises(PastBound):
         generate_batch(GenerationLaw(seed=1), 1, INT_BOUND, 1)
+
+
+@pytest.mark.parametrize("words", [
+    *(f"gen {option}" for option in ("--capacity", "--qr", "--seed", "--cases", "--k", "--gamma")),
+    *(f"study servability {option}" for option in ("--seed", "--cases", "--k")),
+])
+def test_an_option_text_that_cannot_be_read_is_shown_only_when_short(tmp_path, capsys, words):
+    """A text the option's reader refuses is a usage error (exit 64) on one
+    line; 5000 zeros and a 5, which ``int`` cannot read but the bound does
+    not refuse, are named by their length, not echoed, and a short bad
+    value keeps argparse's message."""
+    *command, option = words.split()
+    out = tmp_path / "out"
+    kind = {"--k": "bad bidder-count list", "--gamma": "bad ratio"}.get(option, "invalid int value:")
+    for value, shown in [("abc", "'abc'"), ("0" * 5000 + "5", "<5001 characters>")]:
+        with pytest.raises(SystemExit) as exc:
+            main([*command, option, value, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert (exc.value.code, stdout) == (EXIT_PARSE, "")
+        assert err.startswith(f"parse error: argument {option}: {kind} {shown} (usage: avauction ")
+        assert err.count("\n") == 1 and len(err) < 400
+    assert not out.exists()

@@ -171,8 +171,8 @@ def test_every_valid_instance_round_trips(instance):
 
 # Levels whose prices have whole parts of 192, 193 and 194 digits, the most
 # a price below the bound has, one whose prices cross from 193 to 194
-# digits within a schedule, and one just below the bound: the written-line
-# reader takes digit runs of at most 194.
+# digits within a schedule, and one just below the bound: the one-pass
+# reader takes whole parts of at most 194 digits.
 LONG_LEVELS = (10**197, 10**198, 10**199, 10**199 - 2 * 10**7, INT_BOUND - 10**8)
 
 
@@ -210,9 +210,9 @@ def written_documents(draw):
 def test_the_written_line_reader_matches_the_token_path(document):
     """A written document and the same document with every separator
     doubled, which only the token path reads, parse to equal instances or
-    raise the same error: a line whose series the price rule rejects is
-    left to the token path, which raises what its schedule raises when
-    built.  A document of valid lines parses to its instance."""
+    raise the same error: a document with a line whose series the price
+    rule rejects is left to the token path, which raises what its schedule
+    raises when built.  A document of valid lines parses to its instance."""
     text, instance, valid = document
     read = outcome(parse_instance, text)
     assert read == outcome(parse_instance, text.replace(" ", "  "))
@@ -357,7 +357,7 @@ def fuzzed_documents(draw):
     return text
 
 
-# E1_DOC as the serializer writes it, so its bidder lines take the reader.
+# E1_DOC as the serializer writes it, so it takes the one-pass reader.
 WRITTEN_DOC = serialize_instance(parse_instance(E1_DOC))
 NINES = "9" * WHOLE_DIGITS
 
@@ -431,27 +431,34 @@ def test_parse_instance_matches_the_strip_each_line_parser(text):
     assert [bid._series for bid in parsed.bids] == [bid._series for bid in oracle.bids]
 
 
-def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
-    """Every line of a generated document is read whole, with no call per
-    price and no call of the checking constructor, and charging it reads
-    the series the parse built.  A line with its sizes out of order takes
-    the token path and the constructor's one full check, which gives the
-    same charges; so does every line of the document with each space
-    doubled."""
+def count_parse_calls(monkeypatch) -> Counter:
+    """The calls, from now on, of the token path's bidder reader, of the
+    money grammar and of the checking constructor, by name."""
     calls = Counter()
 
-    def counted(module, name):
-        fn = getattr(module, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
 
     counted(BidSchedule, "__init__")
     counted(instance_io, "_parse_bidder")
     counted(instance_io, "money_from_decimal")
+    return calls
+
+
+def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
+    """Every line of a generated document is read whole, with no call per
+    price and no call of the checking constructor, and charging it reads
+    the series the parse built.  With one line's sizes out of order the
+    document is no longer as the serializer writes it: the token path reads
+    every bidder line, each with the constructor's one full check, and
+    gives the same charges; so it does with each space doubled."""
+    calls = count_parse_calls(monkeypatch)
     batch = generate_batch(GenerationLaw(seed=23), 1000, 5, 1)
     text = serialize_instance(batch.instance(0, ServiceType.SPLITTABLE, 3))
     calls.clear()
@@ -459,11 +466,165 @@ def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
     assert calls == {}
     swapped, count = re.subn(r"(bidder \S+ .*prices) (1:\S+) (2:\S+)", r"\1 \3 \2", text, count=1)
     assert count == 1
-    line = re.search(r"bidder \S+ .*prices 2:.*", swapped)[0]
-    assert vcg_charges(parse_instance(swapped)) == report
-    assert calls == {"_parse_bidder": 1, "money_from_decimal": line.count(":"),
-                     "__init__": 1}
-    calls.clear()
-    assert vcg_charges(parse_instance(text.replace(" ", "  "))) == report
-    assert calls == {"_parse_bidder": 1000, "money_from_decimal": text.count(":"),
-                     "__init__": 1000}
+    for hand_written in (swapped, text.replace(" ", "  ")):
+        calls.clear()
+        assert vcg_charges(parse_instance(hand_written)) == report
+        assert calls == {"_parse_bidder": 1000, "money_from_decimal": text.count(":"),
+                         "__init__": 1000}
+
+
+def test_a_gen_document_is_read_with_no_call_per_line(tmp_path, monkeypatch):
+    """A document ``gen`` writes, its comment included, is read in one pass."""
+    from avauction.cli import main
+
+    assert main(["gen", "--k", "1000", "--cases", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "k1000-case0000.txt"
+    assert path.read_text().splitlines()[1].startswith("# generated: ")
+    calls = count_parse_calls(monkeypatch)
+    instance = read_instance(path)
+    assert calls == {} and len(instance.bids) == 1000
+
+
+# The line breaks of ``str.splitlines`` besides "\n"; a comment that holds
+# one is more than one line.
+SPLITLINES_BREAKS = ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                     "\u2029")
+COMMENT_TEXT = st.text(st.characters(blacklist_characters="".join(SPLITLINES_BREAKS) + "\n"),
+                       max_size=8)
+WRITTEN_LINE = "bidder zz available 1 prices 1:0.100000"
+
+
+@st.composite
+def generated_instances(draw):
+    """A drawn case of 1, 30 or 1000 bidders, as ``gen`` draws them."""
+    capacity = draw(st.integers(1, 8))
+    batch = generate_batch(GenerationLaw(seed=draw(st.integers(0, 2**32))),
+                           draw(st.sampled_from([1, 30, 1000])), capacity, 1)
+    return batch.instance(0, draw(st.sampled_from(list(ServiceType))),
+                          draw(st.integers(1, capacity)))
+
+
+def _insert_line(draw, lines, line):
+    lines.insert(draw(st.integers(0, len(lines))), line)
+
+
+def _bidder_rows(lines):
+    return [i for i, line in enumerate(lines) if line.startswith("bidder ")]
+
+
+def _field_rows(lines):
+    return [i for i, line in enumerate(lines)
+            if line.split(" ")[0] in ("capacity", "requested_seats", "service")]
+
+
+def _glue_prefix(draw, lines):
+    rows = _bidder_rows(lines)
+    if rows:
+        i = draw(st.sampled_from(rows))
+        prefix = draw(st.sampled_from(["0", "x", "#", " ", "\t", "\x0c", "bidder ", "1 "]))
+        lines[i] = prefix + lines[i]
+
+
+def _comment_a_bidder_line(draw, lines):
+    written = [lines[i] for i in _bidder_rows(lines)] + [WRITTEN_LINE]
+    marker = draw(st.sampled_from(["# ", "#", " # "]))
+    _insert_line(draw, lines, marker + draw(st.sampled_from(written)))
+
+
+def _break_a_comment(draw, lines):
+    # often right after the header, where the serializer writes comments
+    tail = draw(st.sampled_from(["", "x", WRITTEN_LINE, "capacity 9", "# more"]))
+    at = draw(st.one_of(st.just(1), st.integers(0, len(lines))))
+    lines.insert(at, f"# note{draw(st.sampled_from(SPLITLINES_BREAKS))}{tail}")
+
+
+def _reorder_fields(draw, lines):
+    rows = _field_rows(lines)
+    for i, line in zip(rows, draw(st.permutations([lines[i] for i in rows]))):
+        lines[i] = line
+
+
+def _repeat_a_field(draw, lines):
+    rows = _field_rows(lines)
+    if rows:
+        _insert_line(draw, lines, lines[draw(st.sampled_from(rows))])
+
+
+def _add_blank_lines(draw, lines):
+    for _ in range(draw(st.integers(1, 3))):
+        _insert_line(draw, lines, draw(st.sampled_from(["", " ", "\t"])))
+
+
+def _widen_past_1000_sizes(draw, lines):
+    available, sizes = draw(st.sampled_from([(1000, 1000), (1001, 1001), (1001, 1000),
+                                             (1000, 1001)]))
+    items = "".join(f" {m}:{m}.000000" for m in range(1, sizes + 1))
+    lines[:] = ["capacity 2000" if line.startswith("capacity ") else line for line in lines]
+    _insert_line(draw, lines, f"bidder wide available {available} prices{items}")
+
+
+LINE_MUTATIONS = {
+    "glued-prefix": _glue_prefix,
+    "commented-bidder-line": _comment_a_bidder_line,
+    "break-in-comment": _break_a_comment,
+    "fields-reordered": _reorder_fields,
+    "field-repeated": _repeat_a_field,
+    "blank-lines": _add_blank_lines,
+    "past-1000-sizes": _widen_past_1000_sizes,
+}
+
+
+@st.composite
+def mutated_documents(draw):
+    """A ``serialize_instance`` document of up to 1000 bidders, with or
+    without comments (one like ``gen``'s among them), with some of the
+    document-level mutations applied: the line mutations above, CRLF line
+    endings and no final newline.  Also the names applied, and the
+    instance, when the text is still as the serializer writes it."""
+    instance = draw(st.one_of(valid_instances(levels=(0, 10**20) + LONG_LEVELS),
+                              generated_instances()))
+    comments = draw(st.one_of(st.just([]), st.just(["generated: law=fixture"]),
+                              st.lists(COMMENT_TEXT, max_size=3)))
+    names = draw(st.lists(st.sampled_from([*LINE_MUTATIONS, "crlf", "no-final-newline"]),
+                          max_size=3))
+    lines = serialize_instance(instance, comments).split("\n")[:-1]
+    for name in names:
+        if name in LINE_MUTATIONS:
+            LINE_MUTATIONS[name](draw, lines)
+    ending = "\r\n" if "crlf" in names else "\n"
+    text = ending.join(lines) + ("" if "no-final-newline" in names else ending)
+    return text, names, None if set(names) - {"no-final-newline"} else instance
+
+
+@settings(deadline=None, max_examples=150)
+@given(mutated_documents())
+@example(("avauction-instance v1\ncapacity 5\nrequested_seats 1\nservice private\n", [],
+          AuctionInstance(5, 1, ServiceType.PRIVATE, ())))
+def test_the_document_reader_matches_the_strip_each_line_parser(document):
+    """A written document, mutated or not, parses as the strip-each-line
+    parser reads it, errors included.  One still as the serializer writes
+    it, its last newline aside, is its instance, read with no call of the
+    token path, the money grammar or the checking constructor."""
+    text, _names, instance = document
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_parse_calls(patch)
+        parsed = outcome(parse_instance, text)
+    oracle = outcome(strip_each_line_parse_instance, text)
+    assert parsed == oracle
+    if not failed(parsed):
+        assert [bid._series for bid in parsed.bids] == [bid._series for bid in oracle.bids]
+    if instance is not None:
+        assert parsed == instance and calls == {}
+
+
+@pytest.mark.parametrize("tail", ["", "capacity 9", WRITTEN_LINE])
+@pytest.mark.parametrize("line_break", SPLITLINES_BREAKS)
+def test_a_comment_that_breaks_a_line_is_read_as_two_lines(line_break, tail):
+    """A comment the serializer writes with a break ``str.splitlines``
+    makes is two lines, as the strip-each-line parser reads them: the
+    second is a field, a bidder line or nothing."""
+    text = serialize_instance(parse_instance(E1_DOC), comments=[f"note{line_break}{tail}"])
+    read = outcome(parse_instance, text)
+    assert read == outcome(strip_each_line_parse_instance, text)
+    assert failed(read) is (tail == "capacity 9")
+    assert tail != WRITTEN_LINE or read.bidder_ids() == ("zz", "A", "B")

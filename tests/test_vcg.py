@@ -121,6 +121,12 @@ class TestUtilities:
         with pytest.raises(MissingValuation, match=r"^bidder B: valuation lacks sizes \[2, 3\]$"):
             bidder_utility(e1, {"A": e1.bids[0], "B": partial})
 
+    @pytest.mark.parametrize("value", [3, {1: "0.30"}, "B"])
+    def test_a_valuation_that_is_not_a_schedule_is_refused(self, e1, value):
+        with pytest.raises(ValidationError, match=(
+                rf"^bidder B: valuation must be a BidSchedule, got {type(value).__name__}$")):
+            bidder_utility(e1, {"A": e1.bids[0], "B": value})
+
 
 class TestPerturbation:
     def test_half_up_scaling(self, e1):

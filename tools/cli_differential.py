@@ -8,11 +8,15 @@ Writes N instance documents, each a small valid document with one to three
 random mutations (prices that fall or tie, a broken concave flag, sizes out
 of order or missing, availability outside the capacity, repeated ids, bad
 ids, bad or missing fields, lines moved or repeated, odd whitespace, huge or
-malformed numbers, and so on), into a temporary directory.  Each source
-tree (the directory that holds the ``avauction`` package) then runs in its
-own process, which calls ``avauction.cli.main`` in-process for every
-document through ``charge`` and ``solve``, each with and without
-``--service``, and records the exit code, stdout and stderr of each call.
+malformed numbers, prefixes glued to a bidder line, comments that hold a
+bidder line or a line break other than "\\n", fields reordered, blank
+lines, a line of more than 1000 sizes, CRLF line endings, no final newline,
+and so on), into a temporary directory; some documents carry a comment as
+``gen`` writes one.  Each source tree (the directory that holds the
+``avauction`` package) then runs in its own process, which calls
+``avauction.cli.main`` in-process for every document through ``charge``
+and ``solve``, each with and without ``--service``, and records the exit
+code, stdout and stderr of each call.
 Every mismatch between the two trees is printed with the kinds of its
 document's mutations; the last line counts the documents, the runs, the
 exit codes seen, the mismatches, and the mismatches by mutation kind (a
@@ -35,6 +39,9 @@ from collections import Counter
 from pathlib import Path
 
 SERVICES = ("splittable", "nonsplittable", "private")
+# The line breaks of ``str.splitlines`` besides "\n" ("\r" and "\r\n" reach
+# the parser as "\n", since documents are read with universal newlines).
+BREAKS = ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # Whole-part digit counts around the price bound (a price below 10**200
 # micros has at most 194 whole digits), and around the 4300 digits ``int``
 # reads from text by default.
@@ -50,6 +57,7 @@ def base_document(rng: random.Random) -> list[str]:
     capacity = rng.randint(1, 6)
     lines = [
         "avauction-instance v1",
+        *(["# generated: comment"] if rng.random() < 0.3 else []),
         f"capacity {capacity}",
         f"requested_seats {rng.randint(1, capacity)}",
         f"service {rng.choice(SERVICES)}",
@@ -134,7 +142,9 @@ def mutate(rng: random.Random, lines: list[str]) -> tuple[list[str], str]:
     and ``_edit_header``), ``doc-K`` for the others (K as below)."""
     lines = list(lines)
     rows = _bidder_rows(lines)
-    kind = rng.randrange(12)
+    fields = [i for i, line in enumerate(lines)
+              if line.split(" ")[0] in ("capacity", "requested_seats", "service")]
+    kind = rng.randrange(18)
     if kind <= 3 and rows:
         i = rng.choice(rows)
         lines[i], label = _edit_prices(rng, lines[i])
@@ -146,15 +156,15 @@ def mutate(rng: random.Random, lines: list[str]) -> tuple[list[str], str]:
     elif kind == 6 and rows:  # a repeated bidder line
         i = rng.choice(rows)
         lines.insert(rng.randint(1, len(lines)), lines[i])
-    elif kind == 7:  # a field changed
-        i = rng.randint(1, 3)
+    elif kind == 7 and fields:  # a field changed
+        i = rng.choice(fields)
         name = lines[i].split(" ")[0]
         values = {"capacity": ["0", "-1", "1", "3", "7", "five", "10" * 400],
                   "requested_seats": ["0", "-1", "1", "2", "9", "x"],
                   "service": [*SERVICES, "bus", "PRIVATE", ""]}.get(name, ["1"])
         lines[i] = f"{name} {rng.choice(values)}"
-    elif kind == 8:  # a field dropped or repeated
-        i = rng.randint(1, 3)
+    elif kind == 8 and fields:  # a field dropped or repeated
+        i = rng.choice(fields)
         if rng.random() < 0.5:
             del lines[i]
         else:
@@ -168,9 +178,32 @@ def mutate(rng: random.Random, lines: list[str]) -> tuple[list[str], str]:
                                lines[i] + " # note", "# " + lines[i], lines[i].replace(" ", "\t")])
         if rng.random() < 0.3:
             lines.insert(rng.randint(0, len(lines)), rng.choice(["", "#", "mystery 1", "  "]))
-    else:  # the header
+    elif kind == 11:  # the header
         lines[0] = rng.choice(["avauction-instance v1", "avauction-instance v2",
                                "avauction-instance", "# avauction-instance v1"])
+    elif kind == 12 and rows:  # a prefix glued to a bidder line
+        i = rng.choice(rows)
+        lines[i] = rng.choice(["0", "x", "#", " ", "\t", "\x0c", "bidder ", "1 "]) + lines[i]
+    elif kind == 13:  # a comment that holds a bidder line as written
+        line = lines[rng.choice(rows)] if rows else "bidder zz available 1 prices 1:0.100000"
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["# ", "#", " # "]) + line)
+    elif kind == 14:  # a comment that holds a line break other than "\n"
+        tail = rng.choice(["", "x", "capacity 9", "bidder zz available 1 prices 1:0.100000"])
+        lines.insert(rng.randint(0, len(lines)), f"# note{rng.choice(BREAKS)}{tail}")
+    elif kind == 15 and fields:  # the fields reordered
+        shuffled = [lines[i] for i in fields]
+        rng.shuffle(shuffled)
+        for i, line in zip(fields, shuffled):
+            lines[i] = line
+    elif kind == 16:  # blank lines
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", " ", "\t"]))
+    elif kind == 17:  # a bidder line of about 1000 sizes, some past 1000
+        available, sizes = rng.choice([(1000, 1000), (1001, 1001), (1001, 1000), (1000, 1001)])
+        items = "".join(f" {m}:{_price(m * 10**6)}" for m in range(1, sizes + 1))
+        lines = [f"capacity {rng.choice([1000, 2000])}" if line.startswith("capacity ") else line
+                 for line in lines]
+        lines.insert(rng.randint(1, len(lines)), f"bidder wide available {available} prices{items}")
     return lines, f"doc-{kind}"
 
 
@@ -183,8 +216,16 @@ def write_documents(seed: int, count: int, directory: Path) -> dict[Path, list[s
         for _ in range(rng.randint(1, 3)):
             lines, kind = mutate(rng, lines)
             kinds.append(kind)
+        # The line endings: "\n", CRLF, or either with no final newline.
+        ending = rng.choice(["\n", "\n", "\r\n"])
+        text = ending.join(lines) + ending
+        if rng.random() < 0.2:
+            text = text[:-len(ending)]
+            kinds.append("text-no-final-newline")
+        if ending == "\r\n":
+            kinds.append("text-crlf")
         path = directory / f"doc{index:05d}.txt"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(text.encode())
         documents[path] = kinds
     return documents
 
