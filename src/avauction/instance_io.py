@@ -22,16 +22,17 @@ raised where validating the instance would reach it, after the fields and
 after the id and availability checks of that bid and of every bid before
 it.
 
-A document written exactly as ``serialize_instance`` writes it is read in
-one pass (``_read_written``): one match reads its head, the header, the
-``# `` comment lines and the three fields in the serializer's order and
-form; one ``findall`` reads its bidder lines (single spaces, ASCII digits,
-sizes written 1..available in order, six fractional digits and no digit run
-longer than ``WHOLE_DIGITS``); and every price of the document is read
-with one join, ``split`` and ``map(int)``.  Each series becomes a schedule
-with no second check when the price rule accepts it.  On any miss the
-document is split into lines and tokens and read by the general grammar,
-which raises every parse error, and each schedule is built by the checking
+The parse is one pass over the document's lines, its line breaks those of
+``str.splitlines``.  One ``findall`` reads every line; a bidder line in a
+tolerant form (tokens separated by runs of spaces or tabs, blanks around
+the line, ASCII digits, sizes of at most 4 digits, prices of at most
+``WHOLE_DIGITS`` whole digits and exactly six fractional ones) also yields
+its fields, and every such line's prices are read with one join, ``split``
+and ``map(int)``.  Such a line whose sizes are 1..available in order, and
+whose series the price rule accepts, becomes a schedule with no second
+check.  Every other line, and every bidder line the batch does not take,
+is read by the token grammar, with its own line number: it raises every
+parse error, and each of its schedules is built by the checking
 constructor.
 """
 
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .core import (
-    BIDDER_ID_RE, BOUND_DIGITS, WHOLE_DIGITS, AuctionError, AuctionInstance, BidSchedule, Money,
+    BIDDER_ID_RE, WHOLE_DIGITS, AuctionError, AuctionInstance, BidSchedule, Money,
     PastBound, ServiceType, ValidationError, _integer, bid_series, check_fields,
     micros_to_decimal, money_from_decimal,
 )
@@ -51,25 +52,21 @@ from .core import (
 FORMAT_NAME = "avauction-instance"
 FORMAT_VERSION = "v1"
 
-# A document as the serializer writes it.  Its head: a comment holds no
-# character ``str.splitlines`` breaks on, and a field at most BOUND_DIGITS
-# digits, so its ``int`` is within the bound.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_HEAD = re.compile(
-    rf"{FORMAT_NAME} {FORMAT_VERSION}\n(?:# [^{_LINE_BREAKS}]*\n)*"
-    rf"capacity ([0-9]{{1,{BOUND_DIGITS}}})\nrequested_seats ([0-9]{{1,{BOUND_DIGITS}}})\n"
-    rf"service ({'|'.join(service.value for service in ServiceType)})\n"
-)
-# Its bidder lines, each read whole: a price has at most WHOLE_DIGITS whole
-# digits, so the regex keeps it below the bound and its one ``int`` reads at
-# most 200 digits, below any int-string limit.
-_BIDDER_LINE = re.compile(
-    rf"^bidder ({BIDDER_ID_RE.pattern}) available ([0-9]{{1,4}})( concave)? prices"
-    rf"((?: [0-9]{{1,4}}:[0-9]{{1,{WHOLE_DIGITS}}}\.[0-9]{{6}})*)$",
+# One line of a document whose only line break is "\n": the whole line and,
+# for a bidder line in the tolerant form, its id, availability, concave flag
+# and price items.  A price has at most WHOLE_DIGITS whole digits, so the
+# regex keeps it below the bound and its one ``int`` reads at most 200
+# digits, below any int-string limit.  Any other line matches ``.*``.  (A
+# lazy run of blanks, ``[ \t]+?``, matches the same lines as a greedy one,
+# and is found a little faster.)
+_LINE = re.compile(
+    rf"^([ \t]*bidder[ \t]+?({BIDDER_ID_RE.pattern})[ \t]+?available[ \t]+?([0-9]{{1,4}})"
+    rf"([ \t]+?concave)?[ \t]+?prices"
+    rf"((?:[ \t]+?[0-9]{{1,4}}:[0-9]{{1,{WHOLE_DIGITS}}}\.[0-9]{{6}})*)[ \t]*|.*)$",
     re.M,
 )
-# The size texts the serializer writes, "1" to "1000"; a document with a
-# line of more sizes is left to the token path.
+# The size texts the serializer writes, "1" to "1000"; a line of more sizes
+# is left to the token grammar.
 _SIZES = [str(size) for size in range(1, 1001)]
 
 
@@ -78,14 +75,15 @@ class ParseError(AuctionError):
 
 
 def parse_instance(text: str) -> AuctionInstance:
-    written = _read_written(text)
-    if written is not None:
-        return written
+    # Each line is one row, so line n is row n - 1.
+    rows = _LINE.findall("\n".join(text.splitlines()))
+    runs = "".join(map(itemgetter(4), rows)).replace(".", "").replace(":", " ").split()
+    sizes, micros = runs[::2], tuple(map(int, runs[1::2]))
     # A line with no tokens is blank, and one whose first token starts with
     # '#' is a comment.
-    lines = enumerate(text.splitlines(), start=1)
-    for n, line in lines:
-        parts = line.split()
+    lines = enumerate(rows, start=1)
+    for n, row in lines:
+        parts = row[0].split()
         if parts and not parts[0].startswith("#"):
             break
     else:
@@ -99,7 +97,17 @@ def parse_instance(text: str) -> AuctionInstance:
     # The first bidder line whose schedule cannot be built: its place among
     # the bids, a stand-in with its id and availability, and its error.
     held: Optional[tuple[int, BidSchedule, ValidationError]] = None
-    for n, line in lines:
+    end = 0
+    for n, (line, bidder_id, available, concave, items) in lines:
+        if bidder_id:
+            # A tolerant line's prices are micros[start:end], taken or not.
+            start, top = end, int(available)
+            end += items.count(":")
+            if end - start == top and sizes[start:end] == _SIZES[:top]:
+                schedule = BidSchedule._of_series(bidder_id, top, micros[start:end], concave != "")
+                if schedule is not None:
+                    bids.append(schedule)
+                    continue
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -145,39 +153,6 @@ def parse_instance(text: str) -> AuctionInstance:
         bid_series((*bids[:index], stand_in), capacity)
         raise error
     return instance
-
-
-def _read_written(text: str) -> Optional[AuctionInstance]:
-    """The instance of a document written as the serializer writes it, or
-    None on any miss: a line not in its form (its last line may lack the
-    newline), sizes not written 1..available in order, or a series the
-    price rule rejects.  The token path then reads the document, and raises
-    what it has."""
-    head = _HEAD.match(text)
-    if head is None:
-        return None
-    rest = text[head.end():]
-    if rest[-1:] not in ("", "\n"):
-        rest += "\n"
-    # Anchored and newline-free, each match is one whole line of the rest.
-    rows = _BIDDER_LINE.findall(rest)
-    if len(rows) != rest.count("\n"):
-        return None
-    runs = "".join(map(itemgetter(3), rows)).replace(".", "").replace(":", " ").split()
-    sizes, prices = runs[::2], tuple(map(int, runs[1::2]))
-    bids = []
-    end = 0
-    for bidder_id, available, concave, items in rows:
-        start, top = end, int(available)
-        end += top
-        if items.count(":") != top or sizes[start:end] != _SIZES[:top]:
-            return None
-        schedule = BidSchedule._of_series(bidder_id, top, prices[start:end], concave != "")
-        if schedule is None:
-            return None
-        bids.append(schedule)
-    capacity, requested, service = head.groups()
-    return AuctionInstance(int(capacity), int(requested), ServiceType(service), tuple(bids))
 
 
 def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money], bool]:

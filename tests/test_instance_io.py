@@ -171,8 +171,8 @@ def test_every_valid_instance_round_trips(instance):
 
 # Levels whose prices have whole parts of 192, 193 and 194 digits, the most
 # a price below the bound has, one whose prices cross from 193 to 194
-# digits within a schedule, and one just below the bound: the one-pass
-# reader takes whole parts of at most 194 digits.
+# digits within a schedule, and one just below the bound: the price batch
+# takes whole parts of at most 194 digits.
 LONG_LEVELS = (10**197, 10**198, 10**199, 10**199 - 2 * 10**7, INT_BOUND - 10**8)
 
 
@@ -207,15 +207,17 @@ def written_documents(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(written_documents())
-def test_the_written_line_reader_matches_the_token_path(document):
-    """A written document and the same document with every separator
-    doubled, which only the token path reads, parse to equal instances or
-    raise the same error: a document with a line whose series the price
-    rule rejects is left to the token path, which raises what its schedule
-    raises when built.  A document of valid lines parses to its instance."""
+def test_written_lines_parse_as_the_strip_each_line_parser_reads_them(document):
+    """A written document, and the same document with every separator
+    doubled, parse as the strip-each-line parser reads them, errors
+    included: a line whose series the price rule rejects raises what its
+    schedule raises when built.  A document of valid lines parses to its
+    instance."""
     text, instance, valid = document
     read = outcome(parse_instance, text)
-    assert read == outcome(parse_instance, text.replace(" ", "  "))
+    assert read == outcome(strip_each_line_parse_instance, text)
+    spaced = text.replace(" ", "  ")
+    assert outcome(parse_instance, spaced) == outcome(strip_each_line_parse_instance, spaced)
     assert failed(read) is not valid
     if instance is not None:
         assert read == instance
@@ -357,7 +359,7 @@ def fuzzed_documents(draw):
     return text
 
 
-# E1_DOC as the serializer writes it, so it takes the one-pass reader.
+# E1_DOC as the serializer writes it, so the price batch reads its bidder lines.
 WRITTEN_DOC = serialize_instance(parse_instance(E1_DOC))
 NINES = "9" * WHOLE_DIGITS
 
@@ -432,7 +434,7 @@ def test_parse_instance_matches_the_strip_each_line_parser(text):
 
 
 def count_parse_calls(monkeypatch) -> Counter:
-    """The calls, from now on, of the token path's bidder reader, of the
+    """The calls, from now on, of the token grammar's bidder reader, of the
     money grammar and of the checking constructor, by name."""
     calls = Counter()
 
@@ -451,30 +453,64 @@ def count_parse_calls(monkeypatch) -> Counter:
     return calls
 
 
-def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
-    """Every line of a generated document is read whole, with no call per
-    price and no call of the checking constructor, and charging it reads
-    the series the parse built.  With one line's sizes out of order the
-    document is no longer as the serializer writes it: the token path reads
-    every bidder line, each with the constructor's one full check, and
-    gives the same charges; so it does with each space doubled."""
-    calls = count_parse_calls(monkeypatch)
+def k1000_document():
+    """A generated K = 1000 splittable document, and its instance."""
     batch = generate_batch(GenerationLaw(seed=23), 1000, 5, 1)
-    text = serialize_instance(batch.instance(0, ServiceType.SPLITTABLE, 3))
+    instance = batch.instance(0, ServiceType.SPLITTABLE, 3)
+    return serialize_instance(instance), instance
+
+
+def swap_first_sizes(text):
+    """The document with the first bidder line of two sizes or more given
+    its sizes 1 and 2 in swapped order, and that line's item count."""
+    match = re.search(r"^(bidder \S+ .*prices) (1:\S+) (2:\S+)(.*)$", text, re.M)
+    swapped = f"{match[1]} {match[3]} {match[2]}{match[4]}"
+    return text[:match.start()] + swapped + text[match.end():], match[0].count(":")
+
+
+def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
+    """Every bidder line of a generated document is read by the price
+    batch, with no call per price and no call of the checking constructor,
+    and charging it reads the series the parse built.  With every space
+    doubled it still is.  With one line's sizes out of order the token
+    grammar reads that line alone, with one call per price of it and the
+    constructor's one full check; both give the same charges."""
+    calls = count_parse_calls(monkeypatch)
+    text, _ = k1000_document()
     calls.clear()
     report = vcg_charges(parse_instance(text))
     assert calls == {}
-    swapped, count = re.subn(r"(bidder \S+ .*prices) (1:\S+) (2:\S+)", r"\1 \3 \2", text, count=1)
-    assert count == 1
-    for hand_written in (swapped, text.replace(" ", "  ")):
-        calls.clear()
-        assert vcg_charges(parse_instance(hand_written)) == report
-        assert calls == {"_parse_bidder": 1000, "money_from_decimal": text.count(":"),
-                         "__init__": 1000}
+    assert vcg_charges(parse_instance(text.replace(" ", "  "))) == report
+    assert calls == {}
+    swapped, items = swap_first_sizes(text)
+    assert vcg_charges(parse_instance(swapped)) == report
+    assert calls == {"_parse_bidder": 1, "money_from_decimal": items, "__init__": 1}
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_an_edited_k1000_document_is_read_by_the_price_batch(monkeypatch, ending):
+    """A generated document with a blank line appended, a trailing space,
+    doubled spaces and a tab in bidder lines, and a comment between two of
+    them, in either line ending, is its instance with no call of the token
+    grammar; with one line's sizes swapped too, that line alone is read by
+    tokens."""
+    text, instance = k1000_document()
+    lines = text.split("\n")
+    lines[10] += " "
+    lines[20] = lines[20].replace(" ", "  ")
+    lines[30] = lines[30].replace(" ", "\t", 2)
+    lines.insert(40, "# a note between bidder lines")
+    edited = ending.join(lines) + ending
+    calls = count_parse_calls(monkeypatch)
+    assert parse_instance(edited) == instance
+    assert calls == {}
+    assert parse_instance(swap_first_sizes(edited)[0]) == instance
+    assert calls["_parse_bidder"] == 1
 
 
 def test_a_gen_document_is_read_with_no_call_per_line(tmp_path, monkeypatch):
-    """A document ``gen`` writes, its comment included, is read in one pass."""
+    """A document ``gen`` writes, its comment included, is read by the
+    price batch alone."""
     from avauction.cli import main
 
     assert main(["gen", "--k", "1000", "--cases", "1", "--out", str(tmp_path)]) == 0
@@ -563,6 +599,25 @@ def _widen_past_1000_sizes(draw, lines):
     _insert_line(draw, lines, f"bidder wide available {available} prices{items}")
 
 
+def _separator_runs(draw, lines):
+    rows = _bidder_rows(lines)
+    if rows:
+        i = draw(st.sampled_from(rows))
+        runs = draw(st.lists(st.sampled_from(["  ", "\t", " \t", "\t\t", "\t  "]), min_size=1,
+                             max_size=3))
+        tokens = lines[i].split(" ")
+        lines[i] = tokens[0] + "".join(runs[j % len(runs)] + token
+                                       for j, token in enumerate(tokens[1:]))
+
+
+def _blanks_around(draw, lines):
+    rows = _bidder_rows(lines)
+    if rows:
+        i = draw(st.sampled_from(rows))
+        blanks = st.sampled_from(["", " ", "\t", " \t ", "  "])
+        lines[i] = draw(blanks) + lines[i] + draw(blanks)
+
+
 LINE_MUTATIONS = {
     "glued-prefix": _glue_prefix,
     "commented-bidder-line": _comment_a_bidder_line,
@@ -571,7 +626,11 @@ LINE_MUTATIONS = {
     "field-repeated": _repeat_a_field,
     "blank-lines": _add_blank_lines,
     "past-1000-sizes": _widen_past_1000_sizes,
+    "separator-runs": _separator_runs,
+    "blanks-around": _blanks_around,
 }
+# The mutations that keep a document's instance.
+KEEPING = {"blank-lines", "separator-runs", "blanks-around", "crlf", "no-final-newline"}
 
 
 @st.composite
@@ -580,7 +639,7 @@ def mutated_documents(draw):
     without comments (one like ``gen``'s among them), with some of the
     document-level mutations applied: the line mutations above, CRLF line
     endings and no final newline.  Also the names applied, and the
-    instance, when the text is still as the serializer writes it."""
+    instance, when every mutation applied keeps it."""
     instance = draw(st.one_of(valid_instances(levels=(0, 10**20) + LONG_LEVELS),
                               generated_instances()))
     comments = draw(st.one_of(st.just([]), st.just(["generated: law=fixture"]),
@@ -593,7 +652,7 @@ def mutated_documents(draw):
             LINE_MUTATIONS[name](draw, lines)
     ending = "\r\n" if "crlf" in names else "\n"
     text = ending.join(lines) + ("" if "no-final-newline" in names else ending)
-    return text, names, None if set(names) - {"no-final-newline"} else instance
+    return text, names, None if set(names) - KEEPING else instance
 
 
 @settings(deadline=None, max_examples=150)
@@ -602,19 +661,53 @@ def mutated_documents(draw):
           AuctionInstance(5, 1, ServiceType.PRIVATE, ())))
 def test_the_document_reader_matches_the_strip_each_line_parser(document):
     """A written document, mutated or not, parses as the strip-each-line
-    parser reads it, errors included.  One still as the serializer writes
-    it, its last newline aside, is its instance, read with no call of the
-    token path, the money grammar or the checking constructor."""
+    parser reads it, errors included, and the token grammar reads exactly
+    the bidder lines outside the tolerant form.  One whose mutations keep
+    its instance is that instance, read with no call of the token grammar,
+    the money grammar or the checking constructor."""
     text, _names, instance = document
     with pytest.MonkeyPatch.context() as patch:
         calls = count_parse_calls(patch)
         parsed = outcome(parse_instance, text)
     oracle = outcome(strip_each_line_parse_instance, text)
     assert parsed == oracle
+    assert calls["_parse_bidder"] == token_read_bidder_lines(text, parsed)
     if not failed(parsed):
         assert [bid._series for bid in parsed.bids] == [bid._series for bid in oracle.bids]
     if instance is not None:
         assert parsed == instance and calls == {}
+
+
+def token_read_bidder_lines(text, read):
+    """The number of bidder lines the parse reads by tokens: those after the
+    header, up to the line its error names if it raised in one, that are
+    outside the tolerant form."""
+    error_line = re.match(r"line (\d+):", read[1]) if failed(read) else None
+    last = int(error_line[1]) if error_line else None
+    count, header = 0, False
+    for line in text.splitlines()[:last]:
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if header and tokens[0] == "bidder":
+            count += not in_tolerant_form(line)
+        header = True
+    return count
+
+
+def in_tolerant_form(line):
+    """Whether a bidder line, its runs of spaces and tabs made single
+    spaces and its blanks around it dropped, is as the serializer writes a
+    schedule of at most 1000 sizes."""
+    collapsed = " ".join(re.split(r"[ \t]+", line.strip(" \t")))
+    if collapsed.split(" ") != line.split():  # another blank
+        return False
+    try:
+        bid = BidSchedule(*_regex_parse_bidder(0, line.split()))
+    except (ParseError, ValidationError):
+        return False
+    written = serialize_instance(AuctionInstance(1, 1, ServiceType.PRIVATE, (bid,)))
+    return bid.available_seats <= 1000 and collapsed == written.splitlines()[-1]
 
 
 @pytest.mark.parametrize("tail", ["", "capacity 9", WRITTEN_LINE])
