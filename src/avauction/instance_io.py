@@ -23,17 +23,17 @@ after the id and availability checks of that bid and of every bid before
 it.
 
 The parse is one pass over the document's lines, its line breaks those of
-``str.splitlines``.  One ``findall`` reads every line; a bidder line in a
-tolerant form (tokens separated by runs of spaces or tabs, blanks around
-the line, ASCII digits, sizes of at most 4 digits, prices of at most
-``WHOLE_DIGITS`` whole digits and exactly six fractional ones) also yields
-its fields, and every such line's prices are read with one join, ``split``
-and ``map(int)``.  Such a line whose sizes are 1..available in order, and
-whose series the price rule accepts, becomes a schedule with no second
-check.  Every other line, and every bidder line the batch does not take,
-is read by the token grammar, with its own line number: it raises every
-parse error, and each of its schedules is built by the checking
-constructor.
+``str.splitlines``.  One ``findall`` reads every line; a bidder line as the
+serializer writes it (single spaces and none around it, ASCII digits,
+sizes of at most 4 digits, prices of at most ``WHOLE_DIGITS`` whole digits
+and exactly six fractional ones) also yields its fields, and every such
+line's prices are read with one join, ``split`` and ``map(int)``.  Such a
+line whose sizes are 1..available in order, and whose series the price
+rule accepts, becomes a schedule with no second check.  Every other line,
+and every bidder line the batch does not take, is read by the token
+grammar, with its own line number: it raises every parse error, and each
+of its schedules is built by the checking constructor.  So an edited line
+costs only its own token parse.
 """
 
 from __future__ import annotations
@@ -53,16 +53,14 @@ FORMAT_NAME = "avauction-instance"
 FORMAT_VERSION = "v1"
 
 # One line of a document whose only line break is "\n": the whole line and,
-# for a bidder line in the tolerant form, its id, availability, concave flag
-# and price items.  A price has at most WHOLE_DIGITS whole digits, so the
-# regex keeps it below the bound and its one ``int`` reads at most 200
-# digits, below any int-string limit.  Any other line matches ``.*``.  (A
-# lazy run of blanks, ``[ \t]+?``, matches the same lines as a greedy one,
-# and is found a little faster.)
+# for a bidder line as the serializer writes it, its id, availability,
+# concave flag and price items.  A price has at most WHOLE_DIGITS whole
+# digits, so the regex keeps it below the bound and its one ``int`` reads at
+# most 200 digits, below any int-string limit.  Any other line matches
+# ``.*``: a bidder line with other blanks is read by tokens.
 _LINE = re.compile(
-    rf"^([ \t]*bidder[ \t]+?({BIDDER_ID_RE.pattern})[ \t]+?available[ \t]+?([0-9]{{1,4}})"
-    rf"([ \t]+?concave)?[ \t]+?prices"
-    rf"((?:[ \t]+?[0-9]{{1,4}}:[0-9]{{1,{WHOLE_DIGITS}}}\.[0-9]{{6}})*)[ \t]*|.*)$",
+    rf"^(bidder ({BIDDER_ID_RE.pattern}) available ([0-9]{{1,4}})( concave)? prices"
+    rf"((?: [0-9]{{1,4}}:[0-9]{{1,{WHOLE_DIGITS}}}\.[0-9]{{6}})*)|.*)$",
     re.M,
 )
 # The size texts the serializer writes, "1" to "1000"; a line of more sizes
@@ -100,7 +98,7 @@ def parse_instance(text: str) -> AuctionInstance:
     end = 0
     for n, (line, bidder_id, available, concave, items) in lines:
         if bidder_id:
-            # A tolerant line's prices are micros[start:end], taken or not.
+            # A written line's prices are micros[start:end], taken or not.
             start, top = end, int(available)
             end += items.count(":")
             if end - start == top and sizes[start:end] == _SIZES[:top]:

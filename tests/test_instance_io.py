@@ -209,10 +209,10 @@ def written_documents(draw):
 @given(written_documents())
 def test_written_lines_parse_as_the_strip_each_line_parser_reads_them(document):
     """A written document, and the same document with every separator
-    doubled, parse as the strip-each-line parser reads them, errors
-    included: a line whose series the price rule rejects raises what its
-    schedule raises when built.  A document of valid lines parses to its
-    instance."""
+    doubled, which the token grammar reads line by line, parse as the
+    strip-each-line parser reads them, errors included: a line whose
+    series the price rule rejects raises what its schedule raises when
+    built.  A document of valid lines parses to its instance."""
     text, instance, valid = document
     read = outcome(parse_instance, text)
     assert read == outcome(strip_each_line_parse_instance, text)
@@ -471,16 +471,14 @@ def swap_first_sizes(text):
 def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
     """Every bidder line of a generated document is read by the price
     batch, with no call per price and no call of the checking constructor,
-    and charging it reads the series the parse built.  With every space
-    doubled it still is.  With one line's sizes out of order the token
-    grammar reads that line alone, with one call per price of it and the
-    constructor's one full check; both give the same charges."""
+    and charging it reads the series the parse built.  With one line's
+    sizes out of order the token grammar reads that line alone, with one
+    call per price of it and the constructor's one full check; both give
+    the same charges."""
     calls = count_parse_calls(monkeypatch)
     text, _ = k1000_document()
     calls.clear()
     report = vcg_charges(parse_instance(text))
-    assert calls == {}
-    assert vcg_charges(parse_instance(text.replace(" ", "  "))) == report
     assert calls == {}
     swapped, items = swap_first_sizes(text)
     assert vcg_charges(parse_instance(swapped)) == report
@@ -488,24 +486,29 @@ def test_a_parsed_k1000_charge_runs_no_full_check(monkeypatch):
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-def test_an_edited_k1000_document_is_read_by_the_price_batch(monkeypatch, ending):
-    """A generated document with a blank line appended, a trailing space,
-    doubled spaces and a tab in bidder lines, and a comment between two of
-    them, in either line ending, is its instance with no call of the token
-    grammar; with one line's sizes swapped too, that line alone is read by
-    tokens."""
+def test_an_edited_k1000_document_reads_only_its_edited_lines_by_tokens(monkeypatch, ending):
+    """A generated document with a blank line appended, a comment between
+    two bidder lines, and a trailing space, doubled spaces and tabs in
+    three others, in either line ending, is its instance: the token grammar
+    reads those three lines alone, each with one call per price and the
+    constructor's one full check.  With one more line's sizes swapped, it
+    reads that line too."""
     text, instance = k1000_document()
     lines = text.split("\n")
     lines[10] += " "
     lines[20] = lines[20].replace(" ", "  ")
     lines[30] = lines[30].replace(" ", "\t", 2)
+    items = sum(lines[i].count(":") for i in (10, 20, 30))
     lines.insert(40, "# a note between bidder lines")
     edited = ending.join(lines) + ending
     calls = count_parse_calls(monkeypatch)
     assert parse_instance(edited) == instance
-    assert calls == {}
-    assert parse_instance(swap_first_sizes(edited)[0]) == instance
-    assert calls["_parse_bidder"] == 1
+    assert calls == {"_parse_bidder": 3, "money_from_decimal": items, "__init__": 3}
+    swapped, swapped_items = swap_first_sizes(edited)
+    calls.clear()
+    assert parse_instance(swapped) == instance
+    assert calls == {"_parse_bidder": 4, "money_from_decimal": items + swapped_items,
+                     "__init__": 4}
 
 
 def test_a_gen_document_is_read_with_no_call_per_line(tmp_path, monkeypatch):
@@ -599,25 +602,6 @@ def _widen_past_1000_sizes(draw, lines):
     _insert_line(draw, lines, f"bidder wide available {available} prices{items}")
 
 
-def _separator_runs(draw, lines):
-    rows = _bidder_rows(lines)
-    if rows:
-        i = draw(st.sampled_from(rows))
-        runs = draw(st.lists(st.sampled_from(["  ", "\t", " \t", "\t\t", "\t  "]), min_size=1,
-                             max_size=3))
-        tokens = lines[i].split(" ")
-        lines[i] = tokens[0] + "".join(runs[j % len(runs)] + token
-                                       for j, token in enumerate(tokens[1:]))
-
-
-def _blanks_around(draw, lines):
-    rows = _bidder_rows(lines)
-    if rows:
-        i = draw(st.sampled_from(rows))
-        blanks = st.sampled_from(["", " ", "\t", " \t ", "  "])
-        lines[i] = draw(blanks) + lines[i] + draw(blanks)
-
-
 LINE_MUTATIONS = {
     "glued-prefix": _glue_prefix,
     "commented-bidder-line": _comment_a_bidder_line,
@@ -626,11 +610,9 @@ LINE_MUTATIONS = {
     "field-repeated": _repeat_a_field,
     "blank-lines": _add_blank_lines,
     "past-1000-sizes": _widen_past_1000_sizes,
-    "separator-runs": _separator_runs,
-    "blanks-around": _blanks_around,
 }
 # The mutations that keep a document's instance.
-KEEPING = {"blank-lines", "separator-runs", "blanks-around", "crlf", "no-final-newline"}
+KEEPING = {"blank-lines", "crlf", "no-final-newline"}
 
 
 @st.composite
@@ -661,53 +643,19 @@ def mutated_documents(draw):
           AuctionInstance(5, 1, ServiceType.PRIVATE, ())))
 def test_the_document_reader_matches_the_strip_each_line_parser(document):
     """A written document, mutated or not, parses as the strip-each-line
-    parser reads it, errors included, and the token grammar reads exactly
-    the bidder lines outside the tolerant form.  One whose mutations keep
-    its instance is that instance, read with no call of the token grammar,
-    the money grammar or the checking constructor."""
+    parser reads it, errors included.  One whose mutations keep its
+    instance is that instance, read with no call of the token grammar, the
+    money grammar or the checking constructor."""
     text, _names, instance = document
     with pytest.MonkeyPatch.context() as patch:
         calls = count_parse_calls(patch)
         parsed = outcome(parse_instance, text)
     oracle = outcome(strip_each_line_parse_instance, text)
     assert parsed == oracle
-    assert calls["_parse_bidder"] == token_read_bidder_lines(text, parsed)
     if not failed(parsed):
         assert [bid._series for bid in parsed.bids] == [bid._series for bid in oracle.bids]
     if instance is not None:
         assert parsed == instance and calls == {}
-
-
-def token_read_bidder_lines(text, read):
-    """The number of bidder lines the parse reads by tokens: those after the
-    header, up to the line its error names if it raised in one, that are
-    outside the tolerant form."""
-    error_line = re.match(r"line (\d+):", read[1]) if failed(read) else None
-    last = int(error_line[1]) if error_line else None
-    count, header = 0, False
-    for line in text.splitlines()[:last]:
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if header and tokens[0] == "bidder":
-            count += not in_tolerant_form(line)
-        header = True
-    return count
-
-
-def in_tolerant_form(line):
-    """Whether a bidder line, its runs of spaces and tabs made single
-    spaces and its blanks around it dropped, is as the serializer writes a
-    schedule of at most 1000 sizes."""
-    collapsed = " ".join(re.split(r"[ \t]+", line.strip(" \t")))
-    if collapsed.split(" ") != line.split():  # another blank
-        return False
-    try:
-        bid = BidSchedule(*_regex_parse_bidder(0, line.split()))
-    except (ParseError, ValidationError):
-        return False
-    written = serialize_instance(AuctionInstance(1, 1, ServiceType.PRIVATE, (bid,)))
-    return bid.available_seats <= 1000 and collapsed == written.splitlines()[-1]
 
 
 @pytest.mark.parametrize("tail", ["", "capacity 9", WRITTEN_LINE])

@@ -7,8 +7,7 @@ Usage:
 Writes N instance documents, each a small valid document with one to three
 random mutations (prices that fall or tie, a broken concave flag, sizes out
 of order or missing, availability outside the capacity, repeated ids, bad
-ids, bad or missing fields, lines moved or repeated, odd whitespace, runs
-of spaces and tabs between and around a bidder line's tokens, huge or
+ids, bad or missing fields, lines moved or repeated, odd whitespace, huge or
 malformed numbers, prefixes glued to a bidder line, comments that hold a
 bidder line or a line break other than "\\n", fields reordered, blank
 lines, a line of more than 1000 sizes, CRLF line endings, no final newline,
@@ -145,7 +144,7 @@ def mutate(rng: random.Random, lines: list[str]) -> tuple[list[str], str]:
     rows = _bidder_rows(lines)
     fields = [i for i, line in enumerate(lines)
               if line.split(" ")[0] in ("capacity", "requested_seats", "service")]
-    kind = rng.randrange(19)
+    kind = rng.randrange(18)
     if kind <= 3 and rows:
         i = rng.choice(rows)
         lines[i], label = _edit_prices(rng, lines[i])
@@ -205,13 +204,6 @@ def mutate(rng: random.Random, lines: list[str]) -> tuple[list[str], str]:
         lines = [f"capacity {rng.choice([1000, 2000])}" if line.startswith("capacity ") else line
                  for line in lines]
         lines.insert(rng.randint(1, len(lines)), f"bidder wide available {available} prices{items}")
-    elif kind == 18 and rows:  # runs of spaces and tabs between and around a bidder line's tokens
-        i = rng.choice(rows)
-        words = lines[i].split(" ")
-        runs = ["  ", "\t", " \t", "\t\t", "\t  "]
-        lines[i] = (rng.choice(["", " ", "\t", " \t"]) + words[0]
-                    + "".join(rng.choice(runs) + word for word in words[1:])
-                    + rng.choice(["", " ", "\t", "\t "]))
     return lines, f"doc-{kind}"
 
 
