@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instance(path: str, service_override: Optional[str]):
     """The document's instance, not yet validated: ``solve_wdp`` and
     ``vcg_charges`` compile it first, which makes ``validate_instance``'s
-    checks in the same order, so each schedule is checked once."""
+    one check, ``bid_series``, so each schedule is checked once."""
     instance = read_instance(path)
     if service_override is not None:
         instance = instance.with_service(ServiceType(service_override))

@@ -4,7 +4,7 @@ Prices are kept as integer micro-units (10^-6 currency units) end to end so
 that charge identities and tie-breaks can be checked with exact equality
 instead of float tolerances.  A bid schedule is checked when it is built and
 holds its prices as one tuple of micros; validating an instance adds only the
-checks that depend on it (``check_fields``, then ``bid_series``).
+checks that depend on it, in one check, ``bid_series``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 MICROS_PER_UNIT = 10**6
 
@@ -414,22 +414,20 @@ def check_request(capacity: int, service: ServiceType, requested_seats: int) -> 
         raise SeatBoundViolation(f"requested_seats {requested_seats} outside [1, {capacity}]")
 
 
-def check_fields(instance: AuctionInstance) -> None:
-    """Check the instance's own fields, not its bids; anything that is not
-    an ``AuctionInstance`` is rejected, never coerced."""
+def bid_series(instance: AuctionInstance) -> dict[str, tuple[int, ...]]:
+    """The one check of an instance, which gives each bidder's price series
+    by id, in the given order.  Anything that is not an ``AuctionInstance``
+    is rejected, never coerced; then the request is checked
+    (``check_request``); then one walk over the bids raises at the first
+    bid that is not a ``BidSchedule``, whose id repeats an earlier one, or
+    whose availability lies outside [0, capacity]; every other check was
+    made when the schedule was built."""
     if not isinstance(instance, AuctionInstance):
         raise ValidationError(f"expected an AuctionInstance, got {type(instance).__name__}")
-    check_request(instance.capacity, instance.service, instance.requested_seats)
-
-
-def bid_series(bids: Iterable[BidSchedule], capacity: int) -> dict[str, tuple[int, ...]]:
-    """Each bidder's price series by id, in the given order: the one walk
-    over a case's bids, which makes the checks that depend on the instance.
-    It raises at the first bid that is not a ``BidSchedule``, whose id
-    repeats an earlier one, or whose availability lies outside [0,
-    capacity]; every other check was made when the schedule was built."""
+    capacity = instance.capacity
+    check_request(capacity, instance.service, instance.requested_seats)
     series: dict[str, tuple[int, ...]] = {}
-    for schedule in bids:
+    for schedule in instance.bids:
         if not isinstance(schedule, BidSchedule):
             raise ValidationError(f"each bid must be a BidSchedule, got {type(schedule).__name__}")
         who = schedule.bidder_id
@@ -446,8 +444,7 @@ def bid_series(bids: Iterable[BidSchedule], capacity: int) -> dict[str, tuple[in
 
 def validate_instance(instance: AuctionInstance) -> AuctionInstance:
     """Return the instance unchanged, or raise the first ValidationError of
-    ``check_fields`` and then ``bid_series``, the checks compiling it makes
-    (each schedule was checked when it was built)."""
-    check_fields(instance)
-    bid_series(instance.bids, instance.capacity)
+    ``bid_series``, the one check compiling it makes (each schedule was
+    checked when it was built)."""
+    bid_series(instance)
     return instance

@@ -11,16 +11,16 @@ Layout, one field per line, ``#`` comments and blank lines ignored:
 
 Parsing checks the syntax and the bidder-id token, so a bad id is a parse
 error, and builds each schedule, which checks its prices (see
-``core.BidSchedule``); ``validate_instance`` checks what depends on the
-instance, and solving or charging the result makes the same checks.
-Unknown versions are rejected.  A number past the bound (``core.INT_BOUND``)
-raises PastBound, a validation error, where it is read (a field's after
-every line), so every instance ``validate_instance`` accepts parses back
-from its text.  A line whose schedule cannot be built does not stop the
-parse: every syntax error comes first, and the line's validation error is
-raised where validating the instance would reach it, after the fields and
-after the id and availability checks of that bid and of every bid before
-it.
+``core.BidSchedule``); ``core.bid_series``, the one check of an instance,
+checks what depends on the instance, and validating, solving or charging
+the result makes it.  Unknown versions are rejected.  A number past the
+bound (``core.INT_BOUND``) raises PastBound, a validation error, where it
+is read (a field's after every line), so every instance
+``validate_instance`` accepts parses back from its text.  A line whose
+schedule cannot be built does not stop the parse: every syntax error comes
+first, and the line's validation error is raised where ``bid_series``
+would reach it, after the fields and after the id and availability checks
+of that bid and of every bid before it.
 
 The parse is one pass over the document's lines, its line breaks those of
 ``str.splitlines``.  One ``findall`` reads every line; a bidder line as the
@@ -44,9 +44,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .core import (
-    BIDDER_ID_RE, WHOLE_DIGITS, AuctionError, AuctionInstance, BidSchedule, Money,
-    PastBound, ServiceType, ValidationError, _integer, bid_series, check_fields,
-    micros_to_decimal, money_from_decimal,
+    BIDDER_ID_RE, WHOLE_DIGITS, AuctionError, AuctionInstance, BidSchedule, Money, PastBound,
+    ServiceType, ValidationError, _integer, bid_series, micros_to_decimal, money_from_decimal,
 )
 
 FORMAT_NAME = "avauction-instance"
@@ -136,21 +135,19 @@ def parse_instance(text: str) -> AuctionInstance:
         service = ServiceType.from_token(fields["service"])
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
-    instance = AuctionInstance(
+    if held is not None:
+        # Raise the line's error where ``bid_series`` would reach it: after
+        # the fields, and after the checks of the bids before it and of its
+        # own id and availability, which the stand-in carries.
+        index, stand_in, error = held
+        bid_series(AuctionInstance(capacity, requested, service, (*bids[:index], stand_in)))
+        raise error
+    return AuctionInstance(
         capacity=capacity,
         requested_seats=requested,
         service=service,
         bids=tuple(bids),
     )
-    if held is not None:
-        # Raise the line's error where validating the instance would reach
-        # it: after the fields, and after the checks of the bids before it
-        # and of its own id and availability, which the stand-in carries.
-        index, stand_in, error = held
-        check_fields(instance)
-        bid_series((*bids[:index], stand_in), capacity)
-        raise error
-    return instance
 
 
 def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money], bool]:

@@ -100,17 +100,14 @@ def draw_cost_micros(stream: random.Random, cost_law: CostLaw) -> int:
     return MICROS_PER_UNIT // 2 + stream.randint(1, MICROS_PER_UNIT // 10)
 
 
-def _geometric_sums(gamma: Fraction, capacity: int) -> list[tuple[int, int]]:
-    """sum(gamma^(i-1), i=1..m) for m = 1..capacity as (numerator,
-    denominator) pairs over q^(m-1), where gamma = p/q."""
+def _geometric_sum(gamma: Fraction, m: int) -> tuple[int, int]:
+    """sum(gamma^(i-1), i=1..m) as a (numerator, denominator) pair over
+    q^(m-1), where gamma = p/q: the numerator is (q^m - p^m) / (q - p), or
+    m at gamma 1."""
     p, q = gamma.numerator, gamma.denominator
-    sums = [(1, 1)]
-    num, den, power = 1, 1, 1
-    for _ in range(1, capacity):
-        power *= p
-        num, den = num * q + power, den * q
-        sums.append((num, den))
-    return sums
+    if p == q:
+        return m, 1
+    return (q**m - p**m) // (q - p), q ** (m - 1)
 
 
 def _draw_schedule(
@@ -118,17 +115,18 @@ def _draw_schedule(
     bidder_id: str,
     capacity: int,
     law: GenerationLaw,
-    sums: list[tuple[int, int]],
+    sums: dict[int, tuple[int, int]],
 ) -> BidSchedule:
     available = stream.randint(1, capacity)
-    sums = sums[:available]
     for _ in range(MAX_DRAW_ATTEMPTS):
         cost = draw_cost_micros(stream, law.cost_law)
         # Micro-rounding can flatten sub-micro marginals for tiny costs, so
         # sizes are rounded from the largest down and a draw is redrawn at
         # its first flat step, most often the last, the smallest marginal.
+        # A size's sum is built the first time a draw of the batch reads it.
         series = []
-        for num, den in reversed(sums):
+        for m in range(available, 0, -1):
+            num, den = sums.get(m) or sums.setdefault(m, _geometric_sum(law.gamma, m))
             price = round_half_up(cost * num, den)
             if series and price >= series[-1]:
                 break
@@ -220,7 +218,7 @@ def generate_batch(
         raise _past("capacity")
     if not (_is_int(first_case) and first_case >= 0):
         raise InvalidLaw(f"first_case must be an int of at least 0, got {_shown(first_case)}")
-    sums = _geometric_sums(law.gamma, capacity)
+    sums: dict[int, tuple[int, int]] = {}
     ids = [f"b{j:04d}" for j in range(bidders)]
     stream = random.Random(0)  # any seed: every stream below reseeds it
     out = []

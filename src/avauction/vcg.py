@@ -16,8 +16,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .core import (
     BOUND_DIGITS, INT_BOUND, AuctionError, AuctionInstance, BidSchedule, Money, OversizedRatio,
-    ServiceType, UnknownBidder, ValidationError, _past, as_fraction, bid_series, check_fields,
-    round_half_up,
+    ServiceType, UnknownBidder, ValidationError, _past, as_fraction, bid_series, round_half_up,
 )
 from .wdp import Allocation, CompiledCase, solve_wdp
 
@@ -196,8 +195,7 @@ def bidder_utility(
 ) -> dict[str, int]:
     """Each bidder's utility in micros, charge minus served valuation (may
     be negative); the instance is checked first, as compiling checks it."""
-    check_fields(instance)
-    series = bid_series(instance.bids, instance.capacity)
+    series = bid_series(instance)
     for bidder_id, prices in series.items():
         val = valuations.get(bidder_id)
         if val is None:
@@ -229,17 +227,16 @@ def perturb_bids(
 ) -> AuctionInstance:
     """Scale every price of the targeted bidders by (1 + raise_fraction).
 
-    The instance is checked first, as compiling checks it (``check_fields``,
-    then one ``bid_series`` walk over every bid, which gives each target's
-    series), then the fraction's terms against the bound, the targets, and
-    each raised series against the bound (PastBound).  Scaled prices are
-    rounded half-up to micro-units; strict monotonicity survives any
-    non-negative raise, but micro-rounding can break an exact
-    diminishing-marginals pattern, so a raised schedule keeps the concave
-    flag only when the price rule accepts its series with the flag.
+    The instance is checked first, as compiling checks it (``bid_series``,
+    which gives each target's series), then the fraction's terms against
+    the bound, the targets, and each raised series against the bound
+    (PastBound).  Scaled prices are rounded half-up to micro-units; strict
+    monotonicity survives any non-negative raise, but micro-rounding can
+    break an exact diminishing-marginals pattern, so a raised schedule
+    keeps the concave flag only when the price rule accepts its series
+    with the flag.
     """
-    check_fields(instance)
-    checked = bid_series(instance.bids, instance.capacity)
+    checked = bid_series(instance)
     try:
         fraction = as_fraction(raise_fraction, BOUND_DIGITS)
     except OversizedRatio:

@@ -54,7 +54,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     AuctionInstance, Money, OversizedCombination, ServiceType, UnknownBidder, _is_int, _shown,
-    bid_series, check_fields, check_request,
+    bid_series, check_request,
 )
 
 
@@ -111,9 +111,9 @@ class CompiledCase:
     """One instance's bids, compiled once and queried for any service and
     any q_r up to the instance's request, ``width``.
 
-    A case is built only from an instance, with the checks
-    ``validate_instance`` makes (``check_fields``, then the ``bid_series``
-    walk), so it raises the first violation that validation raises.  To
+    A case is built only from an instance, with the one check
+    ``validate_instance`` makes, ``bid_series``, so it raises the first
+    violation that validation raises.  To
     answer every request a vehicle can take, compile an instance that asks
     for the full capacity.  ``ids`` are the bidder ids in sorted order and
     ``rows[i]`` is bidder ``ids[i]``'s price series in micros for sizes
@@ -123,8 +123,7 @@ class CompiledCase:
     """
 
     def __init__(self, instance: AuctionInstance):
-        check_fields(instance)
-        series = bid_series(instance.bids, instance.capacity)
+        series = bid_series(instance)
         self.capacity = instance.capacity
         self.width = instance.requested_seats
         self.ids = tuple(sorted(series))

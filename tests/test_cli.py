@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -380,6 +381,33 @@ def test_study_truthfulness_cli_writes_two_tables(tmp_path):
     assert code == EXIT_OK
     assert (tmp_path / "truthfulness_winners.csv").exists()
     assert (tmp_path / "truthfulness_changes.csv").exists()
+
+
+@pytest.mark.parametrize("name, header", [
+    ("charges", "K,service,q_r,servable_cases,mean_total_charge,mean_optimal"),
+    ("asymptoticity", "K,service,q_r,law,qualifying_cases,mean_change_of_payment"),
+    ("timing", "K,service,mode,cases,mean_seconds"),
+])
+def test_each_study_writes_its_table_from_the_command_line(tmp_path, capsys, name, header):
+    assert main(["study", name, "--k", "2,5", "--cases", "2", "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {tmp_path / name}.csv\n"
+    lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+    assert lines[0] == header and len(lines) > 1
+    if name == "timing":  # a float cell has exactly six decimals
+        assert all(re.fullmatch(r"\d+\.\d{6}", line.split(",")[4]) for line in lines[1:])
+
+
+@pytest.mark.parametrize("name, tables", [
+    ("truthfulness", ("truthfulness_winners", "truthfulness_changes")),
+    ("asymptoticity", ("asymptoticity",)),
+    ("timing", ("timing",)),
+])
+def test_a_study_of_monopolies_alone_writes_header_only_tables(tmp_path, name, tables):
+    """A monopoly's charge is its own bid, so these studies read no K = 1
+    market and write only their headers."""
+    assert main(["study", name, "--k", "1", "--cases", "2", "--out", str(tmp_path)]) == EXIT_OK
+    for table in tables:
+        assert (tmp_path / f"{table}.csv").read_text().count("\n") == 1
 
 
 def test_study_invariant_violation_is_one_line(tmp_path, capsys, monkeypatch):

@@ -467,6 +467,11 @@ def rough_schedules(draw):
     return schedule, capacity
 
 
+def one_bid(schedule, capacity):
+    """An instance of one bid at q_r = 1, which any capacity of at least 1 admits."""
+    return make_instance(capacity, 1, ServiceType.SPLITTABLE, [schedule])
+
+
 @settings(max_examples=500)
 @given(rough_schedules())
 def test_one_pass_validation_raises_the_same_first_violation(case):
@@ -477,7 +482,7 @@ def test_one_pass_validation_raises_the_same_first_violation(case):
     fields = outcome(check_text_format_fields, raw)
     series = outcome(lambda s: two_pass_price_series(s, capacity), raw)
     expected = series if fields is None else fields
-    assert outcome(lambda s: list(bid_series([BidSchedule(*s)], capacity)["A"]), raw) == expected
+    assert outcome(lambda s: list(bid_series(one_bid(BidSchedule(*s), capacity))["A"]), raw) == expected
     assert outcome(lambda s: list(full_case([BidSchedule(*s)], capacity).rows[0]), raw) == expected
 
 
@@ -506,11 +511,11 @@ def test_a_stored_series_never_changes_an_outcome(case, capacity2, through_valid
             return validate_instance(make_instance(capacity, 1, ServiceType.SPLITTABLE, [s]))
     else:
         def first_check(s):
-            return bid_series([s], capacity)
+            return bid_series(one_bid(s, capacity))
 
     assert outcome(first_check, schedule) == outcome(first_check, fresh())
     assert schedule == fresh() and schedule._series == fresh()._series
-    for check in (lambda s: bid_series([s], capacity2),
+    for check in (lambda s: bid_series(one_bid(s, capacity2)),
                   lambda s: list(full_case([s], capacity2).rows[0])):
         assert outcome(check, schedule) == outcome(check, fresh())
 

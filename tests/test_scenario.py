@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 
@@ -64,6 +65,9 @@ class TestGenerationLaw:
         for bad in (7.0, 1.5, True, "7", None):
             with pytest.raises(InvalidLaw):
                 GenerationLaw(seed=bad)
+        # so would a cost law given by its value, which is refused, never coerced
+        with pytest.raises(InvalidLaw, match="^cost_law must be a CostLaw, got 'large'$"):
+            GenerationLaw(seed=1, cost_law="large")
 
     def test_counts_must_be_ints(self):
         law = GenerationLaw(seed=1)
@@ -313,3 +317,18 @@ def test_a_capacity_no_draw_can_price_is_refused_after_two_roundings_a_draw(monk
     with pytest.raises(InvalidLaw, match="cannot produce valid micro-unit price curves"):
         generate_batch(GenerationLaw(seed=20250810), 1, 2500, 1)
     assert len(calls) == 2 * MAX_DRAW_ATTEMPTS
+
+
+def test_a_draw_no_curve_can_price_builds_only_the_sums_it_reads():
+    """At capacity 10,000 the first bidder's availability is one no price
+    curve at gamma 4/5 covers.  The batch refuses it having built only the
+    sums of the sizes its draws rounded: it once built the sum of every
+    size up to the capacity first, a peak of 32 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidLaw, match="^gamma 4/5 cannot produce valid micro-unit price"):
+            generate_batch(GenerationLaw(seed=1), 1, 10_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6

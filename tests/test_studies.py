@@ -169,8 +169,12 @@ def test_csv_bytes_are_reproducible(tmp_path):
     first = run_charge_study(cfg).csv_text()
     second = run_charge_study(ExperimentConfig(**SMALL)).csv_text()
     assert first == second
-    path = run_charge_study(cfg).write_csv(tmp_path)
+    table = run_charge_study(cfg)
+    path = table.write_csv(tmp_path)
     assert path.read_text() == first
+    # A row of the wrong width is refused, so the CSV stays rectangular.
+    with pytest.raises(ValueError, match=r"^charges: row width 5 != 6$"):
+        table.add(*table.rows[0][:5])
 
 
 def test_run_study_dispatch():

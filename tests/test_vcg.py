@@ -68,6 +68,7 @@ class TestChargeReports:
         assert report.fallback
         assert report.total_charge == money_from_decimal("1.15")
         assert charges_by_id(report)["A"] == 1_150_000  # its own winning bid
+        assert not charge_identity_holds(report)  # the identity holds only without fallback
         assert pivotals_by_id(report)["A"] is None
         assert charges_by_id(report)["B"] == 0
 
@@ -251,6 +252,13 @@ class TestChangeRatios:
         assert report.optimum.micros == 0
         with pytest.raises(ZeroBaseline):
             change_of_payment(report)
+        # Twin zero bids: the winner's pivotal is the other's 0, so the total is 0.
+        twins = vcg_charges(make_instance(
+            5, 1, ServiceType.SPLITTABLE, [sched("A", 1, {1: "0"}), sched("B", 1, {1: "0"})],
+        ))
+        assert twins.total_charge.micros == 0
+        with pytest.raises(ZeroBaseline, match="^truthful total charge is zero$"):
+            change_of_charge(twins, report)
 
     def test_no_bidder_pivotal_means_zero_premium(self):
         # twin cheapest offers: excluding either leaves the optimum intact

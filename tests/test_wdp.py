@@ -376,6 +376,8 @@ def test_price_rejects_a_size_the_row_does_not_offer(size):
     assert [case.price("B", 1), case.price("B", 2)] == [100_000, 200_000]
     with pytest.raises(OversizedCombination, match=r"bidder B: no size .* in 1\.\.2"):
         case.price("B", size)
+    with pytest.raises(UnknownBidder, match="^Z$"):
+        case.price("Z", 1)
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,10 @@ of order or missing, availability outside the capacity, repeated ids, bad
 ids, bad or missing fields, lines moved or repeated, odd whitespace, huge or
 malformed numbers, prefixes glued to a bidder line, comments that hold a
 bidder line or a line break other than "\\n", fields reordered, blank
-lines, a line of more than 1000 sizes, CRLF line endings, no final newline,
-and so on), into a temporary directory; some documents carry a comment as
+lines, a line of more than 1000 sizes, a bidder line whose schedule cannot
+be built before a repeated id, an availability above the capacity or a
+missing field, CRLF line endings, no final newline, and so on), into a
+temporary directory; some documents carry a comment as
 ``gen`` writes one.  Each source tree (the directory that holds the
 ``avauction`` package) then runs in its own process, which calls
 ``avauction.cli.main`` in-process for every document through ``charge``
@@ -139,12 +141,13 @@ def _edit_header(rng: random.Random, line: str) -> tuple[str, str]:
 def mutate(rng: random.Random, lines: list[str]) -> tuple[list[str], str]:
     """The lines with one random mutation, and its kind: ``prices-K`` or
     ``header-K`` for an edit of one bidder line (K as in ``_edit_prices``
-    and ``_edit_header``), ``doc-K`` for the others (K as below)."""
+    and ``_edit_header``), ``doc-K`` for the others (K as below; kind 18
+    adds its later fault, ``doc-18-repeated-id`` and so on)."""
     lines = list(lines)
     rows = _bidder_rows(lines)
     fields = [i for i, line in enumerate(lines)
               if line.split(" ")[0] in ("capacity", "requested_seats", "service")]
-    kind = rng.randrange(18)
+    kind = rng.randrange(19)
     if kind <= 3 and rows:
         i = rng.choice(rows)
         lines[i], label = _edit_prices(rng, lines[i])
@@ -204,6 +207,25 @@ def mutate(rng: random.Random, lines: list[str]) -> tuple[list[str], str]:
         lines = [f"capacity {rng.choice([1000, 2000])}" if line.startswith("capacity ") else line
                  for line in lines]
         lines.insert(rng.randint(1, len(lines)), f"bidder wide available {available} prices{items}")
+    elif kind == 18:  # a schedule that cannot be built, then a later fault
+        fault = rng.choice(["repeated-id", "above-capacity", "missing-field"])
+        if fault == "missing-field" and fields:
+            del lines[rng.choice(fields)]
+            later = None
+        elif fault == "repeated-id":
+            later = rng.choice([lines[i] for i in rows] + ["bidder held available 1 prices 1:0.1"])
+        else:
+            later = "bidder high available 7 prices" + "".join(
+                f" {m}:{_price(m * 10**6)}" for m in range(1, 8))
+        at = rng.randint(1, len(lines))
+        lines.insert(at, rng.choice([
+            "bidder held available 2 prices 1:0.500000 2:0.400000",  # falling
+            "bidder held available 2 prices 1:0.500000 2:0.500000",  # tied
+            "bidder held available 3 concave prices 1:0.100000 2:0.200000 3:0.400000",
+        ]))
+        if later is not None:
+            lines.insert(rng.randint(at + 1, len(lines)), later)
+        return lines, f"doc-18-{fault}"
     return lines, f"doc-{kind}"
 
 
