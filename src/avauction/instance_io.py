@@ -135,6 +135,12 @@ def parse_instance(text: str) -> AuctionInstance:
         service = ServiceType.from_token(fields["service"])
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
+    instance = AuctionInstance(
+        capacity=capacity,
+        requested_seats=requested,
+        service=service,
+        bids=tuple(bids),
+    )
     if held is not None:
         # Raise the line's error where ``bid_series`` would reach it: after
         # the fields, and after the checks of the bids before it and of its
@@ -142,12 +148,7 @@ def parse_instance(text: str) -> AuctionInstance:
         index, stand_in, error = held
         bid_series(AuctionInstance(capacity, requested, service, (*bids[:index], stand_in)))
         raise error
-    return AuctionInstance(
-        capacity=capacity,
-        requested_seats=requested,
-        service=service,
-        bids=tuple(bids),
-    )
+    return instance
 
 
 def _parse_bidder(n: int, tokens: list[str]) -> tuple[str, int, dict[int, Money], bool]:

@@ -322,8 +322,8 @@ def test_a_capacity_no_draw_can_price_is_refused_after_two_roundings_a_draw(monk
 def test_a_draw_no_curve_can_price_builds_only_the_sums_it_reads():
     """At capacity 10,000 the first bidder's availability is one no price
     curve at gamma 4/5 covers.  The batch refuses it having built only the
-    sums of the sizes its draws rounded: it once built the sum of every
-    size up to the capacity first, a peak of 32 MB."""
+    sums of the sizes its draws rounded, not one per size up to the
+    capacity."""
     tracemalloc.start()
     try:
         with pytest.raises(InvalidLaw, match="^gamma 4/5 cannot produce valid micro-unit price"):
