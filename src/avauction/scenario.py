@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from typing import Optional
 
 from .core import (
     INT_BOUND, MICROS_PER_UNIT, AuctionError, AuctionInstance, BidSchedule, OversizedRatio,
@@ -100,14 +101,20 @@ def draw_cost_micros(stream: random.Random, cost_law: CostLaw) -> int:
     return MICROS_PER_UNIT // 2 + stream.randint(1, MICROS_PER_UNIT // 10)
 
 
-def _geometric_sum(gamma: Fraction, m: int) -> tuple[int, int]:
-    """sum(gamma^(i-1), i=1..m) as a (numerator, denominator) pair over
-    q^(m-1), where gamma = p/q: the numerator is (q^m - p^m) / (q - p), or
-    m at gamma 1."""
+def _geometric_sum(gamma: Fraction, m: int,
+                   above: Optional[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """sum(gamma^(i-1), i=1..m) as (numerator, denominator, p^(m-1)), the
+    sum over q^(m-1), where gamma = p/q.  From size m + 1's triple it takes
+    three exact divisions; otherwise the numerator is the closed form
+    (q^m - p^m) / (q - p), or m at gamma 1."""
     p, q = gamma.numerator, gamma.denominator
+    if above is not None:
+        num, den, power = above
+        return (num - power) // q, den // q, power // p
     if p == q:
-        return m, 1
-    return (q**m - p**m) // (q - p), q ** (m - 1)
+        return m, 1, 1
+    power, den = p ** (m - 1), q ** (m - 1)
+    return (q * den - p * power) // (q - p), den, power
 
 
 def _draw_schedule(
@@ -115,7 +122,7 @@ def _draw_schedule(
     bidder_id: str,
     capacity: int,
     law: GenerationLaw,
-    sums: dict[int, tuple[int, int]],
+    sums: dict[int, tuple[int, int, int]],
 ) -> BidSchedule:
     available = stream.randint(1, capacity)
     for _ in range(MAX_DRAW_ATTEMPTS):
@@ -123,10 +130,13 @@ def _draw_schedule(
         # Micro-rounding can flatten sub-micro marginals for tiny costs, so
         # sizes are rounded from the largest down and a draw is redrawn at
         # its first flat step, most often the last, the smallest marginal.
-        # A size's sum is built the first time a draw of the batch reads it.
+        # A size's sum is built the first time a draw of the batch reads it,
+        # from the size above when that one is built.
         series = []
         for m in range(available, 0, -1):
-            num, den = sums.get(m) or sums.setdefault(m, _geometric_sum(law.gamma, m))
+            if m not in sums:
+                sums[m] = _geometric_sum(law.gamma, m, sums.get(m + 1))
+            num, den, _ = sums[m]
             price = round_half_up(cost * num, den)
             if series and price >= series[-1]:
                 break
@@ -218,7 +228,7 @@ def generate_batch(
         raise _past("capacity")
     if not (_is_int(first_case) and first_case >= 0):
         raise InvalidLaw(f"first_case must be an int of at least 0, got {_shown(first_case)}")
-    sums: dict[int, tuple[int, int]] = {}
+    sums: dict[int, tuple[int, int, int]] = {}
     ids = [f"b{j:04d}" for j in range(bidders)]
     stream = random.Random(0)  # any seed: every stream below reseeds it
     out = []
