@@ -65,7 +65,7 @@ class TestGenerationLaw:
         for bad in (7.0, 1.5, True, "7", None):
             with pytest.raises(InvalidLaw):
                 GenerationLaw(seed=bad)
-        # so would a cost law given by its value, which is refused, never coerced
+        # a cost law given by its value is refused too, never coerced
         with pytest.raises(InvalidLaw, match="^cost_law must be a CostLaw, got 'large'$"):
             GenerationLaw(seed=1, cost_law="large")
 

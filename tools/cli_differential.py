@@ -208,15 +208,14 @@ def mutate(rng: random.Random, lines: list[str]) -> tuple[list[str], str]:
                  for line in lines]
         lines.insert(rng.randint(1, len(lines)), f"bidder wide available {available} prices{items}")
     elif kind == 18:  # a schedule that cannot be built, then a later fault
-        fault = rng.choice(["repeated-id", "above-capacity", "missing-field"])
-        if fault == "missing-field" and fields:
-            del lines[rng.choice(fields)]
-            later = None
-        elif fault == "repeated-id":
+        fault, later = rng.choice(["repeated-id", "above-capacity", "missing-field"]), None
+        if fault == "repeated-id":
             later = rng.choice([lines[i] for i in rows] + ["bidder held available 1 prices 1:0.1"])
-        else:
+        elif fault == "above-capacity":
             later = "bidder high available 7 prices" + "".join(
                 f" {m}:{_price(m * 10**6)}" for m in range(1, 8))
+        elif fields:
+            del lines[rng.choice(fields)]
         at = rng.randint(1, len(lines))
         lines.insert(at, rng.choice([
             "bidder held available 2 prices 1:0.500000 2:0.400000",  # falling
