@@ -257,7 +257,7 @@ class BidSchedule:
         prices = dict(prices)
         who, top = bidder_id, available_seats
         if not (isinstance(who, str) and BIDDER_ID_RE.fullmatch(who)):
-            raise _bad_id(who)
+            raise ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
         if not _is_int(top) or not isinstance(concave, bool):
             raise ValidationError(f"bidder {who}: available_seats must be int and concave bool")
         if not -INT_BOUND < top < INT_BOUND:
@@ -374,10 +374,6 @@ class AuctionInstance:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _bad_id(who) -> ValidationError:
-    return ValidationError(f"bad bidder id {who!r}: use letters, digits, '_', '.' or '-'")
 
 
 def _plain_series(series: Sequence[int], concave: bool) -> bool:

@@ -14,25 +14,27 @@ law, at the largest configured K, and reads every K as a ``head`` of it.
 All tables except timing are byte-identical across runs with the same
 config: aggregation uses exact rationals, never floats.
 
-Servability, charges and asymptoticity each give only a per-case score, a
-dict from each request to a tuple of exact counts and sums, and their table
-rows.  One driver, ``_tally``, owns the rest: it splits the cases into
-contiguous ranges, one per CPU the process may run on and at most one per
-case; each range draws only its own cases in a forked process and returns
-its summed scores, which are added in range order; with one range it runs
-in this process.  So their tables do not depend on the number of ranges,
-and a failure raises what one loop over every case would raise first.
-Truthfulness and timing run their own loops in this process.
+Servability, charges, asymptoticity and truthfulness' untruthful subsets
+each give only a per-case score, a dict from each request to a tuple of
+cells (exact counts and sums, or table rows), and their table rows.  One
+driver, ``_tally``, owns the rest: it splits the cases into contiguous
+ranges, one per CPU the process may run on and at most one per case; each
+range draws only its own cases in a forked process and returns its summed
+scores, which are added in range order; with one range it runs in this
+process.  So their tables do not depend on the number of ranges, and a
+failure raises what one loop over every case would raise first.  Timing
+alone runs its own loop in this process, because it measures wall time.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import product
+from operator import add
 from pathlib import Path
 from typing import Optional, Union
 
@@ -62,6 +64,8 @@ REQUESTS = tuple(product(SERVICES, QS))
 # Fig-5 style perturbations: fraction of bidders raised, and by how much.
 TARGET_FRACTIONS = (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2))
 RAISE_FRACTIONS = (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))
+# Every (target fraction, raise) cell of a request, in table row order.
+UNTRUTHFUL_CELLS = tuple(product(TARGET_FRACTIONS, RAISE_FRACTIONS))
 # Table-2 style raises applied to the base-case winners (0 = base row).
 WINNER_RAISES = (Fraction(0), Fraction(1, 5), Fraction(1, 2))
 # Cases per untruthful-subset cell, and per timing scenario (at most config.cases).
@@ -78,10 +82,6 @@ def ratio_to_decimal(value: Fraction) -> str:
     """Render an exact rational with six decimals, ties rounded away from 0."""
     micros = round_half_up(abs(value.numerator) * MICROS_PER_UNIT, value.denominator)
     return ("-" if value < 0 else "") + micros_to_decimal(micros)
-
-
-def _mean_money(total_micros: int, count: int) -> str:
-    return micros_to_decimal(round_half_up(total_micros, count))
 
 
 @dataclass
@@ -248,9 +248,10 @@ def _range_sums(score, config: ExperimentConfig, ks: tuple, laws: tuple, cases: 
 
 
 def _summed(parts) -> dict:
-    """Add dicts from each request to a tuple of exact counts and sums."""
+    """Add dicts from each request to a tuple of cells, cell by cell with
+    ``+``: counts and sums add, and tuples of table rows join in case order."""
     parts = list(parts)
-    return {request: tuple(map(sum, zip(*(part[request] for part in parts))))
+    return {request: tuple(reduce(add, cell) for cell in zip(*(part[request] for part in parts)))
             for request in REQUESTS}
 
 
@@ -327,7 +328,7 @@ def _tally(score, config: ExperimentConfig, ks: tuple, laws: tuple = (None,)):
 
 def _unservable(batch: ScenarioBatch, i: int) -> dict:
     case = CompiledCase(batch.instance(i, ServiceType.SPLITTABLE, CAPACITY))
-    return {request: (not case.servable(*request),) for request in REQUESTS}
+    return {request: (0 if case.servable(*request) else 1,) for request in REQUESTS}
 
 
 def run_servability_study(config: ExperimentConfig) -> ResultTable:
@@ -355,20 +356,46 @@ def run_charge_study(config: ExperimentConfig) -> ResultTable:
     sizes = config.scenario_sizes
     for k, sums in zip(sizes, _tally(_charge_sums, config, sizes)):
         for (svc, q), (count, *totals) in sums.items():
-            table.add(k, svc, q, count, *(_mean_money(t, count) if count else "" for t in totals))
+            table.add(k, svc, q, count, *(micros_to_decimal(round_half_up(t, count)) if count
+                                          else "" for t in totals))
     return table
+
+
+def _untruthful_changes(batch: ScenarioBatch, i: int) -> dict:
+    """Case i's row ``(case, change_of_charge)`` alone in a tuple per (target
+    fraction, raise) cell of each request; an unservable request's are empty."""
+    k, case = batch.bidder_count, batch.first_case + i
+    changes = dict.fromkeys(REQUESTS, ((),) * len(UNTRUTHFUL_CELLS))
+    for (svc, q), truthful in _case_reports(batch, i).items():
+        if truthful is None:
+            continue
+        instance, ids = batch.instance(i, svc, q), truthful.bidder_ids  # in id order
+        rows = changes[(svc, q)] = []
+        for frac, raise_f in UNTRUTHFUL_CELLS:
+            label = f"untruthful/K{k}/{svc.value}/q{q}/f{frac}/r{raise_f}/case{case}"
+            targets = rng_stream(batch.law.seed, label).sample(ids, max(1, round_half_up(frac * k)))
+            perturbed = perturb_bids(instance, targets, raise_f)
+            report = vcg_charges(perturbed)
+            change = change_of_charge(truthful, report)
+            if change < 0:
+                _check_negative_change(instance, perturbed, report, targets, raise_f,
+                                       f"negative change of charge {change}", batch.case_label(i))
+            rows.append(((case, change),))
+    return changes
 
 
 def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, ResultTable]:
     """Two sub-studies: base-case winners raising their bids, and randomly
     chosen untruthful subsets; the latter reports change of charge per run.
 
-    The untruthful subsets are drawn at the largest configured scenario.  A
-    raise usually leaves the change of charge non-negative, but a raised
-    co-winner can keep winning and other winners' charges then fall with it;
-    this happens in thin markets and at K = 100 too.  Such a run is written
-    like any other once ``_check_negative_change`` finds it an exact VCG
-    outcome; otherwise the study aborts with the offending case.
+    The untruthful subsets are drawn at the largest configured scenario, in
+    case ranges like every ranged study.  A raise usually leaves the change
+    of charge non-negative, but a raised co-winner can keep winning and other
+    winners' charges then fall with it; this happens in thin markets and at
+    K = 100 too.  Such a run is written like any other once
+    ``_check_negative_change`` finds it an exact VCG outcome; otherwise the
+    study aborts with the offending case: after the winners sub-study's
+    checks of case 0 at every K, the lowest failing case's first failure.
     """
     winners_table = ResultTable(
         "truthfulness_winners",
@@ -381,17 +408,11 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
     markets = _markets(config)
     if not markets:
         return winners_table, changes_table
-    runs = min(TRUTHFULNESS_RUNS, config.cases)
-    batch = _generate(config, range(runs))
-    truthful_reports = [_case_reports(batch, case) for case in range(runs)]
+    # Case 0 alone: streams are keyed by (case, bidder), so it is a full batch's.
+    first = _generate(config, range(1))
     for k in markets:
-        # Only case 0 is used; streams are keyed by (seed, case, bidder), so
-        # it is the same case 0 as in a full batch, and at the largest K its
-        # reports are already built.
-        base = batch.head(k, 1)
-        base_reports = (
-            truthful_reports[0] if k == batch.bidder_count else _case_reports(base, 0)
-        )
+        base = first.head(k, 1)
+        base_reports = _case_reports(base, 0)
         for q in QS:
             base_report = base_reports[(ServiceType.SPLITTABLE, q)]
             if base_report is None:
@@ -408,27 +429,12 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
                     ";".join(report.charge_of(b).to_decimal() for b in ids),
                     report.total_charge,
                 )
-    k = batch.bidder_count
-    for (svc, q), frac, raise_f in product(REQUESTS, TARGET_FRACTIONS, RAISE_FRACTIONS):
-        for case in range(runs):
-            truthful = truthful_reports[case][(svc, q)]
-            if truthful is None:
-                continue
-            instance = batch.instance(case, svc, q)
-            count = max(1, round_half_up(frac * k))
-            stream = rng_stream(
-                config.seed,
-                f"untruthful/K{k}/{svc.value}/q{q}/f{frac}/r{raise_f}/case{case}",
-            )
-            targets = stream.sample(sorted(instance.bidder_ids()), count)
-            perturbed = perturb_bids(instance, targets, raise_f)
-            report = vcg_charges(perturbed)
-            change = change_of_charge(truthful, report)
-            if change < 0:
-                _check_negative_change(instance, perturbed, report, targets, raise_f,
-                                       f"negative change of charge {change}",
-                                       batch.case_label(case))
-            changes_table.add(k, svc, q, frac, raise_f, case, change)
+    k, runs = first.bidder_count, replace(config, cases=min(TRUTHFULNESS_RUNS, config.cases))
+    (changes,) = _tally(_untruthful_changes, runs, (k,))
+    for (svc, q), cells in changes.items():
+        for (frac, raise_f), rows in zip(UNTRUTHFUL_CELLS, cells):
+            for case, change in rows:
+                changes_table.add(k, svc, q, frac, raise_f, case, change)
     return winners_table, changes_table
 
 

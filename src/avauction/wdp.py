@@ -133,14 +133,11 @@ class CompiledCase:
         self.longest = max(map(len, self.rows), default=0)
         self._ranked: dict[int, list[tuple[int, int]]] = {}
 
-    def _row(self, bidder_id: str) -> int:
+    def price(self, bidder_id: str, size: int) -> int:
         i = bisect_left(self.ids, bidder_id)
         if i == len(self.ids) or self.ids[i] != bidder_id:
             raise UnknownBidder(bidder_id)
-        return i
-
-    def price(self, bidder_id: str, size: int) -> int:
-        row = self.rows[self._row(bidder_id)]
+        row = self.rows[i]
         if not (_is_int(size) and 1 <= size <= len(row)):
             raise OversizedCombination(
                 f"bidder {bidder_id}: no size {_shown(size)} in 1..{len(row)}"

@@ -3,6 +3,7 @@ import hashlib
 import os
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -71,6 +72,14 @@ def test_servability_shape_and_structure():
                 <= by_cell[(k, ServiceType.NON_SPLITTABLE, q)]
                 <= by_cell[(k, ServiceType.PRIVATE, q)]
             )
+
+
+def test_a_count_over_one_case_is_written_as_an_int():
+    """Cells add with ``+``, so a cell summed over one case is that case's
+    own score: each count a score gives must be an int, not a bool."""
+    cfg = ExperimentConfig(scenario_sizes=(1,), cases=1, seed=2)
+    text = run_servability_study(cfg).csv_text()
+    assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} == {"0", "1"}
 
 
 def test_charge_study_shape():
@@ -294,11 +303,9 @@ def test_a_negative_change_of_payment_names_its_case(monkeypatch):
         run_asymptoticity_study(ExperimentConfig(scenario_sizes=(5,), cases=2))
 
 
-RANGED = {
-    "servability": run_servability_study,
-    "charges": run_charge_study,
-    "asymptoticity": run_asymptoticity_study,
-}
+# Each study that runs its cases in ranges, returning its list of tables.
+RANGED = {name: partial(run_study, name)
+          for name in ("servability", "charges", "asymptoticity", "truthfulness")}
 
 
 def _at_workers(monkeypatch, workers, run, cfg):
@@ -312,7 +319,7 @@ def test_ranged_tables_do_not_depend_on_the_worker_count(monkeypatch, name):
     for cfg in (ExperimentConfig(scenario_sizes=(1, 5, 30), cases=7, seed=11),
                 ExperimentConfig(scenario_sizes=(3, 8), cases=2, seed=12)):
         texts = {
-            workers: _at_workers(monkeypatch, workers, run, cfg).csv_text()
+            workers: [table.csv_text() for table in _at_workers(monkeypatch, workers, run, cfg)]
             for workers in (1, 2, 3)
         }
         assert texts[2] == texts[1] and texts[3] == texts[1]
@@ -336,8 +343,9 @@ def test_the_worker_count_is_one_per_cpu_and_at_most_one_per_case(monkeypatch):
 
 def test_a_range_whose_process_dies_fails_the_study(monkeypatch):
     monkeypatch.setattr(studies, "_range_sums", lambda *args: os._exit(3))
-    with pytest.raises(ChildProcessError, match="exited with 3$"):
-        _at_workers(monkeypatch, 2, run_charge_study, ExperimentConfig(scenario_sizes=(2,), cases=2))
+    for name in ("charges", "truthfulness"):
+        with pytest.raises(ChildProcessError, match="exited with 3$"):
+            _at_workers(monkeypatch, 2, RANGED[name], ExperimentConfig(scenario_sizes=(2,), cases=2))
 
 
 def test_a_fork_that_fails_leaves_no_process_or_pipe_behind(monkeypatch):
@@ -376,21 +384,54 @@ def _planted(monkeypatch, faults):
     monkeypatch.setattr(studies, "_case_reports", faulty)
 
 
-@pytest.mark.parametrize("name", ["charges", "asymptoticity"])
+# Two planted faults (K, case) in different ranges of a three-way split:
+# the one a single loop meets second, then the one it meets first.
+FAULTS = {
+    # the later case at the smaller K: the loop goes over K, then case
+    "charges": ((30, 3), (5, 15)),
+    "asymptoticity": ((30, 3), (5, 15)),
+    # the untruthful subsets read cases 0-4 at the largest K, and the
+    # winners sub-study reads case 0 first, outside the ranges
+    "truthfulness": ((30, 4), (30, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ["charges", "asymptoticity", "truthfulness"])
 @pytest.mark.parametrize("first", [StudyInvariantViolation, AssertionError])
 def test_ranged_studies_raise_what_one_worker_raises_first(monkeypatch, name, first):
-    """Faults in the first and last of three ranges: the later case at the
-    smaller K is the one a single loop over K, then case, meets first."""
+    """Faults in two of three ranges: at three workers the study raises the
+    one a single loop meets first, as it does at one worker."""
     run = RANGED[name]
     cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)
-    _planted(monkeypatch, {(30, 3): StudyInvariantViolation, (5, 15): first})
+    later, (k, case) = FAULTS[name]
+    _planted(monkeypatch, {later: StudyInvariantViolation, (k, case): first})
     raised = {}
     for workers in (1, 3):
         with pytest.raises(first) as info:
             _at_workers(monkeypatch, workers, run, cfg)
         raised[workers] = str(info.value)
     assert raised[3] == raised[1]
-    assert raised[1].endswith(" K=5 case=15]")
+    assert raised[1].endswith(f" K={k} case={case}]")
+
+
+def test_truthfulness_raises_the_lowest_failing_case_first(monkeypatch):
+    """An untruthful cell of case 4 at the first request fails, and one of
+    case 1 at a later request: the lower case is raised, at any worker
+    count, whatever the request order of the table."""
+    planted = {"untruthful/K30/splittable/q1/f1/10/r1/10/case4",
+               "untruthful/K30/private/q1/f1/2/r3/10/case1"}
+    original = studies.rng_stream
+
+    def faulty(seed, label):
+        if label in planted:
+            raise StudyInvariantViolation(f"planted {label}")
+        return original(seed, label)
+
+    monkeypatch.setattr(studies, "rng_stream", faulty)
+    cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)
+    for workers in (1, 3):
+        with pytest.raises(StudyInvariantViolation, match="/case1$"):
+            _at_workers(monkeypatch, workers, run_truthfulness_study, cfg)
 
 
 def test_a_range_that_fails_to_draw_wins_over_an_earlier_block(monkeypatch):
