@@ -4,7 +4,8 @@ cases, and run the study suite.
 Exit codes: 0 served, 1 study invariant violation, 2 unservable, 64 parse
 error (also a command-line usage error, or a file that cannot be read or
 written), 65 validation error (also a study setting no case generator
-accepts).
+accepts), 71 system error (a study's case range that cannot be forked or
+whose process dies).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_INVARIANT = 1
 EXIT_UNSERVABLE = 2
 EXIT_PARSE = 64
 EXIT_VALIDATION = 65
+EXIT_OSERR = 71
 
 
 def _shown_text(text: str) -> str:
@@ -188,12 +190,11 @@ def _config(args: argparse.Namespace, default_sizes: tuple[int, ...]) -> Experim
 def cmd_gen(args: argparse.Namespace) -> int:
     config = _config(args, (5,))
     service = ServiceType(args.service)
-    # Generate and assemble everything before anything is written, so a bad
-    # setting leaves no output directory behind.
-    batches = [
-        generate_batch(config.law(), k, args.capacity, config.cases)
-        for k in config.scenario_sizes
-    ]
+    # Draw once at the largest K, take each K as a head of it, and assemble
+    # everything before anything is written, so a bad setting leaves no
+    # output directory behind.
+    full = generate_batch(config.law(), max(config.scenario_sizes), args.capacity, config.cases)
+    batches = [full.head(k) for k in config.scenario_sizes]
     instances = [[b.instance(i, service, args.qr) for i in range(b.case_count)] for b in batches]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,7 +209,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_study(args: argparse.Namespace) -> int:
     config = _config(args, ExperimentConfig.scenario_sizes)
-    for table in run_study(args.name, config):
+    try:
+        tables = run_study(args.name, config)
+    except OSError as exc:  # a study does no file I/O: a fork or a case range failed
+        print(f"system error: {exc}", file=sys.stderr)
+        return EXIT_OSERR
+    for table in tables:
         path = table.write_csv(args.out)
         print(f"wrote {path}")
     return EXIT_OK

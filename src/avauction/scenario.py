@@ -189,17 +189,15 @@ class ScenarioBatch:
             bids=self.cases[case],
         )
 
-    def head(self, bidders: int, cases: int) -> "ScenarioBatch":
-        """The first ``cases`` cases, each cut to its first ``bidders``
-        schedules: the batch ``generate_batch`` draws at that size, since
-        streams are keyed by (case, bidder) only."""
-        if not (_is_int(bidders) and _is_int(cases)
-                and 1 <= bidders <= self.bidder_count and 1 <= cases <= self.case_count):
+    def head(self, bidders: int) -> "ScenarioBatch":
+        """Every case cut to its first ``bidders`` schedules: the batch
+        ``generate_batch`` draws at that size, since streams are keyed by
+        (case, bidder) only."""
+        if not (_is_int(bidders) and 1 <= bidders <= self.bidder_count):
             raise InvalidLaw(
-                f"head({_shown(bidders, str)}, {_shown(cases, str)}) outside a batch of "
-                f"{self.case_count} case(s) of {self.bidder_count} bidder(s)"
+                f"head({_shown(bidders, str)}) outside a batch of {self.bidder_count} bidder(s)"
             )
-        return replace(self, cases=tuple(schedules[:bidders] for schedules in self.cases[:cases]))
+        return replace(self, cases=tuple(schedules[:bidders] for schedules in self.cases))
 
     def case_label(self, case: int) -> str:
         return (

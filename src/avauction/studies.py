@@ -14,7 +14,7 @@ law, at the largest configured K, and reads every K as a ``head`` of it.
 All tables except timing are byte-identical across runs with the same
 config: aggregation uses exact rationals, never floats.
 
-Servability, charges, asymptoticity and truthfulness' untruthful subsets
+Servability, charges, asymptoticity and both truthfulness sub-studies
 each give only a per-case score, a dict from each request to a tuple of
 cells (exact counts and sums, or table rows), and their table rows.  One
 driver, ``_tally``, owns the rest: it splits the cases into contiguous
@@ -240,8 +240,7 @@ def _range_sums(score, config: ExperimentConfig, ks: tuple, laws: tuple, cases: 
         made.append(None)
         for k in ks:
             for full in fulls:
-                batch = full.head(k, full.case_count)
-                made.append(_summed(score(batch, i) for i in range(batch.case_count)))
+                made.append(_summed(map(partial(score, full.head(k)), range(full.case_count))))
     except Exception as exc:
         return made, exc
     return made, None
@@ -384,18 +383,37 @@ def _untruthful_changes(batch: ScenarioBatch, i: int) -> dict:
     return changes
 
 
+def _winner_raises(batch: ScenarioBatch, i: int) -> dict:
+    """Case i's base winners raising their bids: for each servable splittable
+    request, one tuple of rows ``(raise, winners, their charges, total
+    charge)``, one per raise of ``WINNER_RAISES``; every other is empty."""
+    raises = dict.fromkeys(REQUESTS, ((),))
+    for (svc, q), base in _case_reports(batch, i).items():
+        if svc is ServiceType.SPLITTABLE and base is not None:
+            instance, winners = batch.instance(i, svc, q), base.winner_allocation.winner_ids()
+            rows = []
+            for raise_f in WINNER_RAISES:
+                report = vcg_charges(perturb_bids(instance, winners, raise_f))
+                ids = report.winner_allocation.winner_ids()
+                rows.append((raise_f, ";".join(ids),
+                             ";".join(report.charge_of(b).to_decimal() for b in ids),
+                             report.total_charge))
+            raises[(svc, q)] = (tuple(rows),)
+    return raises
+
+
 def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, ResultTable]:
     """Two sub-studies: base-case winners raising their bids, and randomly
     chosen untruthful subsets; the latter reports change of charge per run.
 
-    The untruthful subsets are drawn at the largest configured scenario, in
-    case ranges like every ranged study.  A raise usually leaves the change
-    of charge non-negative, but a raised co-winner can keep winning and other
-    winners' charges then fall with it; this happens in thin markets and at
-    K = 100 too.  Such a run is written like any other once
-    ``_check_negative_change`` finds it an exact VCG outcome; otherwise the
-    study aborts with the offending case: after the winners sub-study's
-    checks of case 0 at every K, the lowest failing case's first failure.
+    Both run on ``_tally``: the winners over case 0 at every K, then the
+    untruthful subsets over the first cases at the largest K.  A raise
+    usually leaves the change of charge non-negative, but a raised co-winner
+    can keep winning and other winners' charges then fall with it; this
+    happens in thin markets and at K = 100 too.  Such a run is written like
+    any other once ``_check_negative_change`` finds it an exact VCG outcome;
+    otherwise the study aborts with what one loop meets first: the winners'
+    checks of case 0 at every K, then the lowest failing case's first failure.
     """
     winners_table = ResultTable(
         "truthfulness_winners",
@@ -408,28 +426,11 @@ def run_truthfulness_study(config: ExperimentConfig) -> tuple[ResultTable, Resul
     markets = _markets(config)
     if not markets:
         return winners_table, changes_table
-    # Case 0 alone: streams are keyed by (case, bidder), so it is a full batch's.
-    first = _generate(config, range(1))
-    for k in markets:
-        base = first.head(k, 1)
-        base_reports = _case_reports(base, 0)
-        for q in QS:
-            base_report = base_reports[(ServiceType.SPLITTABLE, q)]
-            if base_report is None:
-                continue
-            base_instance = base.instance(0, ServiceType.SPLITTABLE, q)
-            base_winners = base_report.winner_allocation.winner_ids()
-            for raise_f in WINNER_RAISES:
-                perturbed = perturb_bids(base_instance, base_winners, raise_f)
-                report = vcg_charges(perturbed)
-                ids = report.winner_allocation.winner_ids()
-                winners_table.add(
-                    k, q, raise_f,
-                    ";".join(ids),
-                    ";".join(report.charge_of(b).to_decimal() for b in ids),
-                    report.total_charge,
-                )
-    k, runs = first.bidder_count, replace(config, cases=min(TRUTHFULNESS_RUNS, config.cases))
+    for k, raises in zip(markets, _tally(_winner_raises, replace(config, cases=1), markets)):
+        for (_, q), (rows,) in raises.items():
+            for row in rows:
+                winners_table.add(k, q, *row)
+    k, runs = max(markets), replace(config, cases=min(TRUTHFULNESS_RUNS, config.cases))
     (changes,) = _tally(_untruthful_changes, runs, (k,))
     for (svc, q), cells in changes.items():
         for (frac, raise_f), rows in zip(UNTRUTHFUL_CELLS, cells):
@@ -523,10 +524,9 @@ def run_timing_study(config: ExperimentConfig) -> ResultTable:
     markets = _markets(config)
     if not markets:
         return table
-    cases = min(TIMING_CASES, config.cases)
-    full = _generate(config, range(cases))
+    full = _generate(config, range(min(TIMING_CASES, config.cases)))
     for k in markets:
-        batch = full.head(k, cases)
+        batch = full.head(k)
         for svc in SERVICES:
             instances = []
             for i in range(batch.case_count):

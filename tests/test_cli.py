@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import os
@@ -26,7 +27,8 @@ from avauction import (
 )
 from avauction.core import WHOLE_DIGITS
 from avauction.cli import (
-    EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_UNSERVABLE, EXIT_VALIDATION, build_parser, main,
+    EXIT_INVARIANT, EXIT_OK, EXIT_OSERR, EXIT_PARSE, EXIT_UNSERVABLE, EXIT_VALIDATION, build_parser,
+    main,
 )
 
 from conftest import make_instance, oracle_off_by_one_micro, sched
@@ -282,6 +284,19 @@ def test_gen_writes_the_golden_bytes(tmp_path, capsys):
     assert digests == GEN_GOLDEN
 
 
+def test_gen_of_an_unsorted_k_list_writes_what_each_k_writes_alone(tmp_path, capsys):
+    """One draw at the largest K, not at the last K listed, gives every K."""
+    together = tmp_path / "together"
+    assert main(["gen", "--k", "7,2,5", "--cases", "2", "--out", str(together)]) == EXIT_OK
+    for k in (7, 2, 5):
+        alone = tmp_path / f"k{k}"
+        assert main(["gen", "--k", str(k), "--cases", "2", "--out", str(alone)]) == EXIT_OK
+        assert len(list(alone.iterdir())) == 2
+        for f in alone.iterdir():
+            assert (together / f.name).read_bytes() == f.read_bytes()
+    assert len(list(together.iterdir())) == 6
+
+
 @pytest.mark.parametrize("argv", [["study", "charges"], ["gen"]])
 def test_the_command_line_defaults_are_the_study_defaults(argv):
     args = build_parser().parse_args(argv)
@@ -408,6 +423,35 @@ def test_a_study_of_monopolies_alone_writes_header_only_tables(tmp_path, name, t
     assert main(["study", name, "--k", "1", "--cases", "2", "--out", str(tmp_path)]) == EXIT_OK
     for table in tables:
         assert (tmp_path / f"{table}.csv").read_text().count("\n") == 1
+
+
+def _dead_ranges(monkeypatch):
+    parent, range_sums = os.getpid(), studies._range_sums
+    monkeypatch.setattr(studies, "_range_sums",
+                        lambda *args: range_sums(*args) if os.getpid() == parent else os._exit(3))
+
+
+def _refused_forks(monkeypatch):
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "fork refused")
+    monkeypatch.setattr(os, "fork", refused)
+
+
+@pytest.mark.parametrize("fault, says", [
+    (_dead_ranges, "the process of a case range exited with 3"),
+    (_refused_forks, f"[Errno {errno.EAGAIN}] fork refused"),
+], ids=["dead-range", "refused-fork"])
+def test_a_study_whose_case_range_fails_is_a_system_error(tmp_path, capsys, monkeypatch,
+                                                          fault, says):
+    """A range that dies or cannot be forked is neither a parse error nor a
+    bad setting: one line, exit 71, and no table written."""
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
+    fault(monkeypatch)
+    out = tmp_path / "out"
+    code = main(["study", "charges", "--k", "2", "--cases", "2", "--out", str(out)])
+    assert code == EXIT_OSERR == 71
+    assert capsys.readouterr() == ("", f"system error: {says}\n")
+    assert not out.exists()
 
 
 def test_study_invariant_violation_is_one_line(tmp_path, capsys, monkeypatch):

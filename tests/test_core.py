@@ -747,7 +747,7 @@ def _one_bid():
     _message(InvalidLaw, lambda big: generate_batch(GenerationLaw(seed=1), 1, 5, 1, first_case=-big)),
     _message(InvalidLaw, lambda big: generate_batch(GenerationLaw(seed=1), 1, 5, 1).instance(
         big, SPLIT, 1)),
-    _message(InvalidLaw, lambda big: generate_batch(GenerationLaw(seed=1), 1, 5, 1).head(big, 1)),
+    _message(InvalidLaw, lambda big: generate_batch(GenerationLaw(seed=1), 1, 5, 1).head(big)),
     _message(PastBound, lambda big: perturb_bids(_one_bid(), [], -big)),
     _message(PastBound, lambda big: perturb_bids(_one_bid(), [], Fraction(-big, 3))),
 ], ids=["price", "money", "availability-and-size", "availability-outside-bounds",

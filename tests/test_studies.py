@@ -342,7 +342,11 @@ def test_the_worker_count_is_one_per_cpu_and_at_most_one_per_case(monkeypatch):
 
 
 def test_a_range_whose_process_dies_fails_the_study(monkeypatch):
-    monkeypatch.setattr(studies, "_range_sums", lambda *args: os._exit(3))
+    """Every forked range exits with 3; truthfulness' one-case winners tally
+    runs in this process and is left to finish."""
+    parent, range_sums = os.getpid(), studies._range_sums
+    monkeypatch.setattr(studies, "_range_sums",
+                        lambda *args: range_sums(*args) if os.getpid() == parent else os._exit(3))
     for name in ("charges", "truthfulness"):
         with pytest.raises(ChildProcessError, match="exited with 3$"):
             _at_workers(monkeypatch, 2, RANGED[name], ExperimentConfig(scenario_sizes=(2,), cases=2))
@@ -390,18 +394,20 @@ FAULTS = {
     # the later case at the smaller K: the loop goes over K, then case
     "charges": ((30, 3), (5, 15)),
     "asymptoticity": ((30, 3), (5, 15)),
-    # the untruthful subsets read cases 0-4 at the largest K, and the
-    # winners sub-study reads case 0 first, outside the ranges
+    # the untruthful subsets read cases 0-4 at the largest K, after the
+    # winners sub-study's one-case tally reads case 0 at every K
     "truthfulness": ((30, 4), (30, 1)),
+    # so a winners fault of case 0 at the smaller K comes before them all
+    "truthfulness-winners": ((30, 1), (5, 0)),
 }
 
 
-@pytest.mark.parametrize("name", ["charges", "asymptoticity", "truthfulness"])
+@pytest.mark.parametrize("name", list(FAULTS))
 @pytest.mark.parametrize("first", [StudyInvariantViolation, AssertionError])
 def test_ranged_studies_raise_what_one_worker_raises_first(monkeypatch, name, first):
-    """Faults in two of three ranges: at three workers the study raises the
-    one a single loop meets first, as it does at one worker."""
-    run = RANGED[name]
+    """Two planted faults, apart in a three-way split: at three workers the
+    study raises the one a single loop meets first, as it does at one worker."""
+    run = RANGED[name.partition("-")[0]]
     cfg = ExperimentConfig(scenario_sizes=(5, 30), cases=20)
     later, (k, case) = FAULTS[name]
     _planted(monkeypatch, {later: StudyInvariantViolation, (k, case): first})
