@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     services = [s.value for s in ServiceType]
     defaults = ExperimentConfig  # the headline protocol
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, run, sizes: tuple[int, ...]) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--seed", type=_int_option("--seed"), default=defaults.seed,
                        help="RNG seed (u64)")
         p.add_argument("--out", default="out", help="output directory")
@@ -104,28 +105,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="marginal decay ratio in (0, 1], e.g. 0.8 or 4/5")
         p.add_argument("--cases", type=_int_option("--cases"), default=defaults.cases,
                        help="random cases per scenario")
-        p.add_argument("--k", type=_parse_k_list, default=None,
+        p.add_argument("--k", type=_parse_k_list, default=sizes,
                        help="comma-separated bidder counts, e.g. 1,5,10,30,50,100")
 
-    p_solve = sub.add_parser("solve", help="solve one instance file")
-    p_solve.add_argument("instance", help="instance document path")
-    p_solve.add_argument("--service", choices=services,
-                         default=None, help="override the file's service type")
-
-    p_charge = sub.add_parser("charge", help="compute the full charge report")
-    p_charge.add_argument("instance", help="instance document path")
-    p_charge.add_argument("--service", choices=services,
-                          default=None, help="override the file's service type")
+    for name, text, run in [("solve", "solve one instance file", cmd_solve),
+                            ("charge", "compute the full charge report", cmd_charge)]:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        p.add_argument("instance", help="instance document path")
+        p.add_argument("--service", choices=services,
+                       default=None, help="override the file's service type")
 
     p_gen = sub.add_parser("gen", help="generate random instance files")
-    add_common(p_gen)
+    add_common(p_gen, cmd_gen, (5,))
     p_gen.add_argument("--service", choices=services, default="splittable")
     p_gen.add_argument("--qr", type=_int_option("--qr"), default=1, help="requested seats")
     p_gen.add_argument("--capacity", type=_int_option("--capacity"), default=CAPACITY)
 
     p_study = sub.add_parser("study", help="run a study and write its CSV tables")
     p_study.add_argument("name", choices=STUDY_NAMES)
-    add_common(p_study)
+    add_common(p_study, cmd_study, defaults.scenario_sizes)
 
     return parser
 
@@ -176,10 +175,10 @@ def cmd_charge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _config(args: argparse.Namespace, default_sizes: tuple[int, ...]) -> ExperimentConfig:
+def _config(args: argparse.Namespace) -> ExperimentConfig:
     """The settings ``gen`` and ``study`` share, checked by the study config."""
     return ExperimentConfig(
-        scenario_sizes=args.k or default_sizes,
+        scenario_sizes=args.k,
         cases=args.cases,
         cost_law=CostLaw(args.law),
         gamma=args.gamma,
@@ -188,7 +187,7 @@ def _config(args: argparse.Namespace, default_sizes: tuple[int, ...]) -> Experim
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    config = _config(args, (5,))
+    config = _config(args)
     service = ServiceType(args.service)
     # Draw once at the largest K, take each K as a head of it, and assemble
     # everything before anything is written, so a bad setting leaves no
@@ -208,7 +207,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    config = _config(args, ExperimentConfig.scenario_sizes)
+    config = _config(args)
     try:
         tables = run_study(args.name, config)
     except OSError as exc:  # a study does no file I/O: a fork or a case range failed
@@ -221,15 +220,9 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    handlers = {
-        "solve": cmd_solve,
-        "charge": cmd_charge,
-        "gen": cmd_gen,
-        "study": cmd_study,
-    }
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        return args.run(args)
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

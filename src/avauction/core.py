@@ -86,13 +86,21 @@ def _past(what: str) -> PastBound:
     return PastBound(f"{what} past the bound 10**{BOUND_DIGITS}")
 
 
+# A text int as ``int`` reads it: blanks (not \x1c-\x1f, which ``int`` refuses)
+# around one optional sign and digits with single ``_`` between them.
+_INT_RE = re.compile(r"[^\S\x1c-\x1f]*[-+]?(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
+
+
 def _integer(text: str, what: str) -> int:
     """The one reader of a text int, for the parser and the command line:
     ``int(text)``, or PastBound for (signed) digits past the bound, however
-    many, before ``int`` reads them."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if len(digits) > BOUND_DIGITS and digits.isdecimal() and any(map(int, digits[:-BOUND_DIGITS])):
-        raise _past(what)
+    many, before ``int`` reads them.  Blanks around the number and ``_``
+    between its digits count as the digits they hold: ``" 1_0"`` is 10."""
+    match = len(text) > BOUND_DIGITS and _INT_RE.fullmatch(text)
+    if match:
+        digits = match[1].replace("_", "")
+        if len(digits) > BOUND_DIGITS and any(map(int, digits[:-BOUND_DIGITS])):
+            raise _past(what)
     return int(text)
 
 

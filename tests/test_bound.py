@@ -185,15 +185,17 @@ def test_a_raise_is_bounded_in_its_fraction_and_its_prices():
 def test_gen_and_study_refuse_an_int_option_past_the_bound(tmp_path, words, digits):
     """An int option (each entry of ``--k`` too) past the bound is refused
     on one line that does not show it, however many digits it has, before
-    anything is drawn or written; ``int`` alone reads no more than 4300."""
+    anything is drawn or written; ``int`` alone reads no more than 4300.
+    So is the same value with blanks around it or ``_`` in its digits."""
     *command, option = words.split()
     out = tmp_path / "out"
-    value = "1" + "0" * (digits - 1)
-    if option == "--k":
-        value = "1," + value
-    run = run_cli([*command, "--k", "1", "--cases", "1", option, value, "--out", str(out)])
-    assert refused_on_one_line(run)
-    assert not out.exists()
+    zeros = "0" * (digits - 1)
+    for value in ("1" + zeros, " 1" + zeros + "\t", "1_" + zeros):
+        if option == "--k":
+            value = "1," + value
+        run = run_cli([*command, "--k", "1", "--cases", "1", option, value, "--out", str(out)])
+        assert refused_on_one_line(run)
+        assert not out.exists()
     with pytest.raises(PastBound):
         generate_batch(GenerationLaw(seed=1), 1, INT_BOUND, 1)
 

@@ -306,6 +306,9 @@ def test_the_command_line_defaults_are_the_study_defaults(argv):
     )
     if argv == ["gen"]:
         assert args.capacity == studies.CAPACITY
+        assert args.k == (5,)
+    else:
+        assert args.k == config.scenario_sizes
 
 
 def test_gen_rejects_bad_gamma(tmp_path, capsys):

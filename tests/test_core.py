@@ -731,6 +731,26 @@ def _one_bid():
     return make_instance(5, 1, SPLIT, [sched("A", 1, {1: "1"})])
 
 
+# An int written with blanks around it, and with ``_`` between its digits.
+INT_FORMS = {"padded": " {}\t".format, "underscored": "{:_}".format}
+
+
+def _written(big, form):
+    """``form(big)`` with the int-string limit lifted, as 10**5000 is past it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return form(big)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _document(capacity="5", available="1", size="1"):
+    return ("avauction-instance v1\n"
+            f"capacity {capacity}\nrequested_seats 1\nservice splittable\n"
+            f"bidder A available {available} prices {size}:1\n")
+
+
 @pytest.mark.parametrize("big", [INT_BOUND, BIG], ids=["bound", "5000-digits"])
 @pytest.mark.parametrize("text", [
     _message(PastBound, lambda big: BidSchedule("A", 1, {1: Money(big)})),
@@ -750,9 +770,17 @@ def _one_bid():
     _message(InvalidLaw, lambda big: generate_batch(GenerationLaw(seed=1), 1, 5, 1).head(big)),
     _message(PastBound, lambda big: perturb_bids(_one_bid(), [], -big)),
     _message(PastBound, lambda big: perturb_bids(_one_bid(), [], Fraction(-big, 3))),
+    *(_message(PastBound, lambda big, form=form: core._integer(_written(big, form), "int"))
+      for form in INT_FORMS.values()),
+    *(_message(PastBound, lambda big, form=form, field=field: parse_instance(
+        _document(**{field: _written(big, form)})))
+      for form in INT_FORMS.values() for field in ("available", "size", "capacity")),
 ], ids=["price", "money", "availability-and-size", "availability-outside-bounds",
         "capacity", "request", "size-key", "missing-price", "compiled-price", "negative-money",
-        "seed", "first-case", "batch-case", "batch-head", "negative-raise", "negative-ratio"])
+        "seed", "first-case", "batch-case", "batch-head", "negative-raise", "negative-ratio",
+        *(f"{name}-int" for name in INT_FORMS),
+        *(f"{name}-document-{field}" for name in INT_FORMS
+          for field in ("available", "size", "capacity"))])
 def test_an_int_past_the_bound_is_refused_and_never_shown(text, big):
     """Each entry that once showed an int of more than 4300 digits in full
     refuses one past the bound, 10**200 for an instance's ints and 10**600
